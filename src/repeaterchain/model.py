@@ -75,6 +75,17 @@ def _check_prob(value: float, name: str) -> float:
     return float(value)
 
 
+def _check_finite(value: float, name: str) -> None:
+    # Range comparisons are false for NaN and let infinities through; an
+    # int beyond the float range cannot enter the float arithmetic either.
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def _check_tol(tol: float) -> float:
     if not (0.0 < tol < 1.0):
         raise ConfigError(f"tol must be in (0, 1), got {tol}")
@@ -89,6 +100,8 @@ class ChannelParams:
     signal_speed: float = 2.0e5
 
     def __post_init__(self) -> None:
+        _check_finite(self.attenuation, "attenuation")
+        _check_finite(self.signal_speed, "signal_speed")
         if self.attenuation < 0.0:
             raise ConfigError(f"attenuation must be >= 0, got {self.attenuation}")
         if self.signal_speed <= 0.0:
@@ -109,6 +122,7 @@ class HardwareParams:
         _check_prob(self.detector_eff, "detector_eff")
         _check_prob(self.memory_eff, "memory_eff")
         _check_prob(self.emission_prob, "emission_prob")
+        _check_finite(self.mode_count, "mode_count")
         if int(self.mode_count) != self.mode_count or self.mode_count < 1:
             raise ConfigError(f"mode_count must be a positive integer, got {self.mode_count}")
 
@@ -123,6 +137,8 @@ class ChainConfig:
     link_length: float = field(default=0.0)
 
     def __post_init__(self) -> None:
+        _check_finite(self.total_length, "total_length")
+        _check_finite(self.link_count, "link_count")
         if self.total_length <= 0.0:
             raise ConfigError(f"total_length must be > 0, got {self.total_length}")
         if int(self.link_count) != self.link_count or self.link_count < 1:
@@ -417,6 +433,46 @@ def expected_max_attempts_closed_form(p: float, n: int) -> float:
     return total
 
 
+def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
+    """Swap success probability ``p_es = (r/2)^(n-1)`` of an ``n``-link
+    chain, and ``p_es * r``, the chance that a whole round succeeds once
+    both end memories are read out, with ``r = (eta_m eta_d)^2``."""
+    retrieval = (hw.memory_eff * hw.detector_eff) ** 2
+    p_es = (0.5 * retrieval) ** (n - 1)
+    return p_es, p_es * retrieval
+
+
+def _total_time(t_ec: float, t_cc: float, success: float) -> float:
+    # Every round costs t_ec + t_cc and succeeds with probability ``success``.
+    if success == 0.0:
+        raise UnreachableConfiguration(
+            "unreachable configuration: end-to-end success probability underflows"
+        )
+    t_tot = (t_ec + t_cc) / success
+    if not math.isfinite(t_tot):
+        raise BeyondRepresentable("total distribution time beyond representable")
+    return t_tot
+
+
+def _chain_times(
+    hw: HardwareParams,
+    chain: ChainConfig,
+    ch: ChannelParams,
+    mean_attempts: float,
+) -> tuple[float, float, float, float, float]:
+    """``(clock, t_ec, t_cc, p_es, t_tot)`` of a chain whose slowest link
+    needs ``mean_attempts`` attempts on average.
+
+    The only home of the time formulas: :func:`metrics` and the link-count
+    scan both go through it, so their times agree bit for bit.
+    """
+    clock = chain.link_length / ch.signal_speed
+    t_ec = clock * mean_attempts
+    t_cc = chain.total_length / ch.signal_speed
+    p_es, success = _round_success(hw, chain.link_count)
+    return clock, t_ec, t_cc, p_es, _total_time(t_ec, t_cc, success)
+
+
 def metrics(
     hw: HardwareParams,
     chain: ChainConfig,
@@ -435,20 +491,8 @@ def metrics(
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    n = chain.link_count
-    mean, variance = _attempts_moments(p, n, tol)
-    clock = chain.link_length / ch.signal_speed
-    t_ec = clock * mean
-    t_cc = chain.total_length / ch.signal_speed
-    retrieval = (hw.memory_eff * hw.detector_eff) ** 2
-    p_es = (0.5 * retrieval) ** (n - 1)
-    if retrieval == 0.0 or p_es == 0.0:
-        raise UnreachableConfiguration(
-            "unreachable configuration: end-to-end success probability underflows"
-        )
-    t_tot = (t_ec + t_cc) / (p_es * retrieval)
-    if not math.isfinite(t_tot):
-        raise BeyondRepresentable("total distribution time beyond representable")
+    mean, variance = _attempts_moments(p, chain.link_count, tol)
+    clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
     return RepeaterMetrics(
         ec_prob=p,
         expected_attempts=mean,

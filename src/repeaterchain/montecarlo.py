@@ -32,6 +32,7 @@ from .model import (
     ChannelParams,
     HardwareParams,
     _attempts_moments,
+    _round_success,
     ec_prob,
 )
 
@@ -154,8 +155,7 @@ def simulate(cfg: TrialConfig) -> TrialStats:
             "non-terminating process: entanglement creation never succeeds"
         )
     n = cfg.chain.link_count
-    retrieval = (cfg.hw.memory_eff * cfg.hw.detector_eff) ** 2
-    round_success = (0.5 * retrieval) ** (n - 1) * retrieval
+    _, round_success = _round_success(cfg.hw, n)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:
         raise SimulationAbort(
             f"simulation aborted: expected rounds per success exceeds {_MAX_ROUNDS_PER_SUCCESS:.0e}"

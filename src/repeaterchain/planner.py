@@ -29,6 +29,13 @@ from .model import (
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
+    _attempts_mean,
+    _chain_times,
+    _check_finite,
+    _check_tol,
+    _round_success,
+    _total_time,
+    ec_prob,
     metrics,
 )
 
@@ -55,6 +62,8 @@ _SWEEPABLE = ("total_length", "mode_count", "emission_prob")
 def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) -> float:
     """Mean time in seconds until one photon from a ``source_rate`` Hz
     source survives ``L`` km of fiber: 10^(attenuation * L / 10) / rate."""
+    _check_finite(L, "distance")
+    _check_finite(source_rate, "source_rate")
     if L < 0.0:
         raise ConfigError(f"distance must be >= 0, got {L}")
     if source_rate <= 0.0:
@@ -70,10 +79,13 @@ def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) ->
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of an exhaustive link-count scan.
+    """Outcome of a link-count search over ``scanned_range``.
 
-    ``runner_up_ratio`` is the second-best total time over the best one
-    (infinite when only a single link count was feasible).
+    The search stops at the first link count whose total time could not
+    place first or second even with zero EC time; the result equals that of
+    evaluating every link count in the range.  ``runner_up_ratio`` is the
+    second-best total time over the best one (infinite when only a single
+    link count was feasible).
     """
 
     best_n: int
@@ -86,6 +98,50 @@ def _default_n_max(total_length: float) -> int:
     return min(_MAX_SCAN_LINKS, max(1, math.ceil(total_length / _MIN_USEFUL_LINK_KM)))
 
 
+def _scan_link_counts(
+    hw: HardwareParams,
+    total_length: float,
+    ch: ChannelParams,
+    n_max: int,
+    tol: float,
+) -> tuple[int, float, float]:
+    """``(best_n, best_t, second_t)`` over link counts 1..n_max, ties going
+    to fewer links.
+
+    Times come from the mean attempt count alone, through the model code
+    :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
+    for bit.  The scan stops at the first n whose total time with
+    t_ec = 0 exceeds the runner-up or is not representable: that bound,
+    t_cc / (p_es r), is never above t_tot and never falls as n grows, so
+    no later link count could place first or second.
+    """
+    tol = _check_tol(tol)
+    best_n, best_t, second_t = 0, math.inf, math.inf
+    for n in range(1, n_max + 1):
+        chain = ChainConfig(total_length=total_length, link_count=n)
+        try:
+            if _chain_times(hw, chain, ch, 0.0)[-1] > second_t:
+                break
+        except (UnreachableConfiguration, BeyondRepresentable):
+            break
+        p = ec_prob(hw, chain, ch)
+        if p == 0.0:
+            continue
+        try:
+            t = _chain_times(hw, chain, ch, _attempts_mean(p, n, tol))[-1]
+        except BeyondRepresentable:
+            continue
+        if t < best_t:
+            best_n, best_t, second_t = n, t, min(second_t, best_t)
+        else:
+            second_t = min(second_t, t)
+    if best_n == 0:
+        raise UnreachableConfiguration(
+            f"no feasible link count in [1, {n_max}] for L = {total_length} km"
+        )
+    return best_n, best_t, second_t
+
+
 def optimize_link_count(
     hw: HardwareParams,
     total_length: float,
@@ -93,34 +149,23 @@ def optimize_link_count(
     n_max: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> OptimizationResult:
-    """Scan link counts 1..n_max exhaustively and return the one with the
-    smallest total distribution time (ties go to fewer links)."""
+    """Return the link count in 1..n_max with the smallest total
+    distribution time (ties go to fewer links).
+
+    The scan stops early at an exact bound (see :class:`OptimizationResult`);
+    ``scanned_range`` is the whole range searched, ``(1, n_max)``.
+    """
+    _check_finite(total_length, "total_length")
     if n_max is None:
         n_max = _default_n_max(total_length)
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    best: tuple[int, RepeaterMetrics] | None = None
-    second_t = math.inf
-    for n in range(1, n_max + 1):
-        try:
-            m = metrics(hw, ChainConfig(total_length=total_length, link_count=n), ch, tol)
-        except ModelError:
-            continue
-        if best is None or m.t_tot < best[1].t_tot:
-            if best is not None:
-                second_t = min(second_t, best[1].t_tot)
-            best = (n, m)
-        else:
-            second_t = min(second_t, m.t_tot)
-    if best is None:
-        raise UnreachableConfiguration(
-            f"no feasible link count in [1, {n_max}] for L = {total_length} km"
-        )
+    best_n, best_t, second_t = _scan_link_counts(hw, total_length, ch, n_max, tol)
     return OptimizationResult(
-        best_n=best[0],
-        metrics=best[1],
+        best_n=best_n,
+        metrics=metrics(hw, ChainConfig(total_length=total_length, link_count=best_n), ch, tol),
         scanned_range=(1, n_max),
-        runner_up_ratio=second_t / best[1].t_tot,
+        runner_up_ratio=second_t / best_t,
     )
 
 
@@ -151,22 +196,19 @@ class FixedLinkPlan:
 
 
 def _extended_metrics(
-    hw: HardwareParams,
     ch: ChannelParams,
     base: RepeaterMetrics,
-    n: int,
+    success: float,
     extension_km: float,
 ) -> RepeaterMetrics:
     # The extension adds propagation delay to the controller signalling and
     # to the storage span, and one photon has to survive the extra fiber,
-    # which scales the expected repetition count by 1/transmission.
+    # which scales the base chain's round success probability ``success``
+    # by the fiber's transmission.
     extra = extension_km / ch.signal_speed
     transmission = 10.0 ** (-ch.attenuation * extension_km / 10.0)
-    retrieval = (hw.memory_eff * hw.detector_eff) ** 2
     t_cc = base.t_cc + extra
-    t_tot = (base.t_ec + t_cc) / (base.p_es * retrieval * transmission)
-    if not math.isfinite(t_tot):
-        raise BeyondRepresentable("total distribution time beyond representable")
+    t_tot = _total_time(base.t_ec, t_cc, success * transmission)
     return replace(
         base,
         t_cc=t_cc,
@@ -189,6 +231,8 @@ def plan_fixed_link(
     bridged with plain fiber; the side with the smaller resulting total
     time wins.
     """
+    _check_finite(total_length, "total_length")
+    _check_finite(link_length, "link_length")
     if link_length <= 0.0:
         raise ConfigError(f"link_length must be > 0, got {link_length}")
     if total_length < link_length:
@@ -206,7 +250,7 @@ def plan_fixed_link(
         span = n * link_length
         extension = total_length - span
         base = metrics(hw, ChainConfig(total_length=span, link_count=n), ch, tol)
-        adjusted = _extended_metrics(hw, ch, base, n, abs(extension))
+        adjusted = _extended_metrics(ch, base, _round_success(hw, n)[1], abs(extension))
         plan = FixedLinkPlan(
             link_length=link_length,
             node_count=n,
@@ -235,7 +279,7 @@ def crossover_with_direct(
         raise ConfigError(f"invalid bracket {bracket}")
 
     def gap(L: float) -> float:
-        repeater = optimize_link_count(hw, L, ch, tol=tol).metrics.t_tot
+        repeater = _scan_link_counts(hw, L, ch, _default_n_max(L), tol)[1]
         return repeater - direct_transmission_time(L, ch, source_rate)
 
     g_lo, g_hi = gap(lo), gap(hi)

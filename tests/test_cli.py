@@ -200,6 +200,30 @@ def test_exit_code_3_on_model_error(capsys):
     assert "non-terminating" in err
 
 
+def test_exit_code_3_when_round_success_underflows(capsys):
+    code, _, err = run_cli(capsys, "eval", "--L", "1000", "--n", "167",
+                           "--eta-m", "0.3", "--eta-d", "0.5")
+    assert code == 3
+    assert "unreachable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--L", "nan", "--n", "8"],
+    ["eval", "--L", "inf", "--n", "8"],
+    ["eval", "--L", "1600", "--n", "8", "--alpha", "nan"],
+    ["eval", "--L", "1600", "--n", "8", "--c", "inf"],
+    ["eval", "--L", "1600", "--n", "9" * 400],
+    ["simulate", "--L", "500", "--n", "4", "--alpha", "nan"],
+    ["optimize", "--L", "nan"],
+    ["fixed-link", "--L", "1600", "--L0", "inf"],
+    ["crossover", "--source-rate", "nan"],
+])
+def test_exit_code_2_on_non_finite_input(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be finite" in err
+
+
 def test_exit_code_3_json_carries_machine_code(capsys):
     code, out, _ = run_cli(capsys, "eval", "--L", "100", "--n", "1", "--rho", "0",
                            "--format", "json")

@@ -51,6 +51,8 @@ def test_defaults_match_reference_assumptions():
     {"emission_prob": 1.0001},
     {"mode_count": 0},
     {"mode_count": 2.5},
+    {"mode_count": math.nan},
+    {"detector_eff": math.nan},
 ])
 def test_hardware_params_rejects_out_of_range(kwargs):
     with pytest.raises(ConfigError):
@@ -62,6 +64,10 @@ def test_channel_params_rejects_out_of_range():
         ChannelParams(attenuation=-0.1)
     with pytest.raises(ConfigError):
         ChannelParams(signal_speed=0.0)
+    with pytest.raises(ConfigError):
+        ChannelParams(attenuation=math.nan)
+    with pytest.raises(ConfigError):
+        ChannelParams(signal_speed=math.inf)
 
 
 def test_chain_config_derives_link_length():
@@ -73,6 +79,10 @@ def test_chain_config_derives_link_length():
         ChainConfig(total_length=0.0, link_count=1)
     with pytest.raises(ConfigError):
         ChainConfig(total_length=100.0, link_count=0)
+    with pytest.raises(ConfigError):
+        ChainConfig(total_length=math.nan, link_count=1)
+    with pytest.raises(ConfigError):
+        ChainConfig(total_length=math.inf, link_count=1)
 
 
 # ---------------------------------------------------------------- EC probability
@@ -282,6 +292,10 @@ def test_metrics_errors():
     with pytest.raises(UnreachableConfiguration):
         metrics(HardwareParams(memory_eff=0.0),
                 ChainConfig(total_length=100.0, link_count=2), DEFAULT_CH)
+    # p_es = (r/2)^166 is still normal, but p_es * r underflows to zero.
+    with pytest.raises(UnreachableConfiguration):
+        metrics(HardwareParams(memory_eff=0.3, detector_eff=0.5),
+                ChainConfig(total_length=1000.0, link_count=167), DEFAULT_CH)
 
 
 # ---------------------------------------------------------------- memory time spread

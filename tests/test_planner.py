@@ -9,6 +9,7 @@ import pytest
 from repeaterchain.errors import (
     BeyondRepresentable,
     ConfigError,
+    ModelError,
     UnreachableConfiguration,
 )
 from repeaterchain.model import ChainConfig, ChannelParams, HardwareParams, metrics
@@ -48,6 +49,10 @@ def test_direct_transmission_validation_and_overflow():
         direct_transmission_time(100.0, CH, 0.0)
     with pytest.raises(BeyondRepresentable):
         direct_transmission_time(2.0e4, CH, 1e10)
+    with pytest.raises(ConfigError):
+        direct_transmission_time(math.nan, CH, 1e10)
+    with pytest.raises(ConfigError):
+        direct_transmission_time(100.0, CH, math.inf)
 
 
 # ---------------------------------------------------------------- link-count optimization
@@ -66,6 +71,7 @@ def test_optimize_short_distance_prefers_single_link():
 
 def test_optimize_matches_independent_rescan():
     rng = np.random.default_rng(2024)
+    cases = []
     for _ in range(5):
         hw = HardwareParams(
             detector_eff=float(rng.uniform(0.5, 1.0)),
@@ -73,18 +79,29 @@ def test_optimize_matches_independent_rescan():
             emission_prob=float(rng.uniform(0.3, 1.0)),
             mode_count=int(rng.integers(1, 300)),
         )
-        L = float(rng.uniform(100.0, 2000.0))
-        n_max = 30
+        cases.append((hw, float(rng.uniform(100.0, 2000.0)), 30))
+    # Near-certain EC makes t_ec no larger than t_cc, so the bound is tight:
+    # it passes the best time before the runner-up has been evaluated.
+    cases.append((HW, 1.0, 30))
+    # Far more link counts than useful: t_tot overflows from n = 642.
+    cases.append((HW, 1600.0, 5000))
+    # Lossy retrieval: each extra link costs ~90x, and p_es * r underflows
+    # from n = 167 while p_es alone does not.
+    cases.append((HardwareParams(memory_eff=0.3, detector_eff=0.5), 1000.0, 400))
+    for hw, L, n_max in cases:
         result = optimize_link_count(hw, L, CH, n_max=n_max)
-        times = {}
+        rescan = {}
         for n in range(1, n_max + 1):
             try:
-                times[n] = metrics(hw, ChainConfig(total_length=L, link_count=n), CH).t_tot
-            except Exception:
+                rescan[n] = metrics(hw, ChainConfig(total_length=L, link_count=n), CH)
+            except ModelError:
                 continue
-        best_by_rescan = min(times, key=lambda n: (times[n], n))
-        assert result.best_n == best_by_rescan
-        assert result.metrics.t_tot == times[best_by_rescan]
+        ranked = sorted(rescan, key=lambda n: (rescan[n].t_tot, n))
+        best = ranked[0]
+        assert result.best_n == best
+        assert result.metrics == rescan[best]
+        assert result.scanned_range == (1, n_max)
+        assert result.runner_up_ratio == rescan[ranked[1]].t_tot / rescan[best].t_tot
 
 
 def test_optimize_all_links_unreachable():
@@ -146,6 +163,7 @@ def test_fixed_link_rejects_too_short_target():
 def test_crossover_reference_window():
     km = crossover_with_direct(HW, CH, 1e10)
     assert 400.0 <= km <= 550.0
+    assert km == 488.34197998046875  # the bisection sees bit-identical times
 
 
 def test_crossover_shrinks_with_better_hardware():

@@ -32,10 +32,7 @@ from .model import (
     ec_prob,
     ec_prob_single_mode,
     expected_max_attempts,
-    expected_max_attempts_closed_form,
-    memory_time_std,
     metrics,
-    single_link_attempt_dist,
 )
 from .montecarlo import TrialConfig, TrialStats, sample_chain_round, simulate
 from .planner import (
@@ -78,13 +75,10 @@ __all__ = [
     "ec_prob",
     "ec_prob_single_mode",
     "expected_max_attempts",
-    "expected_max_attempts_closed_form",
-    "memory_time_std",
     "metrics",
     "optimize_link_count",
     "plan_fixed_link",
     "run_sweep",
     "sample_chain_round",
     "simulate",
-    "single_link_attempt_dist",
 ]

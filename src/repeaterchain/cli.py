@@ -6,9 +6,13 @@ layered over a flat ``key = value`` config file (flags win).  Output is
 ``human`` (SI-prefixed times), ``csv``, or ``json``; the machine formats
 never prefix units and are byte-stable for a fixed seed.
 
+:data:`PARAMETERS` declares every parameter once, and :data:`SCENARIOS`
+maps each subcommand to a runner whose report one emitter prints.
+
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
-simulation abort.
+simulation abort.  Once the format is known, errors follow it: under
+``json`` they are a ``{"error": ...}`` record on stdout.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigError, ModelError, SimulationAbort
 from .model import (
@@ -27,14 +32,14 @@ from .model import (
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
+    _check_tol,
     metrics,
 )
-from .montecarlo import TrialConfig, TrialStats, simulate
+from .montecarlo import TrialConfig, simulate
 from .planner import (
     FixedLinkPlan,
     SweepSpec,
     crossover_with_direct,
-    direct_transmission_time,
     optimize_link_count,
     plan_fixed_link,
     run_sweep,
@@ -42,7 +47,6 @@ from .planner import (
 
 __all__ = ["RunConfig", "execute", "main", "parse_config"]
 
-SCENARIOS = ("eval", "optimize", "fixed-link", "sweep", "crossover", "simulate")
 FORMATS = ("human", "csv", "json")
 
 # Column order of the machine-readable metrics schema.
@@ -60,29 +64,38 @@ METRIC_COLUMNS = (
     "mem_std_s",
 )
 
-_DEFAULTS: dict[str, object] = {
-    "L": None,
-    "n": None,
-    "L0": None,
-    "m": 100,
-    "rho": 0.9,
-    "eta_d": 0.9,
-    "eta_m": 0.9,
-    "alpha": 0.2,
-    "c": 2.0e5,
-    "tol": DEFAULT_TOL,
-    "trials": 1000,
-    "seed": 0,
-    "source_rate": 1.0e10,
-    "n_max": None,
-    "param": None,
-    "values": None,
-    "format": "human",
-    "scenario": None,
-}
+# Swept parameter -> the SweepSpec field it sweeps.
+_SWEPT = {"L": "total_length", "m": "mode_count", "rho": "emission_prob"}
 
-_FLOAT_KEYS = ("L", "L0", "rho", "eta_d", "eta_m", "alpha", "c", "tol", "source_rate")
-_INT_KEYS = ("n", "m", "trials", "seed", "n_max")
+
+def _grid(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+# key -> (type, default, help).  Every key is a config-file key and, when
+# it has a help text, the flag ``--key`` with ``_`` written as ``-``.  A
+# tuple type lists the choices.  argparse converts int and float flags;
+# other flags arrive as text and are parsed like config-file values.
+PARAMETERS: dict[str, tuple[object, object, str | None]] = {
+    "L": (float, None, "total distance in km"),
+    "n": (int, None, "number of elementary links"),
+    "L0": (float, None, "elementary link length in km"),
+    "m": (int, 100, "modes per attempt"),
+    "rho": (float, 0.9, "source emission probability"),
+    "eta_d": (float, 0.9, "detector efficiency"),
+    "eta_m": (float, 0.9, "memory efficiency"),
+    "alpha": (float, 0.2, "fiber attenuation in dB/km"),
+    "c": (float, 2.0e5, "signal speed in km/s"),
+    "tol": (float, DEFAULT_TOL, "series truncation tolerance"),
+    "trials": (int, 1000, "end-to-end successes to simulate"),
+    "seed": (int, 0, "simulation seed (64-bit unsigned)"),
+    "source_rate": (float, 1.0e10, "direct-transmission source rate in Hz"),
+    "n_max": (int, None, "largest link count to scan"),
+    "format": (FORMATS, "human", "output format"),
+    "param": (tuple(_SWEPT), None, "swept parameter"),
+    "values": (_grid, None, "comma-separated, strictly increasing grid"),
+    "scenario": (str, None, None),
+}
 
 
 @dataclass(frozen=True)
@@ -106,19 +119,36 @@ class RunConfig:
     sweep_values: tuple[float, ...] | None = None
 
 
+@dataclass(frozen=True)
+class _Report:
+    """One scenario's result in every output format: the json document,
+    the csv header and rows (a row without a column prints it empty), and
+    the human lines."""
+
+    payload: dict
+    columns: tuple[str, ...] = ()
+    rows: tuple[dict, ...] = ()
+    lines: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    help: str
+    run: Callable[[RunConfig], _Report]
+    required: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()  # parameters only this subcommand takes
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _parse_value(key: str, raw: str, where: str):
+    kind = PARAMETERS[key][0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key == "values":
-            return tuple(float(v) for v in raw.split(","))
-        if key in ("format", "param", "scenario"):
-            return raw.strip()
+        return raw if isinstance(kind, tuple) else kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -135,142 +165,122 @@ def _read_config_file(path: str) -> dict[str, object]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in PARAMETERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return out
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    kind, _, text = PARAMETERS[key]
+    if isinstance(kind, tuple):
+        parser.add_argument(_flag(key), dest=key, choices=kind, help=text)
+    else:
+        parser.add_argument(_flag(key), dest=key, help=text,
+                            type=kind if kind in (int, float) else None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    own_flags = {key for scenario in SCENARIOS.values() for key in scenario.flags}
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file; flags override it")
-    common.add_argument("--L", type=float, help="total distance in km")
-    common.add_argument("--n", type=int, help="number of elementary links")
-    common.add_argument("--L0", type=float, help="elementary link length in km")
-    common.add_argument("--m", type=int, help="modes per attempt")
-    common.add_argument("--rho", type=float, help="source emission probability")
-    common.add_argument("--eta-d", type=float, dest="eta_d", help="detector efficiency")
-    common.add_argument("--eta-m", type=float, dest="eta_m", help="memory efficiency")
-    common.add_argument("--alpha", type=float, help="fiber attenuation in dB/km")
-    common.add_argument("--c", type=float, help="signal speed in km/s")
-    common.add_argument("--tol", type=float, help="series truncation tolerance")
-    common.add_argument("--trials", type=int, help="end-to-end successes to simulate")
-    common.add_argument("--seed", type=int, help="simulation seed (64-bit unsigned)")
-    common.add_argument("--source-rate", type=float, dest="source_rate",
-                        help="direct-transmission source rate in Hz")
-    common.add_argument("--n-max", type=int, dest="n_max", help="largest link count to scan")
-    common.add_argument("--format", choices=FORMATS, help="output format")
+    for key, (_, _, text) in PARAMETERS.items():
+        if text is not None and key not in own_flags:
+            _add_flag(common, key)
 
     parser = argparse.ArgumentParser(
         prog="repeaterchain",
         description="Entanglement-distribution performance of semihierarchical repeater chains.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    sub.add_parser("eval", parents=[common], help="metrics for one (L, n) configuration")
-    sub.add_parser("optimize", parents=[common], help="scan link counts for the fastest chain")
-    sub.add_parser("fixed-link", parents=[common], help="plan a chain with fixed link length")
-    sub.add_parser("crossover", parents=[common],
-                   help="distance where the chain beats direct transmission")
-    sweep = sub.add_parser("sweep", parents=[common], help="tabulate metrics over a grid")
-    sweep.add_argument("--param", choices=("L", "m", "rho"), help="swept parameter")
-    sweep.add_argument("--values", help="comma-separated, strictly increasing grid")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo validation run")
+    for name, scenario in SCENARIOS.items():
+        scenario_parser = sub.add_parser(name, parents=[common], help=scenario.help)
+        for key in scenario.flags:
+            _add_flag(scenario_parser, key)
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve flags plus optional config file into a :class:`RunConfig`.
 
-    Precedence: built-in defaults, then config-file keys, then flags.
+    Precedence: built-in defaults, then config-file keys, then flags.  A
+    :class:`ConfigError` raised after the output format is known carries
+    it as ``output``.
     """
     args = _build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
-    if args.config:
-        file_values = _read_config_file(args.config)
-        file_scenario = file_values.pop("scenario", None)
-        if file_scenario is not None and file_scenario != args.scenario:
-            raise ConfigError(
-                f"scenario {file_scenario!r} from {args.config} conflicts with "
-                f"subcommand {args.scenario!r}"
-            )
-        merged.update(file_values)
-    for key in list(_DEFAULTS):
-        flag_value = getattr(args, key, None)
-        if key == "scenario" or flag_value is None:
-            continue
-        if key == "values":
-            flag_value = _parse_value("values", flag_value, "--values")
-        merged[key] = flag_value
-    merged["scenario"] = args.scenario
+    merged = {key: default for key, (_, default, _) in PARAMETERS.items()}
+    try:
+        if args.config:
+            file_values = _read_config_file(args.config)
+            file_scenario = file_values.pop("scenario", None)
+            if file_scenario is not None and file_scenario != args.scenario:
+                raise ConfigError(
+                    f"scenario {file_scenario!r} from {args.config} conflicts with "
+                    f"subcommand {args.scenario!r}"
+                )
+            merged.update(file_values)
+        for key, (kind, _, _) in PARAMETERS.items():
+            value = getattr(args, key, None)  # the subcommand is ``scenario``
+            if isinstance(value, str) and not isinstance(kind, tuple):
+                value = _parse_value(key, value, _flag(key))
+            if value is not None:
+                merged[key] = value
+        return _resolve(merged)
+    except ConfigError as exc:
+        fmt = args.format or merged["format"]
+        exc.output = fmt if fmt in FORMATS else "human"
+        raise
 
+
+def _resolve(merged: dict[str, object]) -> RunConfig:
     fmt = merged["format"]
     if fmt not in FORMATS:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
-    hw = HardwareParams(
-        detector_eff=merged["eta_d"],
-        memory_eff=merged["eta_m"],
-        emission_prob=merged["rho"],
-        mode_count=merged["m"],
-    )
+    hw = HardwareParams(detector_eff=merged["eta_d"], memory_eff=merged["eta_m"],
+                        emission_prob=merged["rho"], mode_count=merged["m"])
     ch = ChannelParams(attenuation=merged["alpha"], signal_speed=merged["c"])
-    tol = merged["tol"]
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"tol must be in (0, 1), got {tol}")
+    tol = _check_tol(merged["tol"])
 
     scenario = merged["scenario"]
-    L = merged["L"]
-    if scenario in ("eval", "optimize", "fixed-link", "simulate") and L is None:
-        raise ConfigError(f"--L is required for scenario {scenario!r}")
-    if scenario in ("eval", "simulate") and merged["n"] is None:
-        raise ConfigError(f"--n is required for scenario {scenario!r}")
+    for key in SCENARIOS[scenario].required:
+        if merged[key] is None:
+            raise ConfigError(f"{_flag(key)} is required for scenario {scenario!r}")
     sweep_param = None
-    sweep_values = None
     if scenario == "sweep":
         if merged["param"] is None or merged["values"] is None:
             raise ConfigError("sweep requires --param and --values")
-        sweep_param = {"L": "total_length", "m": "mode_count", "rho": "emission_prob"}.get(
-            merged["param"]
-        )
-        if sweep_param is None:
+        if merged["param"] not in _SWEPT:
             raise ConfigError(f"--param must be L, m, or rho, got {merged['param']!r}")
-        sweep_values = merged["values"]
-        if sweep_param != "total_length" and L is None:
+        sweep_param = _SWEPT[merged["param"]]
+        if sweep_param != "total_length" and merged["L"] is None:
             raise ConfigError("--L is required when it is not the swept parameter")
     link_length = merged["L0"]
     if scenario == "fixed-link" and link_length is None:
         link_length = 125.0
     return RunConfig(
-        scenario=scenario,
-        hw=hw,
-        ch=ch,
-        output=fmt,
-        tol=tol,
-        total_length=L,
-        link_count=merged["n"],
-        link_length=link_length,
-        trials=merged["trials"],
-        seed=merged["seed"],
-        source_rate=merged["source_rate"],
-        n_max=merged["n_max"],
-        sweep_param=sweep_param,
-        sweep_values=sweep_values,
+        scenario=scenario, hw=hw, ch=ch, output=fmt, tol=tol,
+        total_length=merged["L"], link_count=merged["n"], link_length=link_length,
+        trials=merged["trials"], seed=merged["seed"], source_rate=merged["source_rate"],
+        n_max=merged["n_max"], sweep_param=sweep_param,
+        sweep_values=merged["values"] if sweep_param else None,
     )
 
 
+def format_time(seconds: float) -> str:
+    """SI-prefixed time with 4 significant digits: ms below 1 s, s up to
+    an hour, h beyond."""
+    if seconds < 1.0:
+        return f"{seconds * 1e3:.4g} ms"
+    if seconds < 3600.0:
+        return f"{seconds:.4g} s"
+    return f"{seconds / 3600.0:.4g} h"
+
+
 def _metric_row(L: float, n: int, m: RepeaterMetrics) -> dict[str, float | int]:
-    return {
-        "L_km": L,
-        "n": n,
-        "L0_km": L / n,
-        "p": m.ec_prob,
-        "f_over_p": m.expected_attempts,
-        "t_ec_s": m.t_ec,
-        "t_cc_s": m.t_cc,
-        "p_es": m.p_es,
-        "t_tot_s": m.t_tot,
-        "mem_avg_s": m.mem_time_avg,
-        "mem_std_s": m.mem_time_std,
-    }
+    return dict(zip(METRIC_COLUMNS, (
+        L, n, L / n, m.ec_prob, m.expected_attempts, m.t_ec, m.t_cc, m.p_es, m.t_tot,
+        m.mem_time_avg, m.mem_time_std,
+    )))
 
 
 def _plan_row(L: float, plan: FixedLinkPlan) -> dict[str, float | int | str]:
@@ -284,8 +294,99 @@ def _plan_row(L: float, plan: FixedLinkPlan) -> dict[str, float | int | str]:
     return row
 
 
-def _stats_row(cfg: RunConfig, stats: TrialStats) -> dict[str, float | int]:
-    return {
+def _metric_report(scenario: str, row: dict, heading: tuple[str, ...] = (), **extra) -> _Report:
+    # One metrics record: eval, optimize and fixed-link.
+    lines = [
+        f"L = {row['L_km']:g} km, n = {row['n']} links, L0 = {row['L0_km']:g} km",
+        f"EC probability per attempt: {row['p']:.4g}",
+        f"expected attempts until all links ready: {row['f_over_p']:.4g}",
+        f"t_ec: {format_time(row['t_ec_s'])}    t_cc: {format_time(row['t_cc_s'])}",
+        f"swap success probability: {row['p_es']:.4g}",
+        f"average distribution time: {format_time(row['t_tot_s'])}",
+        f"memory time: {format_time(row['mem_avg_s'])} +- {format_time(row['mem_std_s'])}",
+    ]
+    if "side" in row:
+        lines.insert(1, f"nodes span {row['node_span_km']:g} km, extension "
+                        f"{row['extension_km']:g} km ({row['side']})")
+    return _Report({"scenario": scenario, "record": row, **extra},
+                   METRIC_COLUMNS, (row,), (*heading, *lines))
+
+
+# Runners look the layer entry points up in this module's namespace at
+# call time, so a wrapper installed there sees every call.
+
+def _run_eval(cfg: RunConfig) -> _Report:
+    chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
+    m = metrics(cfg.hw, chain, cfg.ch, cfg.tol)
+    return _metric_report("eval", _metric_row(cfg.total_length, cfg.link_count, m))
+
+
+def _run_optimize(cfg: RunConfig) -> _Report:
+    result = optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max, cfg.tol)
+    lo, hi = result.scanned_range
+    return _metric_report(
+        "optimize",
+        _metric_row(cfg.total_length, result.best_n, result.metrics),
+        (f"best link count in [{lo}, {hi}]: {result.best_n}",),
+        best_n=result.best_n,
+        scanned_range=[lo, hi],
+        runner_up_ratio=result.runner_up_ratio,
+    )
+
+
+def _run_fixed_link(cfg: RunConfig) -> _Report:
+    plan = plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length, cfg.tol)
+    return _metric_report("fixed-link", _plan_row(cfg.total_length, plan))
+
+
+def _run_crossover(cfg: RunConfig) -> _Report:
+    km = crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate, cfg.tol)
+    return _Report(
+        {"scenario": "crossover", "crossover_km": km, "source_rate_hz": cfg.source_rate},
+        ("crossover_km",),
+        ({"crossover_km": km},),
+        (f"chain beats direct transmission beyond ~{km:.0f} km "
+         f"(source rate {cfg.source_rate:g} Hz)",),
+    )
+
+
+def _run_sweep(cfg: RunConfig) -> _Report:
+    swept_length = cfg.sweep_param == "total_length"
+    spec = SweepSpec(
+        swept_parameter=cfg.sweep_param, grid=cfg.sweep_values, hw=cfg.hw, ch=cfg.ch,
+        total_length=None if swept_length else cfg.total_length,
+        fixed_link_length=cfg.link_length, n_max=cfg.n_max,
+        source_rate=cfg.source_rate if swept_length else None,
+    )
+    lead = {"mode_count": "m", "emission_prob": "rho"}.get(cfg.sweep_param)  # swept column
+    rows, lines = [], []
+    for rec in run_sweep(spec, cfg.tol):
+        if rec.metrics is None:
+            row = {**dict.fromkeys(METRIC_COLUMNS, ""), "L_km": rec.total_length,
+                   "error": rec.error}
+            lines.append(f"{rec.value:g}: error: {rec.error}")
+        else:
+            if rec.plan is not None:
+                row = _plan_row(rec.total_length, rec.plan)
+            else:
+                row = _metric_row(rec.total_length, rec.best_n, rec.metrics)
+            lines.append(f"{rec.value:g}: n={row['n']} t_tot={format_time(row['t_tot_s'])} "
+                         f"mem={format_time(row['mem_avg_s'])}")
+        if lead is not None:
+            row[lead] = int(rec.value) if lead == "m" else rec.value
+        if rec.direct_time is not None:
+            row["direct_s"] = rec.direct_time
+        rows.append(row)
+    optional = tuple(c for c in ("direct_s", "error") if any(c in row for row in rows))
+    return _Report({"scenario": "sweep", "swept_parameter": cfg.sweep_param, "records": rows},
+                   ((lead,) if lead else ()) + METRIC_COLUMNS + optional, tuple(rows), tuple(lines))
+
+
+def _run_simulate(cfg: RunConfig) -> _Report:
+    chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
+    stats = simulate(TrialConfig(hw=cfg.hw, chain=chain, ch=cfg.ch,
+                                 trials=cfg.trials, seed=cfg.seed))
+    row = {
         "L_km": cfg.total_length,
         "n": cfg.link_count,
         "trials": stats.trials,
@@ -300,188 +401,56 @@ def _stats_row(cfg: RunConfig, stats: TrialStats) -> dict[str, float | int]:
         "std_mem_s": stats.std_mem_time,
         "es_success_rate": stats.es_success_rate,
     }
+    histogram = {str(k): v for k, v in sorted(stats.attempt_histogram.items())}
+    return _Report(
+        {"scenario": "simulate", "record": {**row, "attempt_histogram": histogram}},
+        tuple(row),
+        (row,),
+        (
+            f"simulated {stats.trials} successes over {stats.rounds_total} rounds "
+            f"(seed {cfg.seed})",
+            f"attempts per round: {stats.mean_attempts:.4g} +- {stats.se_attempts:.4g}",
+            f"distribution time: {format_time(stats.mean_t_tot)} "
+            f"+- {format_time(stats.se_t_tot)}",
+            f"memory time: {format_time(stats.mean_mem_time)} "
+            f"+- {format_time(stats.se_mem_time)} (spread {format_time(stats.std_mem_time)})",
+        ),
+    )
 
 
-def format_time(seconds: float) -> str:
-    """SI-prefixed time with 4 significant digits: ms below 1 s, s up to
-    an hour, h beyond."""
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.4g} ms"
-    if seconds < 3600.0:
-        return f"{seconds:.4g} s"
-    return f"{seconds / 3600.0:.4g} h"
+# Subcommands in help order.
+SCENARIOS: dict[str, _Scenario] = {
+    "eval": _Scenario("metrics for one (L, n) configuration", _run_eval, ("L", "n")),
+    "optimize": _Scenario("scan link counts for the fastest chain", _run_optimize, ("L",)),
+    "fixed-link": _Scenario("plan a chain with fixed link length", _run_fixed_link, ("L",)),
+    "crossover": _Scenario("distance where the chain beats direct transmission",
+                           _run_crossover),
+    "sweep": _Scenario("tabulate metrics over a grid", _run_sweep, flags=("param", "values")),
+    "simulate": _Scenario("Monte Carlo validation run", _run_simulate, ("L", "n")),
+}
 
 
-def _emit_csv(rows: list[dict], columns: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns])
-    return buf.getvalue()
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def _human_metric_lines(row: dict) -> list[str]:
-    lines = [
-        f"L = {row['L_km']:g} km, n = {row['n']} links, L0 = {row['L0_km']:g} km",
-        f"EC probability per attempt: {row['p']:.4g}",
-        f"expected attempts until all links ready: {row['f_over_p']:.4g}",
-        f"t_ec: {format_time(row['t_ec_s'])}    t_cc: {format_time(row['t_cc_s'])}",
-        f"swap success probability: {row['p_es']:.4g}",
-        f"average distribution time: {format_time(row['t_tot_s'])}",
-        f"memory time: {format_time(row['mem_avg_s'])} +- {format_time(row['mem_std_s'])}",
-    ]
-    if "side" in row:
-        lines.insert(1, f"nodes span {row['node_span_km']:g} km, extension "
-                        f"{row['extension_km']:g} km ({row['side']})")
-    return lines
-
-
-def _sweep_columns(cfg: RunConfig, rows: list[dict]) -> list[str]:
-    lead = {"total_length": [], "mode_count": ["m"], "emission_prob": ["rho"]}[cfg.sweep_param]
-    cols = lead + list(METRIC_COLUMNS)
-    if any("direct_s" in r for r in rows):
-        cols.append("direct_s")
-    if any("error" in r for r in rows):
-        cols.append("error")
-    return cols
+def _emit(report: _Report, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report.payload, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.columns)
+        for row in report.rows:
+            cells = (row.get(c, "") for c in report.columns)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in cells])
+        return buf.getvalue()
+    return "".join(line + "\n" for line in report.lines)
 
 
 def execute(cfg: RunConfig) -> int:
-    """Run the scenario and print its records in the selected format."""
-    out = sys.stdout
-    if cfg.scenario == "eval":
-        chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
-        row = _metric_row(cfg.total_length, cfg.link_count, metrics(cfg.hw, chain, cfg.ch, cfg.tol))
-        if cfg.output == "csv":
-            out.write(_emit_csv([row], list(METRIC_COLUMNS)))
-        elif cfg.output == "json":
-            out.write(_emit_json({"scenario": "eval", "record": row}))
-        else:
-            out.write("\n".join(_human_metric_lines(row)) + "\n")
-        return 0
-
-    if cfg.scenario == "optimize":
-        result = optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max, cfg.tol)
-        row = _metric_row(cfg.total_length, result.best_n, result.metrics)
-        if cfg.output == "csv":
-            out.write(_emit_csv([row], list(METRIC_COLUMNS)))
-        elif cfg.output == "json":
-            out.write(_emit_json({
-                "scenario": "optimize",
-                "record": row,
-                "best_n": result.best_n,
-                "scanned_range": list(result.scanned_range),
-                "runner_up_ratio": result.runner_up_ratio,
-            }))
-        else:
-            lo, hi = result.scanned_range
-            out.write(f"best link count in [{lo}, {hi}]: {result.best_n}\n")
-            out.write("\n".join(_human_metric_lines(row)) + "\n")
-        return 0
-
-    if cfg.scenario == "fixed-link":
-        plan = plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length, cfg.tol)
-        row = _plan_row(cfg.total_length, plan)
-        if cfg.output == "csv":
-            out.write(_emit_csv([row], list(METRIC_COLUMNS)))
-        elif cfg.output == "json":
-            out.write(_emit_json({"scenario": "fixed-link", "record": row}))
-        else:
-            out.write("\n".join(_human_metric_lines(row)) + "\n")
-        return 0
-
-    if cfg.scenario == "crossover":
-        km = crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate, cfg.tol)
-        if cfg.output == "csv":
-            out.write(_emit_csv([{"crossover_km": km}], ["crossover_km"]))
-        elif cfg.output == "json":
-            out.write(_emit_json({"scenario": "crossover", "crossover_km": km,
-                                  "source_rate_hz": cfg.source_rate}))
-        else:
-            out.write(f"chain beats direct transmission beyond ~{km:.0f} km "
-                      f"(source rate {cfg.source_rate:g} Hz)\n")
-        return 0
-
-    if cfg.scenario == "sweep":
-        spec = SweepSpec(
-            swept_parameter=cfg.sweep_param,
-            grid=cfg.sweep_values,
-            hw=cfg.hw,
-            ch=cfg.ch,
-            total_length=None if cfg.sweep_param == "total_length" else cfg.total_length,
-            fixed_link_length=cfg.link_length,
-            n_max=cfg.n_max,
-            source_rate=cfg.source_rate if cfg.sweep_param == "total_length" else None,
-        )
-        records = run_sweep(spec, cfg.tol)
-        rows = []
-        for rec in records:
-            if rec.metrics is None:
-                row = {c: "" for c in METRIC_COLUMNS}
-                row.update(L_km=rec.total_length, error=rec.error)
-            elif rec.plan is not None:
-                row = _plan_row(rec.total_length, rec.plan)
-            else:
-                row = _metric_row(rec.total_length, rec.best_n, rec.metrics)
-            if cfg.sweep_param == "mode_count":
-                row["m"] = int(rec.value)
-            elif cfg.sweep_param == "emission_prob":
-                row["rho"] = rec.value
-            if rec.direct_time is not None:
-                row["direct_s"] = rec.direct_time
-            rows.append(row)
-        if cfg.output == "csv":
-            columns = _sweep_columns(cfg, rows)
-            for row in rows:
-                for col in columns:
-                    row.setdefault(col, "")
-            out.write(_emit_csv(rows, columns))
-        elif cfg.output == "json":
-            out.write(_emit_json({"scenario": "sweep", "swept_parameter": cfg.sweep_param,
-                                  "records": rows}))
-        else:
-            for rec, row in zip(records, rows):
-                if rec.error is not None:
-                    out.write(f"{rec.value:g}: error: {rec.error}\n")
-                else:
-                    out.write(f"{rec.value:g}: n={row['n']} "
-                              f"t_tot={format_time(row['t_tot_s'])} "
-                              f"mem={format_time(row['mem_avg_s'])}\n")
-        return 0
-
-    if cfg.scenario == "simulate":
-        chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
-        stats = simulate(TrialConfig(hw=cfg.hw, chain=chain, ch=cfg.ch,
-                                     trials=cfg.trials, seed=cfg.seed))
-        row = _stats_row(cfg, stats)
-        if cfg.output == "csv":
-            out.write(_emit_csv([row], list(row)))
-        elif cfg.output == "json":
-            payload = dict(row)
-            payload["attempt_histogram"] = {
-                str(k): v for k, v in sorted(stats.attempt_histogram.items())
-            }
-            out.write(_emit_json({"scenario": "simulate", "record": payload}))
-        else:
-            out.write(
-                f"simulated {stats.trials} successes over {stats.rounds_total} rounds "
-                f"(seed {cfg.seed})\n"
-                f"attempts per round: {stats.mean_attempts:.4g} "
-                f"+- {stats.se_attempts:.4g}\n"
-                f"distribution time: {format_time(stats.mean_t_tot)} "
-                f"+- {format_time(stats.se_t_tot)}\n"
-                f"memory time: {format_time(stats.mean_mem_time)} "
-                f"+- {format_time(stats.se_mem_time)} "
-                f"(spread {format_time(stats.std_mem_time)})\n"
-            )
-        return 0
-
-    raise ConfigError(f"unknown scenario {cfg.scenario!r}")  # pragma: no cover
+    """Run the scenario and print its report in the selected format."""
+    scenario = SCENARIOS.get(cfg.scenario)
+    if scenario is None:
+        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    sys.stdout.write(_emit(scenario.run(cfg), cfg.output))
+    return 0
 
 
 def _error_code(exc: Exception) -> str:
@@ -503,12 +472,14 @@ def main(argv: list[str] | None = None) -> int:
         return execute(cfg)
     except ConfigError as exc:
         error, status = exc, 2
+        fmt = getattr(exc, "output", fmt)
     except SimulationAbort as exc:
         error, status = exc, 4
     except ModelError as exc:
         error, status = exc, 3
     if fmt == "json":
-        sys.stdout.write(_emit_json({"error": {"code": _error_code(error), "message": str(error)}}))
+        code = _error_code(error)
+        sys.stdout.write(_emit(_Report({"error": {"code": code, "message": str(error)}}), fmt))
     else:
         sys.stderr.write(f"error: {error}\n")
     return status

@@ -11,12 +11,14 @@ if any swap or the final retrieval fails, the whole round restarts.
 This module evaluates the resulting quantities deterministically:
 
 * per-attempt EC probability (single mode and multimode),
-* the waiting-time distribution of one link and of the slowest of ``n``
-  links (a maximum of independent geometric variables),
+* the waiting-time distribution of the slowest of ``n`` links (a maximum
+  of independent geometric variables; ``n = 1`` is a single link),
 * the expected number of attempts until all links are ready,
 * chain-level metrics: EC time, classical-signalling time, swap success
   probability, average distribution time, and the mean and standard
   deviation of the memory storage time per round.
+
+mpmath is imported only when the closed-form route is taken.
 
 Units are km, seconds, and dB/km throughout; probabilities are
 dimensionless.  All functions are pure and all returned objects immutable,
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp
 
 from .errors import (
     BeyondRepresentable,
@@ -50,10 +51,7 @@ __all__ = [
     "ec_prob",
     "ec_prob_single_mode",
     "expected_max_attempts",
-    "expected_max_attempts_closed_form",
-    "memory_time_std",
     "metrics",
-    "single_link_attempt_dist",
 ]
 
 #: Default relative truncation tolerance for all infinite series.
@@ -252,26 +250,6 @@ def _check_links(n: int) -> int:
     return int(n)
 
 
-def single_link_attempt_dist(p: float, tol: float = DEFAULT_TOL) -> AttemptDistribution:
-    """Geometric distribution of the attempt number of one link,
-    truncated once the remaining tail mass drops to ``tol``."""
-    p = _require_success_prob(p)
-    tol = _check_tol(tol)
-    if p == 1.0:
-        return AttemptDistribution(probs=np.array([1.0]), tail_mass=0.0)
-    log_q = math.log1p(-p)
-    length = max(1, math.ceil(math.log(tol) / log_q))
-    if length > _MAX_DIST_TERMS:
-        raise ModelError(
-            f"attempt distribution needs {length} terms at tol={tol}; "
-            "success probability too small to materialize"
-        )
-    ks = np.arange(length, dtype=np.float64)
-    probs = np.exp(math.log(p) + ks * log_q)
-    tail = math.exp(length * log_q)
-    return AttemptDistribution(probs=probs, tail_mass=tail)
-
-
 def _combined_dist_length(p: float, n: int, tol: float) -> int:
     # Smallest K with 1 - (1 - q^K)^n <= tol.
     log_q = math.log1p(-p)
@@ -361,6 +339,8 @@ def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
     # maximum of n geometric variables.  The alternating binomial sums
     # cancel ~n bits, and 1 - p must stay distinguishable from 1, so the
     # working precision covers both.
+    from mpmath import mp
+
     prec = 70 + n + max(0, math.ceil(-math.log2(p)))
     with mp.workprec(prec):
         q = mp.one - mp.mpf(p)
@@ -412,25 +392,6 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
     n = _check_links(n)
     tol = _check_tol(tol)
     return _attempts_mean(p, n, tol)
-
-
-def expected_max_attempts_closed_form(p: float, n: int) -> float:
-    """Inclusion-exclusion closed form sum_i (-1)^(i+1) C(n,i) / (1 - q^i).
-
-    Independent cross-check route for :func:`expected_max_attempts`.  Plain
-    double precision: the alternating sum loses accuracy beyond n ~ 20, so
-    keep it to small link counts.
-    """
-    p = _require_success_prob(p)
-    n = _check_links(n)
-    if p == 1.0:
-        return 1.0
-    log_q = math.log1p(-p)
-    total = 0.0
-    for i in range(1, n + 1):
-        term = math.comb(n, i) / -math.expm1(i * log_q)
-        total += term if i % 2 == 1 else -term
-    return total
 
 
 def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
@@ -491,6 +452,9 @@ def metrics(
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
+    # A round that never succeeds raises here, before the moments: their
+    # closed form costs n terms at more than n bits.
+    _chain_times(hw, chain, ch, 0.0)
     mean, variance = _attempts_moments(p, chain.link_count, tol)
     clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
     return RepeaterMetrics(
@@ -503,24 +467,3 @@ def metrics(
         mem_time_avg=t_ec + t_cc,
         mem_time_std=clock * math.sqrt(variance),
     )
-
-
-def memory_time_std(
-    hw: HardwareParams,
-    chain: ChainConfig,
-    ch: ChannelParams,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Standard deviation of the per-round memory storage time in seconds.
-
-    Only the EC attempt count fluctuates; the classical-communication part
-    is a constant offset, so the spread is ``(L0/c) * std(attempts)``.
-    """
-    tol = _check_tol(tol)
-    p = ec_prob(hw, chain, ch)
-    if p == 0.0:
-        raise NonTerminatingProcess(
-            "non-terminating process: entanglement creation never succeeds"
-        )
-    _, variance = _attempts_moments(p, chain.link_count, tol)
-    return (chain.link_length / ch.signal_speed) * math.sqrt(variance)

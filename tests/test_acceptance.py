@@ -22,11 +22,10 @@ from repeaterchain.model import (
     ChainConfig,
     ChannelParams,
     HardwareParams,
+    _closed_form_moments,
     combined_attempt_dist,
     expected_max_attempts,
-    expected_max_attempts_closed_form,
     metrics,
-    single_link_attempt_dist,
 )
 from repeaterchain.montecarlo import TrialConfig, _sample_chain_rounds, _trial_rng, simulate
 from repeaterchain.planner import direct_transmission_time
@@ -105,7 +104,7 @@ def test_criterion_5_series_matches_closed_form():
     for p in np.geomspace(1e-3, 1.0, 10):
         for n in range(1, 21):
             series = expected_max_attempts(float(p), n)
-            closed = expected_max_attempts_closed_form(float(p), n)
+            closed = _closed_form_moments(float(p), n)[0]
             worst = max(worst, abs(series - closed) / closed)
             points += 1
     elapsed = time.perf_counter() - start
@@ -149,9 +148,9 @@ def test_criterion_7_distribution_laws():
             assert dist.tail_mass <= 1e-12 + 1e-15
     # Single-link reduction.
     for p in (1e-3, 0.1, 0.5, 0.9):
-        single = single_link_attempt_dist(p)
         reduced = combined_attempt_dist(p, 1)
-        np.testing.assert_allclose(reduced.probs, single.probs, rtol=1e-12, atol=1e-12)
+        single = p * (1.0 - p) ** (reduced.attempt_numbers - 1)
+        np.testing.assert_allclose(reduced.probs, single, rtol=1e-12, atol=1e-12)
     # Goodness of fit of 1e6 sampled chain rounds against the analytic law.
     p, n, size = 0.3, 3, 10**6
     draws = _sample_chain_rounds(p, n, size, _trial_rng(3, 0))

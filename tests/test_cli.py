@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repeaterchain
 from repeaterchain.cli import METRIC_COLUMNS, format_time, main, parse_config
 from repeaterchain.errors import ConfigError
 
@@ -71,6 +76,32 @@ def test_config_file_scenario_conflict(tmp_path, capsys):
     code, _, err = run_cli(capsys, "optimize", "--config", str(config))
     assert code == 2
     assert "conflict" in err
+
+
+# One non-default value per parameter key, and the flags of a sweep that
+# every one of them fits into.
+KEY_VALUES = {
+    "L": "1234.5", "n": "7", "L0": "150", "m": "20", "rho": "0.5", "eta_d": "0.8",
+    "eta_m": "0.7", "alpha": "0.25", "c": "190000", "tol": "1e-10", "trials": "50",
+    "seed": "9", "source_rate": "1e9", "n_max": "40", "format": "csv", "param": "m",
+    "values": "10,20",
+}
+SWEEP_BASE = {"param": "rho", "values": "0.5", "L": "1000"}
+
+
+@pytest.mark.parametrize("key", list(KEY_VALUES))
+def test_config_file_key_matches_flag(tmp_path, key):
+    flag = "--" + key.replace("_", "-")
+    base = ["sweep"]
+    for other, value in SWEEP_BASE.items():
+        if other != key:
+            base += ["--" + other, value]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {KEY_VALUES[key]}\n")
+    from_flag = parse_config(base + [flag, KEY_VALUES[key]])
+    assert parse_config(base + ["--config", str(config)]) == from_flag
+    reference = [a for k, v in SWEEP_BASE.items() for a in ("--" + k, v)]
+    assert from_flag != parse_config(["sweep", *reference])
 
 
 def test_config_file_can_supply_everything(tmp_path, capsys):
@@ -174,6 +205,79 @@ def test_simulate_machine_output_is_reproducible(capsys):
     assert csv_a == csv_b
 
 
+# Exact human output of the benchmark gate commands and of three sweeps,
+# one with an infeasible point.
+HUMAN_OUTPUT = {
+    "eval --L 1600 --n 8": (
+        "L = 1600 km, n = 8 links, L0 = 200 km\n"
+        "EC probability per attempt: 0.003275\n"
+        "expected attempts until all links ready: 829\n"
+        "t_ec: 829 ms    t_cc: 8 ms\n"
+        "swap success probability: 0.0004089\n"
+        "average distribution time: 3120 s\n"
+        "memory time: 837 ms +- 376.7 ms\n"
+    ),
+    "optimize --L 1600": (
+        "best link count in [1, 64]: 8\n"
+        "L = 1600 km, n = 8 links, L0 = 200 km\n"
+        "EC probability per attempt: 0.003275\n"
+        "expected attempts until all links ready: 829\n"
+        "t_ec: 829 ms    t_cc: 8 ms\n"
+        "swap success probability: 0.0004089\n"
+        "average distribution time: 3120 s\n"
+        "memory time: 837 ms +- 376.7 ms\n"
+    ),
+    "fixed-link --L 1600 --L0 125": (
+        "L = 1600 km, n = 13 links, L0 = 125 km\n"
+        "nodes span 1625 km, extension -25 km (above)\n"
+        "EC probability per attempt: 0.09859\n"
+        "expected attempts until all links ready: 31.14\n"
+        "t_ec: 19.46 ms    t_cc: 8.25 ms\n"
+        "swap success probability: 1.553e-06\n"
+        "average distribution time: 23.88 h\n"
+        "memory time: 27.71 ms +- 7.549 ms\n"
+    ),
+    "sweep --param L --values 200,400,600,800,1000,1200,1400,1600": (
+        "200: n=2 t_tot=16.41 ms mem=3.533 ms\n"
+        "400: n=4 t_tot=234 ms mem=5.42 ms\n"
+        "600: n=5 t_tot=1.814 s mem=13.78 ms\n"
+        "800: n=6 t_tot=11.01 s mem=27.44 ms\n"
+        "1000: n=6 t_tot=55.96 s mem=139.5 ms\n"
+        "1200: n=7 t_tot=230.1 s mem=188.2 ms\n"
+        "1400: n=8 t_tot=882.2 s mem=236.7 ms\n"
+        "1600: n=8 t_tot=3120 s mem=837 ms\n"
+    ),
+    "crossover": (
+        "chain beats direct transmission beyond ~488 km (source rate 1e+10 Hz)\n"
+    ),
+    "simulate --L 500 --n 4 --trials 1000 --seed 42": (
+        "simulated 1000 successes over 41227 rounds (seed 42)\n"
+        "attempts per round: 20.28 +- 0.3538\n"
+        "distribution time: 632.4 ms +- 19.74 ms\n"
+        "memory time: 15.17 ms +- 0.2211 ms (spread 6.993 ms)\n"
+    ),
+    "sweep --param m --values 10,100 --L 1000": (
+        "10: n=7 t_tot=503.3 s mem=411.6 ms\n"
+        "100: n=6 t_tot=55.96 s mem=139.5 ms\n"
+    ),
+    "sweep --param rho --values 0.3,0.9 --L 1000": (
+        "0.3: n=7 t_tot=453.7 s mem=371 ms\n"
+        "0.9: n=6 t_tot=55.96 s mem=139.5 ms\n"
+    ),
+    "sweep --param L --values 100,500 --L0 125": (
+        "100: error: total_length 100.0 km is shorter than one link (125.0 km)\n"
+        "500: n=4 t_tot=663 ms mem=15.36 ms\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HUMAN_OUTPUT))
+def test_human_output_is_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == HUMAN_OUTPUT[command]
+
+
 def test_human_output_prefixes_times(capsys):
     code, out, _ = run_cli(capsys, "eval", "--L", "1600", "--n", "8")
     assert code == 0
@@ -232,8 +336,31 @@ def test_exit_code_3_json_carries_machine_code(capsys):
     assert payload["error"]["code"] == "non_terminating_process"
 
 
+def test_exit_code_2_json_carries_machine_code(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("format = json\n")
+    for fmt in (["--format", "json"], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "eval", "--rho", "1.5", *fmt)
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["error"]["code"] == "config_error"
+        assert "emission_prob" in payload["error"]["message"]
+
+
 def test_exit_code_4_on_simulation_abort(capsys):
     code, _, err = run_cli(capsys, "simulate", "--L", "120", "--n", "24",
                            "--trials", "1", "--seed", "0")
     assert code == 4
     assert "abort" in err
+
+
+
+# ---------------------------------------------------------------- import cost
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath only serves the closed-form route; importing the CLI must not load it.
+    src = str(Path(repeaterchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, repeaterchain.cli; sys.exit('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0

@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeaterchain import model
 from repeaterchain.errors import ConfigError, NonTerminatingProcess, UnreachableConfiguration
 from repeaterchain.model import (
     AttemptDistribution,
     ChainConfig,
     ChannelParams,
     HardwareParams,
+    _closed_form_moments,
     combined_attempt_dist,
     ec_prob,
     ec_prob_single_mode,
     expected_max_attempts,
-    expected_max_attempts_closed_form,
-    memory_time_std,
     metrics,
-    single_link_attempt_dist,
 )
 
 DEFAULT_HW = HardwareParams()
@@ -139,31 +138,32 @@ def test_ec_prob_monotonicity(length, mode_count, rho, eta_d):
 # ---------------------------------------------------------------- attempt distributions
 
 def test_single_link_dist_certain_success():
-    dist = single_link_attempt_dist(1.0)
+    dist = combined_attempt_dist(1.0, 1)
     assert dist.probs.tolist() == [1.0]
     assert dist.tail_mass == 0.0
 
 
 def test_single_link_dist_geometric_halving():
-    dist = single_link_attempt_dist(0.5)
+    dist = combined_attempt_dist(0.5, 1)
     assert dist.probs[:3] == pytest.approx([0.5, 0.25, 0.125], rel=1e-14)
 
 
 def test_single_link_dist_expectation():
-    dist = single_link_attempt_dist(0.1, tol=1e-12)
+    dist = combined_attempt_dist(0.1, 1, tol=1e-12)
     assert abs(dist.expectation() - 10.0) < 1e-9
 
 
 def test_single_link_dist_rejects_zero_probability():
     with pytest.raises(NonTerminatingProcess):
-        single_link_attempt_dist(0.0)
+        combined_attempt_dist(0.0, 1)
 
 
 def test_combined_dist_reduces_to_single_link():
-    single = single_link_attempt_dist(0.37)
-    combined = combined_attempt_dist(0.37, 1)
-    assert combined.probs.size == single.probs.size
-    np.testing.assert_allclose(combined.probs, single.probs, rtol=1e-12, atol=1e-12)
+    p = 0.37
+    combined = combined_attempt_dist(p, 1)
+    geometric = p * (1.0 - p) ** (combined.attempt_numbers - 1)
+    np.testing.assert_allclose(combined.probs, geometric, rtol=1e-12, atol=1e-12)
+    assert combined.tail_mass == pytest.approx((1.0 - p) ** combined.probs.size, rel=1e-12)
 
 
 def test_combined_dist_two_links_hand_values():
@@ -222,7 +222,7 @@ def test_expected_attempts_matches_closed_form_small_n():
     for p in np.geomspace(1e-3, 1.0, 12):
         for n in range(1, 21):
             series = expected_max_attempts(float(p), n)
-            closed = expected_max_attempts_closed_form(float(p), n)
+            closed = _closed_form_moments(float(p), n)[0]
             assert series == pytest.approx(closed, rel=1e-8)
 
 
@@ -298,6 +298,18 @@ def test_metrics_errors():
                 ChainConfig(total_length=1000.0, link_count=167), DEFAULT_CH)
 
 
+def test_metrics_checks_round_success_before_moments(monkeypatch):
+    # A tiny EC probability sends the moments to the n-term closed form at
+    # more than n bits; an underflowing round must raise before that.
+    def moments_not_expected(*args):
+        raise AssertionError("attempt moments computed for an unreachable chain")
+
+    monkeypatch.setattr(model, "_attempts_moments", moments_not_expected)
+    with pytest.raises(UnreachableConfiguration):
+        metrics(HardwareParams(emission_prob=1e-6, mode_count=1),
+                ChainConfig(total_length=1600.0, link_count=30000), DEFAULT_CH)
+
+
 # ---------------------------------------------------------------- memory time spread
 
 def test_memory_std_zero_at_certain_success():
@@ -305,19 +317,19 @@ def test_memory_std_zero_at_certain_success():
     ch = ChannelParams(attenuation=0.0)
     chain = ChainConfig(total_length=100.0, link_count=4)
     assert ec_prob(hw, chain, ch) == 1.0
-    assert memory_time_std(hw, chain, ch) == 0.0
+    assert metrics(hw, chain, ch).mem_time_std == 0.0
 
 
 def test_memory_std_single_link_geometric():
     # Unit clock, p = 1/2: std of a geometric is sqrt(1 - p) / p = sqrt(2).
     hw, chain, ch = unit_clock_setup(0.5, 1)
-    assert memory_time_std(hw, chain, ch) == pytest.approx(math.sqrt(2.0), rel=1e-8)
+    assert metrics(hw, chain, ch).mem_time_std == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
 
 def test_memory_std_two_links_brute_force_value():
     # Frozen brute-force sum over k <= 200 with a 1e-15 tail at p = 1/2.
     hw, chain, ch = unit_clock_setup(0.5, 2)
-    assert memory_time_std(hw, chain, ch) == pytest.approx(1.6329931618554520655, rel=1e-8)
+    assert metrics(hw, chain, ch).mem_time_std == pytest.approx(1.6329931618554520655, rel=1e-8)
 
 
 def test_memory_std_shrinks_as_success_gets_certain():
@@ -326,11 +338,13 @@ def test_memory_std_shrinks_as_success_gets_certain():
     for p1m in (0.2, 0.35, 0.5):
         hw_p = HardwareParams(detector_eff=1.0, memory_eff=1.0,
                               emission_prob=math.sqrt(2.0 * p1m), mode_count=1)
-        spreads.append(memory_time_std(hw_p, chain, ch))
+        spreads.append(metrics(hw_p, chain, ch).mem_time_std)
     assert spreads[0] > spreads[1] > spreads[2] > 0.0
 
 
 def test_memory_std_matches_metrics_field():
     chain = ChainConfig(total_length=800.0, link_count=4)
-    assert memory_time_std(DEFAULT_HW, chain, DEFAULT_CH) == pytest.approx(
-        metrics(DEFAULT_HW, chain, DEFAULT_CH).mem_time_std, rel=1e-12)
+    p = ec_prob(DEFAULT_HW, chain, DEFAULT_CH)
+    clock = chain.link_length / DEFAULT_CH.signal_speed
+    assert metrics(DEFAULT_HW, chain, DEFAULT_CH).mem_time_std == pytest.approx(
+        clock * math.sqrt(_closed_form_moments(p, 4)[1]), rel=1e-8)

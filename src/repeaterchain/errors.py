@@ -31,4 +31,5 @@ class NoCrossoverInRange(ModelError):
 
 
 class SimulationAbort(RuntimeError):
-    """The sampler hit the rounds-per-success guard and gave up."""
+    """The sampler gave up: a success needs more rounds than its guard
+    allows, or the per-trial arrays do not fit in memory."""

@@ -10,7 +10,11 @@ Determinism contract: each trial draws from its own counter-based
 stream keyed by ``(seed, trial index)``, so identical configurations
 give bit-identical statistics regardless of execution order, and the
 trials could be farmed out to parallel workers without changing the
-result.
+result.  The key of trial ``j`` is the ``Philox`` key that
+``SeedSequence(entropy=seed, spawn_key=(j,))`` generates; :func:`simulate`
+derives it for a block of trials at once with SeedSequence's own hashing
+and re-keys a single generator per trial, so the streams are the same as
+those of one ``SeedSequence`` per trial.
 
 Rounds whose failure count is large are aggregated through a
 moment-matched normal draw for the summed attempt count instead of being
@@ -22,6 +26,7 @@ expected number of rounds per success reaches tens of millions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +51,20 @@ _EXACT_ROUND_LIMIT = 4096
 # rounds than this.
 _MAX_ROUNDS_PER_SUCCESS = 10**9
 
+# At most this many trials per run, so a trial index is one 32-bit spawn
+# word (the only case _philox_keys handles).
+_MAX_TRIALS = 2**32
+
+# Trials whose Philox keys are derived together.
+_KEY_BLOCK = 4096
+
+# Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -61,6 +80,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > _MAX_TRIALS:
+            raise ConfigError(f"trials must be <= 2**32, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -88,11 +109,81 @@ class TrialStats:
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # SeedSequence spreads the (seed, index) pair into well-distributed key
-    # material; raw structured Philox keys measurably bias the stream.
+    # One-trial reference for the streams simulate() draws.  SeedSequence
+    # spreads the (seed, index) pair into well-distributed key material;
+    # raw structured Philox keys measurably bias the stream.
     return np.random.Generator(
         np.random.Philox(seed=np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
+
+
+# The two SeedSequence hashing steps run on Python ints and, unchanged, on
+# uint64 arrays of 32-bit values: no product or difference wraps.
+def _hashmix(value, hash_const: int, mult: int):
+    value = (value ^ hash_const) & _MASK32
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    # Adding 2**32 first keeps the difference non-negative.
+    result = (((_MIX_MULT_L * x) & _MASK32) | (1 << 32)) - ((_MIX_MULT_R * y) & _MASK32)
+    result &= _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seed: int, start: int, count: int) -> np.ndarray:
+    """Philox keys of trials ``start .. start+count-1``, shape ``(count, 2)``:
+    row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(start+i,))
+    .generate_state(2, np.uint64)`` for a seed below 2**64 and indices below
+    2**32."""
+    # The seed words, zero-padded to the pool, mix the same way for every
+    # trial: do that once.
+    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = []
+    hash_const = _INIT_A
+    for word in words + [0] * (_POOL_SIZE - len(words)):
+        hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(hashed)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                hashed, hash_const = _hashmix(pool[i_src], hash_const, _MULT_A)
+                pool[i_dst] = _mix(pool[i_dst], hashed)
+    # Mixing in the spawn word, then generate_state, per trial.
+    index = np.arange(start, start + count, dtype=np.uint64)
+    out_const = _INIT_B
+    state = []
+    for word in pool:
+        hashed, hash_const = _hashmix(index, hash_const, _MULT_A)
+        value, out_const = _hashmix(_mix(word, hashed), out_const, _MULT_B)
+        state.append(value)
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
+
+
+def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Yield ``(j, rng)`` for every trial, where ``rng`` draws the stream
+    of ``_trial_rng(seed, j)``.  One generator is re-keyed per trial, so
+    each ``rng`` is only valid until the next one is yielded."""
+    # np.random.Philox(key=...) would pull OS entropy it then discards.
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": zeros[:2]},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for start in range(0, trials, _KEY_BLOCK):
+        keys = _philox_keys(seed, start, min(_KEY_BLOCK, trials - start))
+        for j, key in enumerate(keys, start):
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield j, rng
 
 
 def _geometric_from_uniform(u: np.ndarray, log_q: float) -> np.ndarray:
@@ -101,41 +192,41 @@ def _geometric_from_uniform(u: np.ndarray, log_q: float) -> np.ndarray:
     return np.maximum(k, 1.0)
 
 
-def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
-    """Attempt number at which the slowest of ``n`` links succeeds:
-    the maximum of ``n`` inverse-CDF geometric draws."""
-    return int(_sample_chain_rounds(p, n, 1, rng)[0])
-
-
-def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    # Returned as float64: attempt counts scale as 1/p and can exceed the
-    # int64 range for very lossy links.
+def _check_round_args(p: float, n: int) -> None:
     if p == 0.0:
         raise NonTerminatingProcess("non-terminating process: success probability is zero")
     if not (0.0 < p <= 1.0):
         raise ConfigError(f"success probability must be in (0, 1], got {p}")
     if int(n) != n or n < 1:
         raise ConfigError(f"link count must be a positive integer, got {n}")
+
+
+def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
+    """Attempt number at which the slowest of ``n`` links succeeds:
+    the maximum of ``n`` inverse-CDF geometric draws."""
+    _check_round_args(p, n)
+    return int(_sample_chain_rounds(p, int(n), 1, rng)[0])
+
+
+def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    # The callers check p in (0, 1] and n >= 1.  Returned as float64:
+    # attempt counts scale as 1/p and can exceed the int64 range for very
+    # lossy links.
     if p == 1.0:
         return np.ones(size, dtype=np.float64)
-    u = 1.0 - rng.random((size, int(n)))
-    draws = _geometric_from_uniform(u, math.log1p(-p))
-    return draws.max(axis=1)
+    # ceil(ln u / ln q) never falls as u falls, so a row's largest draw is
+    # the draw of its smallest u = 1 - max(row): one log per round.  The
+    # transposed copy makes the row maximum a reduction over contiguous
+    # columns.
+    r = np.ascontiguousarray(rng.random((size, n)).T)
+    return _geometric_from_uniform(1.0 - r.max(axis=0), math.log1p(-p))
 
 
-def _sum_failed_attempts(
-    p: float,
-    n: int,
-    failed: int,
-    rng: np.random.Generator,
-    mean_k: float,
-    var_k: float,
+def _aggregate_failed_attempts(
+    failed: int, rng: np.random.Generator, mean_k: float, var_k: float
 ) -> float:
-    """Total attempt count across ``failed`` discarded rounds."""
-    if failed == 0:
-        return 0.0
-    if failed <= _EXACT_ROUND_LIMIT:
-        return float(_sample_chain_rounds(p, n, failed, rng).sum())
+    """Total attempt count across ``failed`` discarded rounds, drawn from a
+    normal with the summed rounds' mean and variance."""
     if var_k == 0.0:
         return float(failed) * mean_k
     total = rng.normal(failed * mean_k, math.sqrt(failed * var_k))
@@ -147,14 +238,16 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     successes and return the accumulated statistics.
 
     Aborts (:class:`SimulationAbort`) when a success is expected or
-    observed to need more than 10^9 rounds.
+    observed to need more than 10^9 rounds, or when the per-trial arrays
+    do not fit in memory.
     """
     p = ec_prob(cfg.hw, cfg.chain, cfg.ch)
     if p == 0.0:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    n = cfg.chain.link_count
+    n = int(cfg.chain.link_count)
+    _check_round_args(p, n)
     _, round_success = _round_success(cfg.hw, n)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:
         raise SimulationAbort(
@@ -165,11 +258,15 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     clock = cfg.chain.link_length / cfg.ch.signal_speed
     t_cc = cfg.chain.total_length / cfg.ch.signal_speed
 
-    k_success = np.empty(cfg.trials, dtype=np.float64)
-    elapsed = np.empty(cfg.trials, dtype=np.float64)
+    try:
+        k_success = np.empty(cfg.trials, dtype=np.float64)
+        elapsed = np.empty(cfg.trials, dtype=np.float64)
+    except MemoryError:
+        raise SimulationAbort(
+            f"simulation aborted: {cfg.trials} trials do not fit in memory"
+        ) from None
     rounds_total = 0
-    for j in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, j)
+    for j, rng in _trial_streams(cfg.seed, cfg.trials):
         if log_q_round is None:
             rounds = 1
         else:
@@ -179,8 +276,15 @@ def simulate(cfg: TrialConfig) -> TrialStats:
             raise SimulationAbort(
                 f"simulation aborted: trial {j} needed {rounds} rounds for one success"
             )
-        failed_sum = _sum_failed_attempts(p, n, rounds - 1, rng, mean_k, var_k)
-        k_j = float(_sample_chain_rounds(p, n, 1, rng)[0])
+        if rounds - 1 > _EXACT_ROUND_LIMIT:
+            failed_sum = _aggregate_failed_attempts(rounds - 1, rng, mean_k, var_k)
+            k_j = float(_sample_chain_rounds(p, n, 1, rng)[0])
+        else:
+            # The failed rounds and the recorded one are consecutive in the
+            # stream: one draw covers them all.
+            k = _sample_chain_rounds(p, n, rounds, rng)
+            failed_sum = float(k[:-1].sum())
+            k_j = float(k[-1])
         k_success[j] = k_j
         elapsed[j] = clock * (failed_sum + k_j) + rounds * t_cc
         rounds_total += rounds

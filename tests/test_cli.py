@@ -354,6 +354,14 @@ def test_exit_code_4_on_simulation_abort(capsys):
     assert "abort" in err
 
 
+def test_exit_code_2_on_too_many_trials(capsys):
+    # Rejected before anything is allocated for the trials.
+    code, out, err = run_cli(capsys, "simulate", "--L", "500", "--n", "4",
+                             "--trials", "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert "trials" in err and "Traceback" not in err
+
 
 # ---------------------------------------------------------------- import cost
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +18,14 @@ from repeaterchain.model import (
     combined_attempt_dist,
     metrics,
 )
+from repeaterchain import montecarlo
 from repeaterchain.montecarlo import (
+    _KEY_BLOCK,
     TrialConfig,
+    _philox_keys,
     _sample_chain_rounds,
     _trial_rng,
+    _trial_streams,
     sample_chain_round,
     simulate,
 )
@@ -34,6 +42,45 @@ def test_trial_config_validation():
         TrialConfig(hw=HW, chain=chain, ch=CH, trials=10, seed=-1)
     with pytest.raises(ConfigError):
         TrialConfig(hw=HW, chain=chain, ch=CH, trials=10, seed=2**64)
+
+
+def test_trial_config_caps_trials_at_2_32():
+    chain = ChainConfig(total_length=500.0, link_count=4)
+    TrialConfig(hw=HW, chain=chain, ch=CH, trials=2**32, seed=1)
+    with pytest.raises(ConfigError, match="trials"):
+        TrialConfig(hw=HW, chain=chain, ch=CH, trials=2**32 + 1, seed=1)
+
+
+# ---------------------------------------------------------------- trial streams
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_philox_keys_match_seed_sequence(seed):
+    indices = [0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, 2 * _KEY_BLOCK - 1, 2 * _KEY_BLOCK, 2**32 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning may reach stderr
+        block = _philox_keys(seed, 0, 2 * _KEY_BLOCK + 1)
+        singles = {j: _philox_keys(seed, j, 1)[0] for j in indices}
+    assert block.shape == (2 * _KEY_BLOCK + 1, 2) and block.dtype == np.uint64
+    for j in indices:
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(j,)).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(singles[j], expected)
+        if j < block.shape[0]:
+            np.testing.assert_array_equal(block[j], expected)
+
+
+def test_trial_streams_match_per_trial_generators():
+    # Across the first key-block edge, the re-keyed generator draws the
+    # same numbers (uniform and normal) as a fresh per-trial generator.
+    checked = {0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, _KEY_BLOCK + 1}
+    seen = []
+    for j, rng in _trial_streams(42, _KEY_BLOCK + 2):
+        if j in checked:
+            ref = _trial_rng(42, j)
+            assert rng.random() == ref.random()
+            np.testing.assert_array_equal(rng.random((3, 5)), ref.random((3, 5)))
+            assert rng.normal(2.0, 3.0) == ref.normal(2.0, 3.0)
+            seen.append(j)
+    assert seen == sorted(checked)
 
 
 # ---------------------------------------------------------------- round sampler
@@ -58,6 +105,27 @@ def test_chain_round_mean_single_link():
     draws = _sample_chain_rounds(0.1, 1, 10**6, _trial_rng(2, 0))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 10.0) < 3.0 * se
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17])
+@pytest.mark.parametrize("p", [1e-9, 1e-4, 0.3, 0.999])
+def test_chain_round_row_max_equals_per_element_formula(p, n):
+    # One log per round must give the max of the per-element inverse-CDF
+    # draws exactly, on the same stream.
+    for seed in (0, 1):
+        kernel_rng, formula_rng = _trial_rng(seed, 0), _trial_rng(seed, 0)
+        for size in (1, 5, 4097):
+            r = formula_rng.random((size, n))
+            per_element = np.maximum(np.ceil(np.log(1.0 - r) / math.log1p(-p)), 1.0)
+            expected = per_element.max(axis=1)
+            np.testing.assert_array_equal(_sample_chain_rounds(p, n, size, kernel_rng), expected)
+
+
+@pytest.mark.parametrize("n", [1, 8, 17])
+def test_chain_round_certain_success_draws_nothing(n):
+    rng = _trial_rng(5, 0)
+    np.testing.assert_array_equal(_sample_chain_rounds(1.0, n, 7, rng), np.ones(7))
+    assert rng.random() == _trial_rng(5, 0).random()
 
 
 def test_chain_round_histogram_matches_distribution():
@@ -89,6 +157,47 @@ def test_simulate_trivial_chain_is_exact():
     assert stats.std_mem_time == 0.0
     assert stats.rounds_total == 64
     assert stats.attempt_histogram == {1: 64}
+
+
+# Full TrialStats captured from the one-SeedSequence-per-trial sampler;
+# the histogram is kept as the sha256 of its sorted json items.
+GOLDEN_STATS = {
+    (500.0, 8, 300, 0): {  # replays failed rounds and aggregates deep trials
+        "trials": 300, "rounds_total": 1158743, "mean_attempts": 1.96,
+        "se_attempts": 0.037999002509938054, "mean_t_tot": 12.013613541666667,
+        "se_t_tot": 0.6748935872102915, "mean_mem_time": 0.0031124999999999994,
+        "se_mem_time": 1.1874688284355644e-05, "std_mem_time": 0.0002056756343254688,
+        "es_success_rate": 0.00025890124039584274,
+        "attempt_histogram": "4fd45617bfef582c1f0ebe4c1c71d3636883598ec929ccce9c4137f5605b201c",
+    },
+    (1000.0, 16, 200, 2**64 - 1): {  # aggregation only, two-word seed
+        "trials": 200, "rounds_total": 5219287245, "mean_attempts": 2.33,
+        "se_attempts": 0.05403795427764233, "mean_t_tot": 149449.532353125,
+        "se_t_tot": 10261.727899342333, "mean_mem_time": 0.005728125,
+        "se_mem_time": 1.6886860711763232e-05, "std_mem_time": 0.00023881627444480942,
+        "es_success_rate": 3.8319408496169095e-08,
+        "attempt_histogram": "46a6586448820b044dc3e181cf95fd64bbb2a56acfa05094b64c7b9466537c1c",
+    },
+    (250.0, 1, 4100, 42): {  # crosses a key-block edge
+        "trials": 4100, "rounds_total": 6123, "mean_attempts": 3019.920487804878,
+        "se_attempts": 46.64561081233095, "mean_t_tot": 5.719687804878049,
+        "se_t_tot": 0.08844981537365197, "mean_mem_time": 3.7761506097560975,
+        "se_mem_time": 0.058307013515413696, "std_mem_time": 3.733470514528701,
+        "es_success_rate": 0.6696064020904785,
+        "attempt_histogram": "d732612c53c3283b0d346f29d832a8afe20162ee31c2bf84e6bb77f3af68fc40",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_STATS), ids=lambda key: "-".join(map(str, key)))
+def test_simulate_golden_streams(key):
+    L, n, trials, seed = key
+    stats = simulate(TrialConfig(hw=HW, chain=ChainConfig(total_length=L, link_count=n),
+                                 ch=CH, trials=trials, seed=seed))
+    got = dataclasses.asdict(stats)
+    histogram = json.dumps(sorted(got["attempt_histogram"].items())).encode()
+    got["attempt_histogram"] = hashlib.sha256(histogram).hexdigest()
+    assert got == GOLDEN_STATS[key]
 
 
 def test_simulate_is_deterministic():
@@ -157,6 +266,20 @@ def test_simulate_aborts_on_hopeless_swap_chain():
     chain = ChainConfig(total_length=120.0, link_count=24)
     with pytest.raises(SimulationAbort):
         simulate(TrialConfig(hw=HW, chain=chain, ch=CH, trials=1, seed=0))
+
+
+def test_simulate_turns_memory_error_into_abort(monkeypatch):
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if shape == 2**32:
+            raise MemoryError("cannot allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.np, "empty", empty)
+    chain = ChainConfig(total_length=500.0, link_count=4)
+    with pytest.raises(SimulationAbort, match="memory"):
+        simulate(TrialConfig(hw=HW, chain=chain, ch=CH, trials=2**32, seed=0))
 
 
 def test_simulate_propagates_dead_source():

@@ -442,9 +442,10 @@ def metrics(
 ) -> RepeaterMetrics:
     """Evaluate every chain-level metric for one configuration.
 
-    Raises :class:`NonTerminatingProcess` when the EC probability is zero
-    and :class:`UnreachableConfiguration` when the end-to-end success
-    probability underflows.
+    Raises :class:`NonTerminatingProcess` when the EC probability is zero,
+    :class:`UnreachableConfiguration` when the end-to-end success
+    probability underflows, and :class:`BeyondRepresentable` when the
+    total time or the memory-time spread overflows.
     """
     tol = _check_tol(tol)
     p = ec_prob(hw, chain, ch)
@@ -457,6 +458,9 @@ def metrics(
     _chain_times(hw, chain, ch, 0.0)
     mean, variance = _attempts_moments(p, chain.link_count, tol)
     clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
+    mem_time_std = clock * math.sqrt(variance)
+    if not math.isfinite(mem_time_std):
+        raise BeyondRepresentable("memory time spread beyond representable")
     return RepeaterMetrics(
         ec_prob=p,
         expected_attempts=mean,
@@ -465,5 +469,5 @@ def metrics(
         p_es=p_es,
         t_tot=t_tot,
         mem_time_avg=t_ec + t_cc,
-        mem_time_std=clock * math.sqrt(variance),
+        mem_time_std=mem_time_std,
     )

@@ -16,6 +16,16 @@ derives it for a block of trials at once with SeedSequence's own hashing
 and re-keys a single generator per trial, so the streams are the same as
 those of one ``SeedSequence`` per trial.
 
+Chain rounds are drawn as raw ``Philox`` words, the words that
+``Generator.random`` would turn into ``(w >> 11) * 2**-53``.  Each trial
+only appends its words to a buffer; one numpy pass per buffer (about
+2**13 words) takes each round's largest word, forms one double and one
+logarithm per round, and reads back each trial's recorded round and the
+attempt sum of its failed rounds.  That sum is numpy's sum of the
+trial's own contiguous slice; when the whole buffer sums to less than
+2**53, every partial sum is an exact integer, so per-trial sums taken in
+another order have the same bits.
+
 Rounds whose failure count is large are aggregated through a
 moment-matched normal draw for the summed attempt count instead of being
 replayed one by one; the first two moments (and hence every estimator
@@ -31,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonTerminatingProcess, SimulationAbort
+from .errors import BeyondRepresentable, ConfigError, NonTerminatingProcess, SimulationAbort
 from .model import (
+    DEFAULT_TOL,
     ChainConfig,
     ChannelParams,
     HardwareParams,
@@ -56,7 +67,15 @@ _MAX_ROUNDS_PER_SUCCESS = 10**9
 _MAX_TRIALS = 2**32
 
 # Trials whose Philox keys are derived together.
-_KEY_BLOCK = 4096
+_KEY_BLOCK = 1024
+
+# Trials' chain-round words are turned into attempt counts in one numpy
+# pass once the buffer holds this many words, or this many trials.
+_WORD_BLOCK = 2**13
+_TRIAL_BLOCK = 2**8
+
+# Running attempt totals below this are exact integers in a double.
+_EXACT_SUM_LIMIT = 2.0**53
 
 # Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
 _MASK32 = 0xFFFFFFFF
@@ -169,27 +188,21 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
     # np.random.Philox(key=...) would pull OS entropy it then discards.
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
+    # Python ints: the state setter reads them faster than numpy scalars.
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": zeros, "key": zeros[:2]},
-        "buffer": zeros,
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for start in range(0, trials, _KEY_BLOCK):
-        keys = _philox_keys(seed, start, min(_KEY_BLOCK, trials - start))
+        keys = _philox_keys(seed, start, min(_KEY_BLOCK, trials - start)).tolist()
         for j, key in enumerate(keys, start):
             state["state"]["key"] = key
             bitgen.state = state
             yield j, rng
-
-
-def _geometric_from_uniform(u: np.ndarray, log_q: float) -> np.ndarray:
-    # Inverse CDF: k = ceil(ln u / ln(1 - p)) for u in (0, 1], clamped to 1.
-    k = np.ceil(np.log(u) / log_q)
-    return np.maximum(k, 1.0)
 
 
 def _check_round_args(p: float, n: int) -> None:
@@ -209,17 +222,73 @@ def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
 
 
 def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    # The callers check p in (0, 1] and n >= 1.  Returned as float64:
-    # attempt counts scale as 1/p and can exceed the int64 range for very
-    # lossy links.
+    # The callers check p in (0, 1] and n >= 1.
     if p == 1.0:
         return np.ones(size, dtype=np.float64)
-    # ceil(ln u / ln q) never falls as u falls, so a row's largest draw is
-    # the draw of its smallest u = 1 - max(row): one log per round.  The
-    # transposed copy makes the row maximum a reduction over contiguous
-    # columns.
-    r = np.ascontiguousarray(rng.random((size, n)).T)
-    return _geometric_from_uniform(1.0 - r.max(axis=0), math.log1p(-p))
+    return _attempts_from_words(rng.bit_generator.random_raw(size * n), n, p)
+
+
+def _attempts_from_words(words: np.ndarray, n: int, p: float) -> np.ndarray:
+    """Attempt number of the slowest link in each chain round, from ``n``
+    raw Philox words per round; ``words`` may be overwritten.  Returned as
+    float64: attempt counts scale as 1/p and can exceed the int64 range
+    for very lossy links."""
+    if p == 1.0:
+        return np.ones(words.size // n, dtype=np.float64)
+    # The inverse CDF k = ceil(ln u / ln(1 - p)) of u = 1 - (w >> 11) 2**-53
+    # never falls as w grows, so a round's slowest link is its largest
+    # word: one double and one log per round.
+    if n & (n - 1) == 0:
+        # Adjacent pairs never straddle two rounds: halve until one is left.
+        top = words
+        while top.size > words.size // n:
+            top = np.maximum(top[0::2], top[1::2])
+    else:
+        # The transposed copy makes the row maximum a contiguous reduction.
+        top = np.ascontiguousarray(words.reshape(-1, n).T).max(axis=0)
+    top >>= 11
+    # u and k as above, with the same operations done in place.
+    k = top.astype(np.float64)
+    k *= 2.0**-53
+    np.subtract(1.0, k, out=k)
+    np.log(k, out=k)
+    k /= math.log1p(-p)
+    np.ceil(k, out=k)
+    return np.maximum(k, 1.0, out=k)
+
+
+def _settle_buffer(
+    words: list[np.ndarray],
+    trial_rounds: list[int],
+    aggregated: list[tuple[int, float]],
+    n: int,
+    p: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round count, attempt count of the recorded round and attempt count
+    over all rounds of each buffered trial.  A trial that needed ``r``
+    rounds owns the next ``r`` rounds of ``words``, its recorded round
+    last; a trial listed in ``aggregated`` as ``(position, failed-round
+    sum)`` owns only its recorded round."""
+    rounds = np.array(trial_rounds, dtype=np.int64)
+    replayed = rounds.copy()
+    for i, _ in aggregated:
+        replayed[i] = 1
+    k = _attempts_from_words(words[0] if len(words) == 1 else np.concatenate(words), n, p)
+    ends = np.cumsum(replayed)
+    starts = ends - replayed
+    recorded = k[ends - 1]
+    if k.sum() < _EXACT_SUM_LIMIT:
+        # A sum of attempt counts that lands below 2**53 had only exact
+        # partial sums, whatever the order.
+        total = np.add.reduceat(k, starts)
+    else:
+        # The failed-round sum first, as a sum of its own, then the
+        # recorded round.
+        failed = [k[a:b - 1].sum() for a, b in zip(starts.tolist(), ends.tolist())]
+        total = np.array(failed) + recorded
+    for i, failed_sum in aggregated:
+        total[i] = failed_sum + recorded[i]
+    return rounds, recorded, total
 
 
 def _aggregate_failed_attempts(
@@ -230,7 +299,49 @@ def _aggregate_failed_attempts(
     if var_k == 0.0:
         return float(failed) * mean_k
     total = rng.normal(failed * mean_k, math.sqrt(failed * var_k))
+    if not math.isfinite(total):
+        raise BeyondRepresentable("simulated attempt count beyond representable")
     return max(round(total), float(failed))
+
+
+def _buffered_trials(
+    cfg: TrialConfig, p: float, n: int, log_q_round: float | None
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Play the trials; per buffer, yield the span of trials it holds and,
+    per trial, the rounds played, the attempt count of the recorded round
+    and the attempt count over all rounds."""
+    moments = None  # of one chain round's attempt count, once a trial aggregates
+    first, buffered = 0, 0
+    words: list[np.ndarray] = []
+    trial_rounds: list[int] = []
+    aggregated: list[tuple[int, float]] = []  # (position in buffer, failed sum)
+    for j, rng in _trial_streams(cfg.seed, cfg.trials):
+        if log_q_round is None:
+            r = 1
+        else:
+            u = 1.0 - rng.random()
+            r = max(math.ceil(math.log(u) / log_q_round), 1)
+        if r > _MAX_ROUNDS_PER_SUCCESS:
+            raise SimulationAbort(
+                f"simulation aborted: trial {j} needed {r} rounds for one success"
+            )
+        trial_rounds.append(r)
+        replayed = r
+        if r - 1 > _EXACT_ROUND_LIMIT:
+            if moments is None:
+                moments = _attempts_moments(p, n, DEFAULT_TOL)
+            aggregated.append((j - first, _aggregate_failed_attempts(r - 1, rng, *moments)))
+            replayed = 1
+        # The replayed failed rounds and the recorded one are consecutive
+        # in the stream: one draw covers them all.
+        words.append(rng.bit_generator.random_raw(replayed * n))
+        buffered += replayed * n
+        if buffered >= _WORD_BLOCK or len(words) == _TRIAL_BLOCK or j + 1 == cfg.trials:
+            yield slice(first, j + 1), *_settle_buffer(words, trial_rounds, aggregated, n, p)
+            first, buffered = j + 1, 0
+            words.clear()
+            trial_rounds.clear()
+            aggregated.clear()
 
 
 def simulate(cfg: TrialConfig) -> TrialStats:
@@ -239,7 +350,8 @@ def simulate(cfg: TrialConfig) -> TrialStats:
 
     Aborts (:class:`SimulationAbort`) when a success is expected or
     observed to need more than 10^9 rounds, or when the per-trial arrays
-    do not fit in memory.
+    do not fit in memory; raises :class:`BeyondRepresentable` when a
+    statistic overflows double precision.
     """
     p = ec_prob(cfg.hw, cfg.chain, cfg.ch)
     if p == 0.0:
@@ -254,7 +366,6 @@ def simulate(cfg: TrialConfig) -> TrialStats:
             f"simulation aborted: expected rounds per success exceeds {_MAX_ROUNDS_PER_SUCCESS:.0e}"
         )
     log_q_round = math.log1p(-round_success) if round_success < 1.0 else None
-    mean_k, var_k = _attempts_moments(p, n, 1e-12)
     clock = cfg.chain.link_length / cfg.ch.signal_speed
     t_cc = cfg.chain.total_length / cfg.ch.signal_speed
 
@@ -266,43 +377,31 @@ def simulate(cfg: TrialConfig) -> TrialStats:
             f"simulation aborted: {cfg.trials} trials do not fit in memory"
         ) from None
     rounds_total = 0
-    for j, rng in _trial_streams(cfg.seed, cfg.trials):
-        if log_q_round is None:
-            rounds = 1
-        else:
-            u = 1.0 - rng.random()
-            rounds = int(max(math.ceil(math.log(u) / log_q_round), 1))
-        if rounds > _MAX_ROUNDS_PER_SUCCESS:
-            raise SimulationAbort(
-                f"simulation aborted: trial {j} needed {rounds} rounds for one success"
-            )
-        if rounds - 1 > _EXACT_ROUND_LIMIT:
-            failed_sum = _aggregate_failed_attempts(rounds - 1, rng, mean_k, var_k)
-            k_j = float(_sample_chain_rounds(p, n, 1, rng)[0])
-        else:
-            # The failed rounds and the recorded one are consecutive in the
-            # stream: one draw covers them all.
-            k = _sample_chain_rounds(p, n, rounds, rng)
-            failed_sum = float(k[:-1].sum())
-            k_j = float(k[-1])
-        k_success[j] = k_j
-        elapsed[j] = clock * (failed_sum + k_j) + rounds * t_cc
-        rounds_total += rounds
-
-    mem_times = clock * k_success + t_cc  # storage span of each recorded round
-    ddof = 1 if cfg.trials > 1 else 0
-    sqrt_n = math.sqrt(cfg.trials)
+    # Attempt counts of very lossy links may overflow: checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for span, rounds, recorded, attempts in _buffered_trials(cfg, p, n, log_q_round):
+            k_success[span] = recorded
+            elapsed[span] = clock * attempts + rounds * t_cc
+            rounds_total += int(rounds.sum())
+        mem_times = clock * k_success + t_cc  # storage span of each recorded round
+        ddof = 1 if cfg.trials > 1 else 0
+        sqrt_n = math.sqrt(cfg.trials)
+        estimates = dict(
+            mean_attempts=float(k_success.mean()),
+            se_attempts=float(k_success.std(ddof=ddof)) / sqrt_n,
+            mean_t_tot=float(elapsed.mean()),
+            se_t_tot=float(elapsed.std(ddof=ddof)) / sqrt_n,
+            mean_mem_time=float(mem_times.mean()),
+            se_mem_time=float(mem_times.std(ddof=ddof)) / sqrt_n,
+            std_mem_time=float(mem_times.std(ddof=ddof)),
+        )
+    if not all(math.isfinite(value) for value in estimates.values()):
+        raise BeyondRepresentable("simulated statistics beyond representable")
     ks, counts = np.unique(k_success, return_counts=True)
     return TrialStats(
         trials=cfg.trials,
         rounds_total=rounds_total,
-        mean_attempts=float(k_success.mean()),
-        se_attempts=float(k_success.std(ddof=ddof)) / sqrt_n,
-        mean_t_tot=float(elapsed.mean()),
-        se_t_tot=float(elapsed.std(ddof=ddof)) / sqrt_n,
-        mean_mem_time=float(mem_times.mean()),
-        se_mem_time=float(mem_times.std(ddof=ddof)) / sqrt_n,
-        std_mem_time=float(mem_times.std(ddof=ddof)),
+        **estimates,
         es_success_rate=cfg.trials / rounds_total,
         attempt_histogram={int(k): int(c) for k, c in zip(ks, counts)},
     )

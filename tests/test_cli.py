@@ -3,14 +3,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import repeaterchain
 from repeaterchain.cli import METRIC_COLUMNS, format_time, main, parse_config
 from repeaterchain.errors import ConfigError
 
@@ -328,6 +325,20 @@ def test_exit_code_2_on_non_finite_input(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--L", "8000", "--n", "1", "--trials", "3"],  # spreads overflow
+    ["simulate", "--L", "16000", "--n", "1", "--trials", "3"],  # attempt counts overflow
+    ["simulate", "--L", "120000", "--n", "8", "--trials", "2"],  # aggregated sum overflows
+    ["eval", "--L", "14000", "--n", "1"],  # variance overflows
+])
+def test_exit_code_3_when_output_would_overflow(src_env, argv):
+    # In a fresh process, so that a numpy warning would reach stderr.
+    result = subprocess.run([sys.executable, "-m", "repeaterchain.cli", *argv, "--format", "json"],
+                            env=src_env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (3, "")
+    assert json.loads(result.stdout)["error"]["code"] == "beyond_representable"
+
+
 def test_exit_code_3_json_carries_machine_code(capsys):
     code, out, _ = run_cli(capsys, "eval", "--L", "100", "--n", "1", "--rho", "0",
                            "--format", "json")
@@ -365,10 +376,8 @@ def test_exit_code_2_on_too_many_trials(capsys):
 
 # ---------------------------------------------------------------- import cost
 
-def test_import_leaves_mpmath_unloaded():
+def test_import_leaves_mpmath_unloaded(src_env):
     # mpmath only serves the closed-form route; importing the CLI must not load it.
-    src = str(Path(repeaterchain.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, repeaterchain.cli; sys.exit('mpmath' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path})
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env)
     assert result.returncode == 0

@@ -15,11 +15,14 @@ from repeaterchain.model import (
     ChainConfig,
     ChannelParams,
     HardwareParams,
+    _round_success,
     combined_attempt_dist,
+    ec_prob,
     metrics,
 )
 from repeaterchain import montecarlo
 from repeaterchain.montecarlo import (
+    _EXACT_ROUND_LIMIT,
     _KEY_BLOCK,
     TrialConfig,
     _philox_keys,
@@ -159,8 +162,9 @@ def test_simulate_trivial_chain_is_exact():
     assert stats.attempt_histogram == {1: 64}
 
 
-# Full TrialStats captured from the one-SeedSequence-per-trial sampler;
-# the histogram is kept as the sha256 of its sorted json items.
+# Full TrialStats by (L km, links, trials, seed[, memory_eff]), captured
+# from the one-SeedSequence-per-trial sampler; the histogram is kept as the
+# sha256 of its sorted json items.
 GOLDEN_STATS = {
     (500.0, 8, 300, 0): {  # replays failed rounds and aggregates deep trials
         "trials": 300, "rounds_total": 1158743, "mean_attempts": 1.96,
@@ -186,18 +190,49 @@ GOLDEN_STATS = {
         "es_success_rate": 0.6696064020904785,
         "attempt_histogram": "d732612c53c3283b0d346f29d832a8afe20162ee31c2bf84e6bb77f3af68fc40",
     },
+    # memory_eff 0.3: attempt counts near 3e18, so failed-round sums pass
+    # 2**53 and their bits depend on the summation order.
+    (1000.0, 1, 2000, 0, 0.3): {
+        "trials": 2000, "rounds_total": 28048, "mean_attempts": 2.9545240711899377e+18,
+        "se_attempts": 6.35550997903916e+16, "mean_t_tot": 2.1333844085772707e+17,
+        "se_t_tot": 4700610594804683.0, "mean_mem_time": 1.4772620355949686e+16,
+        "se_mem_time": 317775498951958.06, "std_mem_time": 1.4211352344809828e+16,
+        "es_success_rate": 0.0713063320022818,
+        "attempt_histogram": "f229656e85c2eec1f4b1bf331202a253ae433f45d18ce68e92b2edf1553b5244",
+    },
 }
 
 
 @pytest.mark.parametrize("key", list(GOLDEN_STATS), ids=lambda key: "-".join(map(str, key)))
 def test_simulate_golden_streams(key):
-    L, n, trials, seed = key
-    stats = simulate(TrialConfig(hw=HW, chain=ChainConfig(total_length=L, link_count=n),
+    L, n, trials, seed, *memory_eff = key
+    hw = HardwareParams(memory_eff=memory_eff[0]) if memory_eff else HW
+    stats = simulate(TrialConfig(hw=hw, chain=ChainConfig(total_length=L, link_count=n),
                                  ch=CH, trials=trials, seed=seed))
     got = dataclasses.asdict(stats)
     histogram = json.dumps(sorted(got["attempt_histogram"].items())).encode()
     got["attempt_histogram"] = hashlib.sha256(histogram).hexdigest()
     assert got == GOLDEN_STATS[key]
+
+
+def test_simulate_replays_a_trial_at_the_aggregation_boundary():
+    # Trial 0 of this seed needs exactly _EXACT_ROUND_LIMIT + 1 rounds, the
+    # most whose failed rounds are still replayed one by one.
+    seed = 22908
+    chain = ChainConfig(total_length=500.0, link_count=8)
+    p = ec_prob(HW, chain, CH)
+    _, success = _round_success(HW, 8)
+    rng = _trial_rng(seed, 0)
+    rounds = max(math.ceil(math.log(1.0 - rng.random()) / math.log1p(-success)), 1)
+    assert rounds == _EXACT_ROUND_LIMIT + 1
+    draws = rng.random((rounds, 8))
+    k = np.maximum(np.ceil(np.log(1.0 - draws) / math.log1p(-p)), 1.0).max(axis=1)
+    clock = chain.link_length / CH.signal_speed
+    t_cc = chain.total_length / CH.signal_speed
+    stats = simulate(TrialConfig(hw=HW, chain=chain, ch=CH, trials=1, seed=seed))
+    assert stats.rounds_total == rounds
+    assert stats.mean_attempts == k[-1]
+    assert stats.mean_t_tot == clock * (k[:-1].sum() + k[-1]) + rounds * t_cc
 
 
 def test_simulate_is_deterministic():

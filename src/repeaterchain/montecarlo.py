@@ -22,9 +22,8 @@ only appends its words to a buffer; one numpy pass per buffer (about
 2**13 words) takes each round's largest word, forms one double and one
 logarithm per round, and reads back each trial's recorded round and the
 attempt sum of its failed rounds.  That sum is numpy's sum of the
-trial's own contiguous slice; when the whole buffer sums to less than
-2**53, every partial sum is an exact integer, so per-trial sums taken in
-another order have the same bits.
+trial's own contiguous slice, as one draw per trial would give: beyond
+2**53 partial sums round, so summing in another order changes the bits.
 
 Rounds whose failure count is large are aggregated through a
 moment-matched normal draw for the summed attempt count instead of being
@@ -73,9 +72,6 @@ _KEY_BLOCK = 1024
 # pass once the buffer holds this many words, or this many trials.
 _WORD_BLOCK = 2**13
 _TRIAL_BLOCK = 2**8
-
-# Running attempt totals below this are exact integers in a double.
-_EXACT_SUM_LIMIT = 2.0**53
 
 # Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
 _MASK32 = 0xFFFFFFFF
@@ -237,15 +233,9 @@ def _attempts_from_words(words: np.ndarray, n: int, p: float) -> np.ndarray:
         return np.ones(words.size // n, dtype=np.float64)
     # The inverse CDF k = ceil(ln u / ln(1 - p)) of u = 1 - (w >> 11) 2**-53
     # never falls as w grows, so a round's slowest link is its largest
-    # word: one double and one log per round.
-    if n & (n - 1) == 0:
-        # Adjacent pairs never straddle two rounds: halve until one is left.
-        top = words
-        while top.size > words.size // n:
-            top = np.maximum(top[0::2], top[1::2])
-    else:
-        # The transposed copy makes the row maximum a contiguous reduction.
-        top = np.ascontiguousarray(words.reshape(-1, n).T).max(axis=0)
+    # word: one double and one log per round.  The transposed copy makes
+    # the row maximum a contiguous reduction.
+    top = np.ascontiguousarray(words.reshape(-1, n).T).max(axis=0)
     top >>= 11
     # u and k as above, with the same operations done in place.
     k = top.astype(np.float64)
@@ -275,17 +265,13 @@ def _settle_buffer(
         replayed[i] = 1
     k = _attempts_from_words(words[0] if len(words) == 1 else np.concatenate(words), n, p)
     ends = np.cumsum(replayed)
-    starts = ends - replayed
     recorded = k[ends - 1]
-    if k.sum() < _EXACT_SUM_LIMIT:
-        # A sum of attempt counts that lands below 2**53 had only exact
-        # partial sums, whatever the order.
-        total = np.add.reduceat(k, starts)
-    else:
-        # The failed-round sum first, as a sum of its own, then the
-        # recorded round.
-        failed = [k[a:b - 1].sum() for a, b in zip(starts.tolist(), ends.tolist())]
-        total = np.array(failed) + recorded
+    # The failed-round sum first, as a sum of its own slice, then the
+    # recorded round.  A trial of one round has no failed rounds.
+    total = recorded.copy()
+    for i, (b, r) in enumerate(zip(ends.tolist(), replayed.tolist())):
+        if r > 1:
+            total[i] += k[b - r:b - 1].sum()
     for i, failed_sum in aggregated:
         total[i] = failed_sum + recorded[i]
     return rounds, recorded, total

@@ -330,6 +330,7 @@ def test_exit_code_2_on_non_finite_input(capsys, argv):
     ["simulate", "--L", "16000", "--n", "1", "--trials", "3"],  # attempt counts overflow
     ["simulate", "--L", "120000", "--n", "8", "--trials", "2"],  # aggregated sum overflows
     ["eval", "--L", "14000", "--n", "1"],  # variance overflows
+    ["optimize", "--L", "14000", "--n-max", "1"],  # the best chain's variance overflows
 ])
 def test_exit_code_3_when_output_would_overflow(src_env, argv):
     # In a fresh process, so that a numpy warning would reach stderr.
@@ -337,6 +338,21 @@ def test_exit_code_3_when_output_would_overflow(src_env, argv):
                             env=src_env, capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (3, "")
     assert json.loads(result.stdout)["error"]["code"] == "beyond_representable"
+
+
+def test_sweep_reports_spread_overflow_inline(capsys):
+    # t_tot stays finite at 14000 km with one link; only the spread overflows.
+    code, out, _ = run_cli(capsys, "sweep", "--param", "L", "--values", "1000,14000",
+                           "--n-max", "1", "--format", "json")
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in json output")
+
+    first, second = json.loads(out, parse_constant=reject)["records"]
+    assert "error" not in first and first["mem_std_s"] > 0.0
+    assert second["error"] == "memory time spread beyond representable"
+    assert second["t_tot_s"] == ""
 
 
 def test_exit_code_3_json_carries_machine_code(capsys):

@@ -25,6 +25,7 @@ from repeaterchain.montecarlo import (
     _EXACT_ROUND_LIMIT,
     _KEY_BLOCK,
     TrialConfig,
+    _buffered_trials,
     _philox_keys,
     _sample_chain_rounds,
     _trial_rng,
@@ -233,6 +234,29 @@ def test_simulate_replays_a_trial_at_the_aggregation_boundary():
     assert stats.rounds_total == rounds
     assert stats.mean_attempts == k[-1]
     assert stats.mean_t_tot == clock * (k[:-1].sum() + k[-1]) + rounds * t_cc
+
+
+def test_buffered_totals_match_one_trial_replays():
+    # Attempt counts near 3e18 make the failed-round sums pass 2**53, where
+    # their bits depend on the order of summation: each trial's total must be
+    # the sum of its own failed rounds, then its recorded round.
+    hw = HardwareParams(memory_eff=0.3)
+    chain = ChainConfig(total_length=1000.0, link_count=1)
+    cfg = TrialConfig(hw=hw, chain=chain, ch=CH, trials=400, seed=0)
+    p = ec_prob(hw, chain, CH)
+    log_q_round = math.log1p(-_round_success(hw, 1)[1])
+    totals = np.empty(cfg.trials)
+    for span, _, _, attempts in _buffered_trials(cfg, p, 1, log_q_round):
+        totals[span] = attempts
+    expected = []
+    for j in range(cfg.trials):
+        rng = _trial_rng(cfg.seed, j)
+        rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
+        k = np.maximum(np.ceil(np.log(1.0 - rng.random(rounds)) / math.log1p(-p)), 1.0)
+        expected.append((rounds, k[:-1].sum() + k[-1]))
+    assert max(rounds for rounds, _ in expected) > 8  # past numpy's sequential sums
+    assert min(total for _, total in expected) > 2.0**53
+    assert totals.tolist() == [total for _, total in expected]
 
 
 def test_simulate_is_deterministic():

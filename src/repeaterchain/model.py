@@ -310,20 +310,44 @@ def _survival_tail(p: float, n: int, k_start: int) -> float:
     return max(tail, 0.0)
 
 
+def _first_chunk_length(p: float, n: int) -> int:
+    """Number of leading survival terms that fix the series' sum: the
+    smallest power of two L >= 128 with n q^L / (1 - q) < 2^-70, at most
+    one chunk.
+
+    Every term past L is below n q^k, so all of them together, in this
+    chunk, later chunks or the analytic tail, stay below 2^-70: under half
+    an ulp of any partial sum that holds the k = 0 term, which is 1.  numpy
+    sums a chunk pairwise, halving down to blocks of 128, so the prefix is
+    a subtree of the chunk's summation tree and its sum equals the whole
+    chunk's bit for bit; nothing added after it moves the total either.
+    """
+    need = (math.log(n / p) + 70.0 * math.log(2.0)) / -math.log1p(-p)
+    length = 128
+    while length <= need and length < _CHUNK:
+        length *= 2
+    return length
+
+
 def _survival_sum_mean(p: float, n: int, tol: float) -> float:
     # <k> = sum_{k >= 0} P(max > k) = sum_{k >= 0} [1 - (1 - q^k)^n],
     # summed explicitly until the summand is negligible, then completed
-    # with the analytic geometric tail.
+    # with the analytic geometric tail.  Only the first chunk's leading
+    # terms are materialized (see _first_chunk_length); past a prefix
+    # shorter than a chunk nothing moves the total, so the stopping test
+    # may read the prefix's last term.
     lam = -math.log1p(-p)
     total = 0.0
     k0 = 0
+    size = _first_chunk_length(p, n)
     while True:
-        ks = np.arange(k0, k0 + _CHUNK, dtype=np.float64)
+        ks = np.arange(k0, k0 + size, dtype=np.float64)
         x = np.exp(-lam * ks)  # q^k
         with np.errstate(divide="ignore"):
             summand = -np.expm1(n * np.log1p(-x))
         total += float(summand.sum())
         k0 += _CHUNK
+        size = _CHUNK
         converged = summand[-1] <= tol * total and n * x[-1] <= 0.25
         if converged:
             break
@@ -364,6 +388,16 @@ def _attempts_mean(p: float, n: int, tol: float) -> float:
     if _explicit_feasible(p, n, tol):
         return _survival_sum_mean(p, n, tol)
     return _closed_form_moments(p, n)[0]
+
+
+def _attempts_mean_lower_bound(p: float) -> float:
+    """A value never above ``_attempts_mean(p, n, tol)`` for any ``n``.
+
+    The slowest link needs at least as many attempts as any one link, so
+    the exact mean is at least 1/p.  The computed mean can round below 1/p
+    (by up to about 1e-15 relative for n = 1), hence the 2^-40 margin.
+    """
+    return (1.0 / p) * (1.0 - 2.0**-40)
 
 
 def _attempts_moments(p: float, n: int, tol: float) -> tuple[float, float]:

@@ -30,6 +30,7 @@ from .model import (
     HardwareParams,
     RepeaterMetrics,
     _attempts_mean,
+    _attempts_mean_lower_bound,
     _chain_times,
     _check_finite,
     _check_tol,
@@ -81,11 +82,12 @@ def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) ->
 class OptimizationResult:
     """Outcome of a link-count search over ``scanned_range``.
 
-    The search stops at the first link count whose total time could not
-    place first or second even with zero EC time; the result equals that of
-    evaluating every link count in the range.  ``runner_up_ratio`` is the
-    second-best total time over the best one (infinite when only a single
-    link count was feasible).
+    The search bounds every link count's total time from below without
+    summing a series, evaluates link counts in increasing order of that
+    bound, and stops at the first bound above the runner-up time; the
+    result equals that of evaluating every link count in the range.
+    ``runner_up_ratio`` is the second-best total time over the best one
+    (infinite when only a single link count was feasible).
     """
 
     best_n: int
@@ -106,32 +108,46 @@ def _scan_link_counts(
     tol: float,
 ) -> tuple[int, float, float]:
     """``(best_n, best_t, second_t)`` over link counts 1..n_max, ties going
-    to fewer links.
+    to fewer links; ``second_t`` is the smallest total time of every other
+    link count.
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
-    for bit.  The scan stops at the first n whose total time with
-    t_ec = 0 exceeds the runner-up or is not representable: that bound,
-    t_cc / (p_es r), is never above t_tot and never falls as n grows, so
-    no later link count could place first or second.
+    for bit.  The scan covers n up to the first one whose total time with
+    t_ec = 0, t_cc / (p_es r), is not representable; that bound never
+    falls as n grows, so no later link count is feasible.  Every n below
+    it gets a lower bound LB(n) on its total time from a mean attempt
+    count that cannot exceed the computed one (the time formulas are
+    monotone in the mean), and link counts are evaluated in increasing
+    ``(LB, n)`` order.  The scan stops at the first LB above the
+    runner-up: no link count left could place first or second.
     """
     tol = _check_tol(tol)
-    best_n, best_t, second_t = 0, math.inf, math.inf
+    candidates = []
     for n in range(1, n_max + 1):
         chain = ChainConfig(total_length=total_length, link_count=n)
         try:
-            if _chain_times(hw, chain, ch, 0.0)[-1] > second_t:
-                break
+            _chain_times(hw, chain, ch, 0.0)
         except (UnreachableConfiguration, BeyondRepresentable):
             break
         p = ec_prob(hw, chain, ch)
         if p == 0.0:
             continue
         try:
+            bound = _chain_times(hw, chain, ch, _attempts_mean_lower_bound(p))[-1]
+        except BeyondRepresentable:
+            continue  # t_tot overflows as well
+        candidates.append((bound, n, chain, p))
+    candidates.sort(key=lambda c: c[:2])
+    best_n, best_t, second_t = 0, math.inf, math.inf
+    for bound, n, chain, p in candidates:
+        if bound > second_t:
+            break
+        try:
             t = _chain_times(hw, chain, ch, _attempts_mean(p, n, tol))[-1]
         except BeyondRepresentable:
             continue
-        if t < best_t:
+        if (t, n) < (best_t, best_n):
             best_n, best_t, second_t = n, t, min(second_t, best_t)
         else:
             second_t = min(second_t, t)
@@ -152,8 +168,10 @@ def optimize_link_count(
     """Return the link count in 1..n_max with the smallest total
     distribution time (ties go to fewer links).
 
-    The scan stops early at an exact bound (see :class:`OptimizationResult`);
-    ``scanned_range`` is the whole range searched, ``(1, n_max)``.
+    Link counts are evaluated in increasing order of a lower bound on
+    their total time, and the scan stops at the first bound above the
+    runner-up (see :class:`OptimizationResult`); ``scanned_range`` is the
+    whole range searched, ``(1, n_max)``.
     """
     _check_finite(total_length, "total_length")
     if n_max is None:

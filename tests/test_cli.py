@@ -397,3 +397,14 @@ def test_import_leaves_mpmath_unloaded(src_env):
     probe = "import sys, repeaterchain.cli; sys.exit('mpmath' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=src_env)
     assert result.returncode == 0
+
+
+def test_optimize_1600km_leaves_mpmath_unloaded(src_env):
+    # The ordered scan never evaluates n = 1..4 at 1600 km, the only link
+    # counts whose moments need the closed form.
+    probe = ("import sys; from repeaterchain.cli import main; "
+             "code = main(['optimize', '--L', '1600']); "
+             "sys.exit(code or 'mpmath' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(b"best link count in [1, 64]: 8\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repeaterchain import model
 from repeaterchain.errors import ConfigError, NonTerminatingProcess, UnreachableConfiguration
 from repeaterchain.model import (
+    DEFAULT_TOL,
     AttemptDistribution,
     ChainConfig,
     ChannelParams,
@@ -253,6 +254,112 @@ def test_expected_attempts_tiny_probability_route():
     assert expected_max_attempts(1e-12, 1) == pytest.approx(1e12, rel=1e-10)
     # and the multi-link value stays above the single-link one
     assert expected_max_attempts(1e-12, 8) > 1e12
+
+
+# ---------------------------------------------------------------- survival series
+
+def full_chunk_survival_mean(p: float, n: int, tol: float) -> float:
+    """The survival series with every chunk summed in full: the reference
+    the sized first chunk must reproduce bit for bit."""
+    lam = -math.log1p(-p)
+    total, k0 = 0.0, 0
+    while True:
+        ks = np.arange(k0, k0 + model._CHUNK, dtype=np.float64)
+        x = np.exp(-lam * ks)
+        with np.errstate(divide="ignore"):
+            summand = -np.expm1(n * np.log1p(-x))
+        total += float(summand.sum())
+        k0 += model._CHUNK
+        if summand[-1] <= tol * total and n * x[-1] <= 0.25:
+            return total + model._survival_tail(p, n, k0)
+        assert k0 <= model._MAX_EXPLICIT_TERMS
+
+
+def flip_point(holds, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent doubles ``(a, b)`` between ``lo`` and ``hi`` with ``holds(a)``
+    false and ``holds(b)`` true, for a predicate that turns true once."""
+    assert not holds(lo) and holds(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def test_sized_first_chunk_sum_equals_full_chunk_sum():
+    # Exact only while numpy sums pairwise in power-of-two halves; a numpy
+    # whose summation tree differs fails here instead of changing outputs.
+    rng = np.random.default_rng(6)
+    grid = [(float(10 ** rng.uniform(-3.2, 0.0)), int(rng.integers(1, 129)))
+            for _ in range(120)]
+    grid += [(0.999, 1), (0.5, 128), (1e-5, 3)]  # shortest prefix; several chunks
+    for n in (1, 7, 128):
+        length = 128
+        while length < model._CHUNK:
+            edge = flip_point(lambda p: model._first_chunk_length(p, n) <= length,
+                              1e-4, 1.0 - 1e-9)
+            grid += [(p, n) for p in edge]
+            length *= 2
+    lengths = {model._first_chunk_length(p, n) for p, n in grid}
+    assert lengths == {1 << j for j in range(7, 17)}
+    for p, n in grid:
+        assert model._survival_sum_mean(p, n, DEFAULT_TOL) == full_chunk_survival_mean(
+            p, n, DEFAULT_TOL), (p, n)
+    # A tol so small that the stopping test fails on the prefix's last term
+    # and on the full chunk's: the sums past the prefix add nothing.
+    for p, n in ((0.01, 5), (0.3, 1), (2e-3, 128)):
+        assert model._survival_sum_mean(p, n, 1e-300) == full_chunk_survival_mean(
+            p, n, 1e-300), (p, n)
+
+
+def test_first_chunk_length_bounds_the_dropped_terms():
+    for p in (1e-4, 1.3e-3, 0.01, 0.2, 0.9):
+        for n in (1, 5, 128):
+            length = model._first_chunk_length(p, n)
+            assert length in {1 << j for j in range(7, 17)}
+            dropped = n * (1.0 - p) ** length / p
+            assert length == model._CHUNK or dropped < 2.0**-70
+            assert length == 128 or n * (1.0 - p) ** (length // 2) / p >= 2.0**-70
+
+
+def test_survival_sum_falls_back_to_closed_form_past_the_term_cap(monkeypatch):
+    # A loose tol makes the series look feasible, but the summand is still
+    # above the tail's validity bound when the term cap is reached.
+    p, n, tol = -math.expm1(-2e-7), 2, 0.9
+    assert model._explicit_feasible(p, n, tol)
+    calls = []
+    closed_form = model._closed_form_moments
+    monkeypatch.setattr(model, "_closed_form_moments",
+                        lambda *args: calls.append(args) or closed_form(*args))
+    mean = model._survival_sum_mean(p, n, tol)
+    assert calls == [(p, n)]
+    assert mean == closed_form(p, n)[0] == 7500000.5
+
+
+def test_moments_match_mp_oracle_across_the_seam():
+    # Tolerances are the worst case measured on this grid.  The variance
+    # comes from the distribution truncated at tol, which drops about
+    # tol * K^2 of the second moment; it is worst at n = 1 next to the seam.
+    rng = np.random.default_rng(4)
+    grid = [(float(10 ** rng.uniform(-6.0, 0.0)), int(round(2 ** rng.uniform(0.0, 7.0))))
+            for _ in range(60)]
+    for n in (1, 128):
+        seam = flip_point(lambda p: model._explicit_feasible(p, n, DEFAULT_TOL), 1e-6, 1e-4)
+        grid += [(p, n) for p in seam]
+    routes = {model._explicit_feasible(p, n, DEFAULT_TOL) for p, n in grid}
+    assert routes == {True, False}
+    worst_mean = worst_variance = 0.0
+    for p, n in grid:
+        mean, variance = model._attempts_moments(p, n, DEFAULT_TOL)
+        oracle_mean, oracle_variance = _closed_form_moments(p, n)
+        worst_mean = max(worst_mean, abs(mean - oracle_mean) / oracle_mean)
+        worst_variance = max(worst_variance, abs(variance - oracle_variance) / oracle_variance)
+    assert worst_mean <= 3.5e-16
+    assert worst_variance <= 7.65e-10
 
 
 # ---------------------------------------------------------------- chain metrics

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeaterchain.errors import (
     BeyondRepresentable,
@@ -12,7 +14,17 @@ from repeaterchain.errors import (
     ModelError,
     UnreachableConfiguration,
 )
-from repeaterchain.model import ChainConfig, ChannelParams, HardwareParams, metrics
+from repeaterchain.model import (
+    DEFAULT_TOL,
+    ChainConfig,
+    ChannelParams,
+    HardwareParams,
+    _attempts_mean,
+    _attempts_mean_lower_bound,
+    _chain_times,
+    ec_prob,
+    metrics,
+)
 from repeaterchain.planner import (
     SweepSpec,
     crossover_with_direct,
@@ -69,6 +81,27 @@ def test_optimize_short_distance_prefers_single_link():
     assert optimize_link_count(HW, 1.0, CH).best_n == 1
 
 
+def assert_matches_rescan(hw: HardwareParams, L: float, n_max: int) -> None:
+    rescan = {}
+    for n in range(1, n_max + 1):
+        try:
+            rescan[n] = metrics(hw, ChainConfig(total_length=L, link_count=n), CH)
+        except ModelError:
+            continue
+    if not rescan:
+        with pytest.raises(UnreachableConfiguration):
+            optimize_link_count(hw, L, CH, n_max=n_max)
+        return
+    result = optimize_link_count(hw, L, CH, n_max=n_max)
+    ranked = sorted(rescan, key=lambda n: (rescan[n].t_tot, n))
+    best = ranked[0]
+    assert result.best_n == best
+    assert result.metrics == rescan[best]
+    assert result.scanned_range == (1, n_max)
+    runner_up = rescan[ranked[1]].t_tot if len(ranked) > 1 else math.inf
+    assert result.runner_up_ratio == runner_up / rescan[best].t_tot
+
+
 def test_optimize_matches_independent_rescan():
     rng = np.random.default_rng(2024)
     cases = []
@@ -88,20 +121,55 @@ def test_optimize_matches_independent_rescan():
     # Lossy retrieval: each extra link costs ~90x, and p_es * r underflows
     # from n = 167 while p_es alone does not.
     cases.append((HardwareParams(memory_eff=0.3, detector_eff=0.5), 1000.0, 400))
+    # An exact tie: n = 3 and n = 4 give the same t_tot.  n = 4 has the
+    # lower bound, so it is evaluated first and the tie must still go to 3.
+    tie_hw, tie_L = HardwareParams(mode_count=1), 253.86595851662494
+    tie = [metrics(tie_hw, ChainConfig(total_length=tie_L, link_count=n), CH).t_tot
+           for n in (3, 4)]
+    assert tie[0] == tie[1]
+    cases.append((tie_hw, tie_L, 30))
     for hw, L, n_max in cases:
-        result = optimize_link_count(hw, L, CH, n_max=n_max)
-        rescan = {}
-        for n in range(1, n_max + 1):
-            try:
-                rescan[n] = metrics(hw, ChainConfig(total_length=L, link_count=n), CH)
-            except ModelError:
-                continue
-        ranked = sorted(rescan, key=lambda n: (rescan[n].t_tot, n))
-        best = ranked[0]
-        assert result.best_n == best
-        assert result.metrics == rescan[best]
-        assert result.scanned_range == (1, n_max)
-        assert result.runner_up_ratio == rescan[ranked[1]].t_tot / rescan[best].t_tot
+        assert_matches_rescan(hw, L, n_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    detector_eff=st.floats(min_value=0.3, max_value=1.0),
+    memory_eff=st.floats(min_value=0.3, max_value=1.0),
+    emission_prob=st.floats(min_value=0.1, max_value=1.0),
+    mode_count=st.integers(min_value=1, max_value=1000),
+    L=st.floats(min_value=1.0, max_value=3000.0),
+    n_max=st.integers(min_value=1, max_value=40),
+)
+def test_optimize_matches_independent_rescan_on_drawn_hardware(
+    detector_eff, memory_eff, emission_prob, mode_count, L, n_max
+):
+    hw = HardwareParams(detector_eff=detector_eff, memory_eff=memory_eff,
+                        emission_prob=emission_prob, mode_count=mode_count)
+    assert_matches_rescan(hw, L, n_max)
+
+
+def test_time_lower_bound_never_exceeds_the_computed_time():
+    # The scan orders and stops on this bound, so it must hold for the
+    # rounded mean too: for n = 1 that mean can come out just below 1/p.
+    rng = np.random.default_rng(11)
+    below_inverse_p = 0
+    for _ in range(300):
+        hw = HardwareParams(
+            detector_eff=float(rng.uniform(0.3, 1.0)),
+            memory_eff=float(rng.uniform(0.3, 1.0)),
+            emission_prob=float(rng.uniform(0.1, 1.0)),
+            mode_count=int(rng.integers(1, 1000)),
+        )
+        n = int(rng.integers(1, 4)) if rng.random() < 0.7 else int(rng.integers(4, 41))
+        chain = ChainConfig(total_length=n * float(rng.uniform(1.0, 250.0)), link_count=n)
+        p = ec_prob(hw, chain, CH)
+        mean = _attempts_mean(p, n, DEFAULT_TOL)
+        below_inverse_p += mean < 1.0 / p
+        bound = _chain_times(hw, chain, CH, _attempts_mean_lower_bound(p))[-1]
+        assert _attempts_mean_lower_bound(p) <= mean
+        assert bound <= _chain_times(hw, chain, CH, mean)[-1] == metrics(hw, chain, CH).t_tot
+    assert below_inverse_p > 0
 
 
 def test_optimize_all_links_unreachable():

@@ -390,14 +390,22 @@ def _attempts_mean(p: float, n: int, tol: float) -> float:
     return _closed_form_moments(p, n)[0]
 
 
-def _attempts_mean_lower_bound(p: float) -> float:
-    """A value never above ``_attempts_mean(p, n, tol)`` for any ``n``.
+def _attempts_mean_bounds(p: float, harmonic: float) -> tuple[float, float]:
+    """``(lower, upper)`` around ``_attempts_mean(p, n, tol)`` for any
+    ``tol``, given the harmonic number ``harmonic = H_n = 1 + 1/2 + ... + 1/n``.
 
-    The slowest link needs at least as many attempts as any one link, so
-    the exact mean is at least 1/p.  The computed mean can round below 1/p
-    (by up to about 1e-15 relative for n = 1), hence the 2^-40 margin.
+    The survival summand 1 - (1 - q^k)^n decreases in k and integrates to
+    H_n / lambda over k >= 0, with lambda = -ln(1 - p), so comparing the
+    sum with the integral gives H_n / lambda <= mean <= 1 + H_n / lambda
+    (Eisenberg, Stat. Probab. Lett. 78, 2008).  The slowest link also
+    needs at least 1/p attempts, the mean of any one link.  The 2^-30
+    margin covers the rounding of H_n, lambda and the computed mean, which
+    can fall below 1/p by about 1e-15 relative for n = 1.
     """
-    return (1.0 / p) * (1.0 - 2.0**-40)
+    if p == 1.0:
+        return 1.0, 1.0
+    integral = harmonic / -math.log1p(-p)
+    return max(1.0 / p, integral) * (1.0 - 2.0**-30), (1.0 + integral) * (1.0 + 2.0**-30)
 
 
 def _attempts_moments(p: float, n: int, tol: float) -> tuple[float, float]:

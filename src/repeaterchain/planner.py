@@ -30,7 +30,7 @@ from .model import (
     HardwareParams,
     RepeaterMetrics,
     _attempts_mean,
-    _attempts_mean_lower_bound,
+    _attempts_mean_bounds,
     _chain_times,
     _check_finite,
     _check_tol,
@@ -83,9 +83,12 @@ class OptimizationResult:
     """Outcome of a link-count search over ``scanned_range``.
 
     The search bounds every link count's total time from below without
-    summing a series, evaluates link counts in increasing order of that
-    bound, and stops at the first bound above the runner-up time; the
-    result equals that of evaluating every link count in the range.
+    summing a series, from a mean attempt count of max(1/p, H_n / lambda)
+    with lambda = -ln(1 - p), evaluates link counts in increasing order of
+    that bound, and stops at the first bound above the runner-up time; the
+    result equals that of evaluating every link count in the range.  The
+    mean also has an upper bound, 1 + H_n / lambda, which the crossover
+    search uses with the lower one to decide signs without a series.
     ``runner_up_ratio`` is the second-best total time over the best one
     (infinite when only a single link count was feasible).
     """
@@ -98,6 +101,46 @@ class OptimizationResult:
 
 def _default_n_max(total_length: float) -> int:
     return min(_MAX_SCAN_LINKS, max(1, math.ceil(total_length / _MIN_USEFUL_LINK_KM)))
+
+
+def _link_candidates(
+    hw: HardwareParams,
+    total_length: float,
+    ch: ChannelParams,
+    n_max: int,
+) -> list[tuple[float, int, ChainConfig, float, float]]:
+    """``(lower, n, chain, p, upper_mean)`` for every link count in
+    1..n_max that may be feasible, sorted by ``(lower, n)``.
+
+    ``lower`` is a lower bound on the total time and ``upper_mean`` an
+    upper bound on the mean attempt count (see
+    :func:`~repeaterchain.model._attempts_mean_bounds`); the time formulas
+    are monotone in the mean, so the times at the two bounds bracket the
+    computed total time.  The list stops at the first n whose total time
+    with t_ec = 0, t_cc / (p_es r), is not representable: that time never
+    falls as n grows, so no later link count is feasible.  Link counts
+    whose lower-bound time overflows are infeasible too and left out.
+    """
+    candidates = []
+    harmonic = 0.0
+    for n in range(1, n_max + 1):
+        harmonic += 1.0 / n
+        chain = ChainConfig(total_length=total_length, link_count=n)
+        try:
+            _chain_times(hw, chain, ch, 0.0)
+        except (UnreachableConfiguration, BeyondRepresentable):
+            break
+        p = ec_prob(hw, chain, ch)
+        if p == 0.0:
+            continue
+        lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
+        try:
+            lower = _chain_times(hw, chain, ch, lower_mean)[-1]
+        except BeyondRepresentable:
+            continue  # t_tot overflows as well
+        candidates.append((lower, n, chain, p, upper_mean))
+    candidates.sort(key=lambda c: c[:2])
+    return candidates
 
 
 def _scan_link_counts(
@@ -113,35 +156,18 @@ def _scan_link_counts(
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
-    for bit.  The scan covers n up to the first one whose total time with
-    t_ec = 0, t_cc / (p_es r), is not representable; that bound never
-    falls as n grows, so no later link count is feasible.  Every n below
-    it gets a lower bound LB(n) on its total time from a mean attempt
-    count that cannot exceed the computed one (the time formulas are
-    monotone in the mean), and link counts are evaluated in increasing
-    ``(LB, n)`` order.  The scan stops at the first LB above the
-    runner-up: no link count left could place first or second.
+    for bit.  Every link count that may be feasible gets a lower bound on
+    its total time from max(1/p, H_n / lambda), the lower side of the
+    two-sided bounds on the mean attempt count (see
+    :func:`_link_candidates`), and link counts are evaluated in increasing
+    ``(lower, n)`` order.  The scan stops at the first lower bound above
+    the runner-up: no link count left could place first or second, so the
+    result equals that of evaluating every link count.
     """
     tol = _check_tol(tol)
-    candidates = []
-    for n in range(1, n_max + 1):
-        chain = ChainConfig(total_length=total_length, link_count=n)
-        try:
-            _chain_times(hw, chain, ch, 0.0)
-        except (UnreachableConfiguration, BeyondRepresentable):
-            break
-        p = ec_prob(hw, chain, ch)
-        if p == 0.0:
-            continue
-        try:
-            bound = _chain_times(hw, chain, ch, _attempts_mean_lower_bound(p))[-1]
-        except BeyondRepresentable:
-            continue  # t_tot overflows as well
-        candidates.append((bound, n, chain, p))
-    candidates.sort(key=lambda c: c[:2])
     best_n, best_t, second_t = 0, math.inf, math.inf
-    for bound, n, chain, p in candidates:
-        if bound > second_t:
+    for lower, n, chain, p, _ in _link_candidates(hw, total_length, ch, n_max):
+        if lower > second_t:
             break
         try:
             t = _chain_times(hw, chain, ch, _attempts_mean(p, n, tol))[-1]
@@ -258,6 +284,11 @@ def plan_fixed_link(
             f"total_length {total_length} km is shorter than one link ({link_length} km)"
         )
     ratio = total_length / link_length
+    if not math.isfinite(ratio):
+        # More links than a float can count: (r/2)^(n-1) underflows long before.
+        raise UnreachableConfiguration(
+            "unreachable configuration: end-to-end success probability underflows"
+        )
     nearest = round(ratio)
     if abs(ratio - nearest) < 1e-9 and nearest >= 1:
         candidates = [int(nearest)]
@@ -291,14 +322,43 @@ def crossover_with_direct(
     bracket: tuple[float, float] = (10.0, 1.0e4),
 ) -> float:
     """Distance in km at which the optimized chain and direct transmission
-    take equally long, found by bisection to within 1 km."""
+    take equally long, found by bisection to within 1 km.
+
+    The bisection only reads the sign of the optimized chain's time minus
+    the direct time at each distance.  The two-sided bounds on every link
+    count's mean attempt count (see :func:`_link_candidates`) often settle
+    that sign without summing a series: the chain is faster when some link
+    count's time at its upper bound is below the direct time, and slower
+    when every lower-bound time is above it while some link count is
+    feasible.  Only when the bounds straddle the direct time is the exact
+    link-count scan run, so every step, and the distance returned, is the
+    same as with the exact scan at every step.
+    """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ConfigError(f"invalid bracket {bracket}")
+    tol = _check_tol(tol)
 
     def gap(L: float) -> float:
-        repeater = _scan_link_counts(hw, L, ch, _default_n_max(L), tol)[1]
-        return repeater - direct_transmission_time(L, ch, source_rate)
+        n_max = _default_n_max(L)
+        try:
+            direct = direct_transmission_time(L, ch, source_rate)
+        except (ConfigError, ModelError):
+            _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
+            raise
+        candidates = _link_candidates(hw, L, ch, n_max)
+        feasible = False
+        for _, _, chain, _, upper_mean in candidates:
+            try:
+                upper = _chain_times(hw, chain, ch, upper_mean)[-1]
+            except BeyondRepresentable:
+                continue
+            if upper < direct:
+                return -1.0
+            feasible = True
+        if feasible and candidates[0][0] > direct:
+            return 1.0
+        return _scan_link_counts(hw, L, ch, n_max, tol)[1] - direct
 
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeaterchain.cli import METRIC_COLUMNS, format_time, main, parse_config
 from repeaterchain.errors import ConfigError
@@ -355,6 +358,48 @@ def test_sweep_reports_spread_overflow_inline(capsys):
     assert second["t_tot_s"] == ""
 
 
+UNDERFLOW = "unreachable configuration: end-to-end success probability underflows"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-link", "--L", "1600", "--L0", "5e-324"],
+    ["fixed-link", "--L", "1e300", "--L0", "1e-300"],
+])
+def test_fixed_link_with_more_links_than_a_float_counts(capsys, argv):
+    # L / L0 overflows; a finite but huge ratio already underflows the
+    # round success, and so does this one.
+    assert run_cli(capsys, *argv) == (3, "", f"error: {UNDERFLOW}\n")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": {"code": "unreachable_configuration",
+                                         "message": UNDERFLOW}}
+    finite_ratio = run_cli(capsys, "fixed-link", "--L", "1600", "--L0", "1e-300",
+                           "--format", "json")
+    assert finite_ratio == (code, out, err)
+
+
+def test_sweep_reports_link_count_overflow_inline(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--param", "L", "--values", "1000,1600",
+                             "--L0", "5e-324", "--format", "json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    assert [(r["L_km"], r["error"]) for r in records] == [(1000.0, UNDERFLOW),
+                                                         (1600.0, UNDERFLOW)]
+
+
+@pytest.mark.parametrize("argv, error", [
+    # At 10000 km no link count is feasible; the scan raises before the
+    # direct time, which overflows there too, is looked at.
+    (["crossover", "--alpha", "50"], "unreachable_configuration"),
+    (["crossover", "--source-rate", "1e-320"], "beyond_representable"),
+    (["crossover", "--source-rate", "1"], "no_crossover_in_range"),
+])
+def test_crossover_error_codes(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["code"] == error
+
+
 def test_exit_code_3_json_carries_machine_code(capsys):
     code, out, _ = run_cli(capsys, "eval", "--L", "100", "--n", "1", "--rho", "0",
                            "--format", "json")
@@ -408,3 +453,67 @@ def test_optimize_1600km_leaves_mpmath_unloaded(src_env):
     result = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith(b"best link count in [1, 64]: 8\n")
+
+
+def test_crossover_leaves_mpmath_unloaded(src_env):
+    # The bounds settle every far distance, and near the crossover the
+    # ordered scans evaluate only link counts on the series route.
+    probe = ("import sys; from repeaterchain.cli import main; "
+             "code = main(['crossover']); "
+             "sys.exit(code or 'mpmath' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"chain beats direct transmission beyond ~488 km (source rate 1e+10 Hz)\n"
+
+
+# ---------------------------------------------------------------- input domain
+
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "2.2250738585072014e-308",
+               "1e300", "-1e300", "1" + "0" * 400, "-" + "1" * 400)
+
+
+def plausible(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+# Each key's values in its physical range; up to two keys then take a
+# hostile value: an edge value, any float or any int.
+CLI_DOMAIN = {
+    "L": plausible(1.0, 5000.0),
+    "L0": plausible(1.0, 500.0),
+    "m": st.integers(min_value=1, max_value=1000).map(str),
+    "rho": plausible(0.0, 1.0),
+    "eta_d": plausible(0.0, 1.0),
+    "eta_m": plausible(0.0, 1.0),
+    "alpha": plausible(0.0, 1.0),
+    "c": plausible(1e3, 1e6),
+    "tol": plausible(1e-15, 0.5),
+    "source_rate": plausible(1.0, 1e14),
+}
+HOSTILE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr), st.integers().map(str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=st.sampled_from(["crossover", "fixed-link"]),
+    fmt=st.sampled_from(["human", "csv", "json"]),
+    values=st.fixed_dictionaries({"L": CLI_DOMAIN["L"]}, optional={k: v for k, v in CLI_DOMAIN.items() if k != "L"}),
+    hostile=st.dictionaries(st.sampled_from(list(CLI_DOMAIN)), HOSTILE, max_size=2),
+)
+def test_crossover_and_fixed_link_close_the_input_domain(scenario, fmt, values, hostile):
+    argv = [scenario, f"--format={fmt}"]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in {**values, **hostile}.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value of the wrong type
+            code = exc.code
+    assert code in {0, 2, 3, 4}, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in json output of {argv}")
+
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=reject)

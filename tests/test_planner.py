@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeaterchain import model
 from repeaterchain.errors import (
     BeyondRepresentable,
     ConfigError,
     ModelError,
+    NoCrossoverInRange,
     UnreachableConfiguration,
 )
 from repeaterchain.model import (
@@ -20,13 +22,15 @@ from repeaterchain.model import (
     ChannelParams,
     HardwareParams,
     _attempts_mean,
-    _attempts_mean_lower_bound,
+    _attempts_mean_bounds,
     _chain_times,
     ec_prob,
     metrics,
 )
 from repeaterchain.planner import (
     SweepSpec,
+    _default_n_max,
+    _scan_link_counts,
     crossover_with_direct,
     direct_transmission_time,
     optimize_link_count,
@@ -149,9 +153,30 @@ def test_optimize_matches_independent_rescan_on_drawn_hardware(
     assert_matches_rescan(hw, L, n_max)
 
 
+def harmonic(n: int) -> float:
+    """H_n summed in the order the link-count scan sums it."""
+    total = 0.0
+    for i in range(1, n + 1):
+        total += 1.0 / i
+    return total
+
+
+def series_seam(n: int) -> tuple[float, float]:
+    """Adjacent doubles on each side of the seam between the closed-form
+    route (first) and the series route (second) at ``n`` links."""
+    lam = (math.log(max(n, 2)) - math.log(DEFAULT_TOL)) / model._MAX_EXPLICIT_TERMS
+    p = -math.expm1(-lam)
+    while model._explicit_feasible(p, n, DEFAULT_TOL):
+        p = math.nextafter(p, 0.0)
+    while not model._explicit_feasible(p, n, DEFAULT_TOL):
+        p = math.nextafter(p, 1.0)
+    return math.nextafter(p, 0.0), p
+
+
 def test_time_lower_bound_never_exceeds_the_computed_time():
-    # The scan orders and stops on this bound, so it must hold for the
-    # rounded mean too: for n = 1 that mean can come out just below 1/p.
+    # The scan orders and stops on the lower bound and the crossover reads
+    # signs off both, so they must hold for the rounded mean too: for n = 1
+    # that mean can come out just below 1/p.
     rng = np.random.default_rng(11)
     below_inverse_p = 0
     for _ in range(300):
@@ -166,10 +191,26 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
         p = ec_prob(hw, chain, CH)
         mean = _attempts_mean(p, n, DEFAULT_TOL)
         below_inverse_p += mean < 1.0 / p
-        bound = _chain_times(hw, chain, CH, _attempts_mean_lower_bound(p))[-1]
-        assert _attempts_mean_lower_bound(p) <= mean
-        assert bound <= _chain_times(hw, chain, CH, mean)[-1] == metrics(hw, chain, CH).t_tot
+        lower, upper = _attempts_mean_bounds(p, harmonic(n))
+        assert lower <= mean <= upper
+        t = _chain_times(hw, chain, CH, mean)[-1]
+        assert t == metrics(hw, chain, CH).t_tot
+        assert _chain_times(hw, chain, CH, lower)[-1] <= t <= _chain_times(hw, chain, CH, upper)[-1]
     assert below_inverse_p > 0
+    # Certain success; both sides of the seam; n = 1 down to p = 1e-19,
+    # where 1 + 1/lambda and 1/p are less than one ulp apart; n up to 5000
+    # on the series route and up to 300 on the closed form.
+    grid = [(1.0, 1), (1.0, 5000)]
+    grid += [(p, n) for n in (1, 2, 128) for p in series_seam(n)]
+    grid += [(10.0**-e, 1) for e in range(1, 20)]
+    grid += [(p, 5000) for p in (0.9, 0.01, 1e-4)]
+    grid += [(1e-7, n) for n in (2, 40, 300)]
+    routes = {model._explicit_feasible(p, n, DEFAULT_TOL) for p, n in grid if p < 1.0}
+    assert routes == {True, False}
+    assert _attempts_mean_bounds(1.0, harmonic(5000)) == (1.0, 1.0)
+    for p, n in grid:
+        lower, upper = _attempts_mean_bounds(p, harmonic(n))
+        assert lower <= _attempts_mean(p, n, DEFAULT_TOL) <= upper, (p, n)
 
 
 def test_optimize_all_links_unreachable():
@@ -227,6 +268,66 @@ def test_fixed_link_rejects_too_short_target():
 
 
 # ---------------------------------------------------------------- crossover search
+
+def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0e4)):
+    """The bisection with the exact link-count scan, then the direct time,
+    at every step."""
+    lo, hi = bracket
+
+    def gap(L):
+        repeater = _scan_link_counts(hw, L, ch, _default_n_max(L), tol)[1]
+        return repeater - direct_transmission_time(L, ch, source_rate)
+
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
+        raise NoCrossoverInRange(
+            f"no crossover in range [{lo}, {hi}] km at source rate {source_rate} Hz"
+        )
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if g_mid == 0.0:
+            return mid
+        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def crossover_outcome(search, hw, ch, source_rate):
+    try:
+        return search(hw, ch, source_rate)
+    except (ConfigError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+def test_crossover_matches_reference_bisection():
+    # The bounds decide most signs without a series; every step must still
+    # go the way the exact scan sends it, so the km is the same bit for bit.
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(200):
+        hw = HardwareParams(
+            detector_eff=float(rng.uniform(0.3, 1.0)),
+            memory_eff=float(rng.uniform(0.3, 1.0)),
+            emission_prob=float(rng.uniform(0.3, 1.0)),
+            mode_count=int(rng.integers(1, 1001)),
+        )
+        ch = ChannelParams(attenuation=float(rng.uniform(0.15, 0.3)))
+        rate = float(10.0 ** rng.uniform(0.0, 12.0))
+        expected = crossover_outcome(reference_crossover, hw, ch, rate)
+        assert crossover_outcome(crossover_with_direct, hw, ch, rate) == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+    assert outcomes == {float, NoCrossoverInRange}
+    pinned = {1e9: 423.09967041015625, 1e10: 488.34197998046875, 1e11: 554.8037719726562}
+    for rate, km in pinned.items():
+        assert crossover_with_direct(HW, CH, rate) == reference_crossover(HW, CH, rate) == km
+
 
 def test_crossover_reference_window():
     km = crossover_with_direct(HW, CH, 1e10)

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -330,7 +331,8 @@ def _run_optimize(cfg: RunConfig) -> _Report:
         (f"best link count in [{lo}, {hi}]: {result.best_n}",),
         best_n=result.best_n,
         scanned_range=[lo, hi],
-        runner_up_ratio=result.runner_up_ratio,
+        # Infinite when a single link count is feasible: json has no such number.
+        runner_up_ratio=result.runner_up_ratio if math.isfinite(result.runner_up_ratio) else None,
     )
 
 

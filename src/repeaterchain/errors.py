@@ -23,7 +23,8 @@ class UnreachableConfiguration(ModelError):
 
 
 class BeyondRepresentable(ModelError):
-    """A requested quantity overflows double precision."""
+    """A requested quantity overflows double precision, or a total time
+    underflows to zero."""
 
 
 class NoCrossoverInRange(ModelError):

@@ -222,18 +222,28 @@ def ec_prob_single_mode(hw: HardwareParams, chain: ChainConfig, ch: ChannelParam
     exponent uses half the per-link distance; the 1/2 prefactor is the
     linear-optics BSM ceiling.  The result is in [0, 1/2].
     """
-    exponent = -ch.attenuation * chain.total_length / (20.0 * chain.link_count)
-    amplitude = hw.detector_eff * hw.emission_prob * 10.0**exponent
-    return 0.5 * amplitude * amplitude
+    return _single_mode_prob(hw, chain.total_length, chain.link_count, ch)
 
 
 def ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
     """Per-attempt EC probability with ``mode_count`` parallel modes:
     the chance that at least one mode yields a successful BSM."""
-    p1 = ec_prob_single_mode(hw, chain, ch)
-    if p1 == 0.0:
-        return 0.0
-    return -math.expm1(hw.mode_count * math.log1p(-p1))
+    return _multimode_prob(hw, ec_prob_single_mode(hw, chain, ch))
+
+
+def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
+    # Elementwise: ``link_count`` may be an array of link counts.
+    exponent = -ch.attenuation * total_length / (20.0 * link_count)
+    amplitude = hw.detector_eff * hw.emission_prob * 10.0**exponent
+    return 0.5 * amplitude * amplitude
+
+
+def _multimode_prob(hw: HardwareParams, p1):
+    # Elementwise in the single-mode probability; p1 = 0 gives 0.  Floats go
+    # through ``math`` and arrays through numpy, whose transcendentals may
+    # differ from math's by a few ulps.
+    xp = np if isinstance(p1, np.ndarray) else math
+    return -xp.expm1(float(hw.mode_count) * xp.log1p(-p1))
 
 
 def _require_success_prob(p: float) -> float:
@@ -390,7 +400,7 @@ def _attempts_mean(p: float, n: int, tol: float) -> float:
     return _closed_form_moments(p, n)[0]
 
 
-def _attempts_mean_bounds(p: float, harmonic: float) -> tuple[float, float]:
+def _attempts_mean_bounds(p, harmonic):
     """``(lower, upper)`` around ``_attempts_mean(p, n, tol)`` for any
     ``tol``, given the harmonic number ``harmonic = H_n = 1 + 1/2 + ... + 1/n``.
 
@@ -401,24 +411,46 @@ def _attempts_mean_bounds(p: float, harmonic: float) -> tuple[float, float]:
     needs at least 1/p attempts, the mean of any one link.  The 2^-30
     margin covers the rounding of H_n, lambda and the computed mean, which
     can fall below 1/p by about 1e-15 relative for n = 1.
+
+    Elementwise: ``p`` and ``harmonic`` may be arrays, under numpy's
+    ``errstate(all="ignore")``.  A float p = 1 has the exact bounds (1, 1);
+    an array entry p = 1 keeps the margins, its limit, because the
+    link-count scan computes array entries that may stand for a float p
+    just below 1.
+    """
+    if isinstance(p, np.ndarray):
+        integral = harmonic / -np.log1p(-p)
+        larger = np.maximum(1.0 / p, integral)
+    elif p == 1.0:
+        return 1.0, 1.0
+    else:
+        integral = harmonic / -math.log1p(-p)
+        larger = max(1.0 / p, integral)
+    return larger * (1.0 - 2.0**-30), (1.0 + integral) * (1.0 + 2.0**-30)
+
+
+def _attempts_variance(p: float, n: int, tol: float, mean: float) -> float:
+    """Variance of the slowest link's attempt number, given its mean
+    ``mean = _attempts_mean(p, n, tol)``.
+
+    On the series route it is taken about that mean from the distribution
+    truncated at ``tol``; on the closed-form route it comes with the mean.
     """
     if p == 1.0:
-        return 1.0, 1.0
-    integral = harmonic / -math.log1p(-p)
-    return max(1.0 / p, integral) * (1.0 - 2.0**-30), (1.0 + integral) * (1.0 + 2.0**-30)
+        return 0.0
+    if not _explicit_feasible(p, n, tol):
+        return _closed_form_moments(p, n)[1]
+    dist = combined_attempt_dist(p, n, tol)
+    deviations = dist.attempt_numbers - mean
+    return float(np.dot(deviations * deviations, dist.probs))
 
 
 def _attempts_moments(p: float, n: int, tol: float) -> tuple[float, float]:
     """Mean and variance of the slowest link's attempt number."""
-    if p == 1.0:
-        return 1.0, 0.0
-    if not _explicit_feasible(p, n, tol):
-        return _closed_form_moments(p, n)
-    mean = _survival_sum_mean(p, n, tol)
-    dist = combined_attempt_dist(p, n, tol)
-    deviations = dist.attempt_numbers - mean
-    variance = float(np.dot(deviations * deviations, dist.probs))
-    return mean, variance
+    if p != 1.0 and not _explicit_feasible(p, n, tol):
+        return _closed_form_moments(p, n)  # one pass gives both
+    mean = _attempts_mean(p, n, tol)
+    return mean, _attempts_variance(p, n, tol, mean)
 
 
 def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
@@ -439,22 +471,44 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
 def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
     """Swap success probability ``p_es = (r/2)^(n-1)`` of an ``n``-link
     chain, and ``p_es * r``, the chance that a whole round succeeds once
-    both end memories are read out, with ``r = (eta_m eta_d)^2``."""
+    both end memories are read out, with ``r = (eta_m eta_d)^2``;
+    elementwise in ``n``."""
     retrieval = (hw.memory_eff * hw.detector_eff) ** 2
     p_es = (0.5 * retrieval) ** (n - 1)
     return p_es, p_es * retrieval
 
 
+def _round_time(t_ec, t_cc, success):
+    # Every round costs t_ec + t_cc and succeeds with probability
+    # ``success``.  Elementwise and unchecked.
+    return (t_ec + t_cc) / success
+
+
 def _total_time(t_ec: float, t_cc: float, success: float) -> float:
-    # Every round costs t_ec + t_cc and succeeds with probability ``success``.
     if success == 0.0:
         raise UnreachableConfiguration(
             "unreachable configuration: end-to-end success probability underflows"
         )
-    t_tot = (t_ec + t_cc) / success
+    t_tot = _round_time(t_ec, t_cc, success)
     if not math.isfinite(t_tot):
         raise BeyondRepresentable("total distribution time beyond representable")
     return t_tot
+
+
+def _time_terms(hw: HardwareParams, total_length, link_length, link_count,
+                ch: ChannelParams, mean_attempts):
+    """``(clock, t_ec, t_cc, p_es, success)`` of a chain of ``link_count``
+    links of ``link_length`` km over ``total_length`` km whose slowest link
+    needs ``mean_attempts`` attempts on average; the total time is
+    ``_round_time(t_ec, t_cc, success)``.
+
+    Elementwise: link counts, link lengths and means may be arrays.  The
+    only home of the time formulas: :func:`metrics` and the link-count
+    scan both go through it, so their times agree bit for bit.
+    """
+    clock = link_length / ch.signal_speed
+    p_es, success = _round_success(hw, link_count)
+    return clock, clock * mean_attempts, total_length / ch.signal_speed, p_es, success
 
 
 def _chain_times(
@@ -464,15 +518,9 @@ def _chain_times(
     mean_attempts: float,
 ) -> tuple[float, float, float, float, float]:
     """``(clock, t_ec, t_cc, p_es, t_tot)`` of a chain whose slowest link
-    needs ``mean_attempts`` attempts on average.
-
-    The only home of the time formulas: :func:`metrics` and the link-count
-    scan both go through it, so their times agree bit for bit.
-    """
-    clock = chain.link_length / ch.signal_speed
-    t_ec = clock * mean_attempts
-    t_cc = chain.total_length / ch.signal_speed
-    p_es, success = _round_success(hw, chain.link_count)
+    needs ``mean_attempts`` attempts on average (see :func:`_time_terms`)."""
+    clock, t_ec, t_cc, p_es, success = _time_terms(
+        hw, chain.total_length, chain.link_length, chain.link_count, ch, mean_attempts)
     return clock, t_ec, t_cc, p_es, _total_time(t_ec, t_cc, success)
 
 
@@ -498,7 +546,20 @@ def metrics(
     # A round that never succeeds raises here, before the moments: their
     # closed form costs n terms at more than n bits.
     _chain_times(hw, chain, ch, 0.0)
-    mean, variance = _attempts_moments(p, chain.link_count, tol)
+    return _metrics_from_moments(hw, chain, ch, p, *_attempts_moments(p, chain.link_count, tol))
+
+
+def _metrics_from_moments(
+    hw: HardwareParams,
+    chain: ChainConfig,
+    ch: ChannelParams,
+    p: float,
+    mean: float,
+    variance: float,
+) -> RepeaterMetrics:
+    """The metrics of a chain whose EC probability ``p`` and attempt-count
+    moments are already known: :func:`metrics` computes both moments, the
+    link-count optimizer reuses the mean its scan summed."""
     clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
     mem_time_std = clock * math.sqrt(variance)
     if not math.isfinite(mem_time_std):

@@ -14,7 +14,10 @@ order regardless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import (
     BeyondRepresentable,
@@ -31,10 +34,16 @@ from .model import (
     RepeaterMetrics,
     _attempts_mean,
     _attempts_mean_bounds,
+    _attempts_variance,
     _chain_times,
     _check_finite,
     _check_tol,
+    _metrics_from_moments,
+    _multimode_prob,
     _round_success,
+    _round_time,
+    _single_mode_prob,
+    _time_terms,
     _total_time,
     ec_prob,
     metrics,
@@ -56,6 +65,8 @@ __all__ = [
 # so the scan never needs finer splits than this.
 _MIN_USEFUL_LINK_KM = 25.0
 _MAX_SCAN_LINKS = 128
+# (r/2)^(n-1) <= 2^-(n-1) rounds to 0 from here on, so no round succeeds.
+_UNDERFLOW_LINKS = 1076
 
 _SWEEPABLE = ("total_length", "mode_count", "emission_prob")
 
@@ -87,10 +98,14 @@ class OptimizationResult:
     with lambda = -ln(1 - p), evaluates link counts in increasing order of
     that bound, and stops at the first bound above the runner-up time; the
     result equals that of evaluating every link count in the range.  The
-    mean also has an upper bound, 1 + H_n / lambda, which the crossover
-    search uses with the lower one to decide signs without a series.
-    ``runner_up_ratio`` is the second-best total time over the best one
-    (infinite when only a single link count was feasible).
+    bounds of all link counts come from one numpy pass, whose 2^-30 margin
+    also covers the few ulps by which numpy's transcendentals differ from
+    ``math``'s (see :func:`_link_candidates`), and the winner's series is
+    summed once, in the scan, for both the scan and ``metrics``.  The mean
+    also has an upper bound, 1 + H_n / lambda, which the crossover search
+    uses with the lower one to decide signs without a series.  ``runner_up_ratio`` is the
+    second-best total time over the best one (infinite when only a single
+    link count was feasible).
     """
 
     best_n: int
@@ -103,44 +118,112 @@ def _default_n_max(total_length: float) -> int:
     return min(_MAX_SCAN_LINKS, max(1, math.ceil(total_length / _MIN_USEFUL_LINK_KM)))
 
 
+def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelParams,
+                           n_max: int) -> int:
+    """The largest n <= n_max for which a round with t_ec = 0, which takes
+    t_cc / (p_es r), has a representable time, or 0.
+
+    That time never falls as n grows: p_es = (r/2)^(n-1) at least halves
+    with every link, so the scalar test below is monotone in n and a
+    bisection finds the same n as testing n = 1, 2, ... in turn.  Since
+    (r/2)^(n-1) <= 2^-(n-1), p_es underflows to 0 by n = 1076.
+    """
+    def reachable(n: int) -> bool:
+        _, t_ec, t_cc, _, success = _time_terms(hw, total_length, total_length / n, n, ch, 0.0)
+        try:
+            _total_time(t_ec, t_cc, success)
+        except (UnreachableConfiguration, BeyondRepresentable):
+            return False
+        return True
+
+    lo, hi = 0, min(n_max, _UNDERFLOW_LINKS - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if reachable(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _link_candidates(
     hw: HardwareParams,
     total_length: float,
     ch: ChannelParams,
     n_max: int,
-) -> list[tuple[float, int, ChainConfig, float, float]]:
-    """``(lower, n, chain, p, upper_mean)`` for every link count in
-    1..n_max that may be feasible, sorted by ``(lower, n)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lower, n, upper)`` float arrays over the link counts in 1..n_max
+    that may be feasible, sorted by ``(lower, n)``: ``lower`` and ``upper``
+    bracket each link count's total time as :func:`metrics` computes it.
 
-    ``lower`` is a lower bound on the total time and ``upper_mean`` an
-    upper bound on the mean attempt count (see
-    :func:`~repeaterchain.model._attempts_mean_bounds`); the time formulas
-    are monotone in the mean, so the times at the two bounds bracket the
-    computed total time.  The list stops at the first n whose total time
-    with t_ec = 0, t_cc / (p_es r), is not representable: that time never
-    falls as n grows, so no later link count is feasible.  Link counts
-    whose lower-bound time overflows are infeasible too and left out.
+    One numpy pass computes, for every n up to the last one whose round
+    time with t_ec = 0 is representable (see
+    :func:`_reachable_link_counts`; no later link count is feasible), the
+    EC probability p, H_n (a ``cumsum``, which adds in the order of a
+    running sum), the bounds on the mean attempt count
+    (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
+    times at those bounds (:func:`~repeaterchain.model._time_terms`); the
+    time formulas are monotone in the mean.  No ``ChainConfig``, scalar
+    ``ec_prob`` or ``_chain_times`` is needed for that.
+
+    numpy's transcendentals may differ from ``math``'s by a few ulps, so an
+    array p stands for the scalar p within a few dozen ulps, far less than
+    2^-43 relative, and an array p_es for the scalar one within a few ulps.
+    The 2^-30 margin of the mean bounds covers both.  Within 2^-43 of p,
+    lambda moves by at most about 260 * 2^-43 relative wherever H_n / lambda
+    is the larger lower bound (there lambda <= H_1076 < 7.6); where lambda
+    is large, the upper bound 1 + H_n / lambda exceeds the mean by far more
+    than the change.  So both bounds keep a relative slack of at least
+    2^-32.  The mean is at least 1 and t_cc = n * clock, so that slack is
+    at least 2^-32 / (n + 1) of the time, far above the ulps in p_es.  The
+    argument needs normal numbers: a link count whose single-mode probability is
+    below 2^-1000, whose clock or round success is not a normal float, or
+    whose lower-bound time is not finite, is checked the scalar way
+    instead, and left out only when the scalar p is 0 or the lower-bound
+    time overflows (then the total time does as well).
     """
-    candidates = []
-    harmonic = 0.0
-    for n in range(1, n_max + 1):
-        harmonic += 1.0 / n
-        chain = ChainConfig(total_length=total_length, link_count=n)
-        try:
-            _chain_times(hw, chain, ch, 0.0)
-        except (UnreachableConfiguration, BeyondRepresentable):
-            break
-        p = ec_prob(hw, chain, ch)
-        if p == 0.0:
-            continue
-        lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
-        try:
-            lower = _chain_times(hw, chain, ch, lower_mean)[-1]
-        except BeyondRepresentable:
-            continue  # t_tot overflows as well
-        candidates.append((lower, n, chain, p, upper_mean))
-    candidates.sort(key=lambda c: c[:2])
-    return candidates
+    if total_length <= 0.0:
+        raise ConfigError(f"total_length must be > 0, got {total_length}")
+    ns = np.arange(1.0, _reachable_link_counts(hw, total_length, ch, n_max) + 1.0)
+    with np.errstate(all="ignore"):
+        p1 = _single_mode_prob(hw, total_length, ns, ch)
+        harmonic = np.cumsum(1.0 / ns)
+        means = np.array(_attempts_mean_bounds(_multimode_prob(hw, p1), harmonic))
+        clock, t_ec, t_cc, _, success = _time_terms(hw, total_length, total_length / ns, ns,
+                                                    ch, means)
+        lower, upper = _round_time(t_ec, t_cc, success)
+    normal = sys.float_info.min
+    vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
+    vouched &= np.isfinite(lower)
+    if not vouched.all():
+        keep = vouched.copy()
+        for i in np.nonzero(~vouched)[0].tolist():
+            bounds = _scalar_bounds(hw, total_length, i + 1, ch, float(harmonic[i]))
+            if bounds is not None:
+                keep[i] = True
+                lower[i], upper[i] = bounds
+        ns, lower, upper = ns[keep], lower[keep], upper[keep]
+    order = np.lexsort((ns, lower))
+    return lower[order], ns[order], upper[order]
+
+
+def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelParams,
+                   harmonic: float) -> tuple[float, float] | None:
+    # The total times at the mean bounds from the scalar p, or None when n
+    # is infeasible: p is 0 or the lower-bound time overflows.
+    chain = ChainConfig(total_length=total_length, link_count=n)
+    p = ec_prob(hw, chain, ch)
+    if p == 0.0:
+        return None
+    lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
+    try:
+        lower = _chain_times(hw, chain, ch, lower_mean)[-1]
+    except BeyondRepresentable:
+        return None
+    try:
+        return lower, _chain_times(hw, chain, ch, upper_mean)[-1]
+    except BeyondRepresentable:
+        return lower, math.inf
 
 
 def _scan_link_counts(
@@ -149,39 +232,50 @@ def _scan_link_counts(
     ch: ChannelParams,
     n_max: int,
     tol: float,
-) -> tuple[int, float, float]:
-    """``(best_n, best_t, second_t)`` over link counts 1..n_max, ties going
-    to fewer links; ``second_t`` is the smallest total time of every other
-    link count.
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[int, float, float, float, float]:
+    """``(best_n, best_t, second_t, p, mean)`` over link counts 1..n_max,
+    ties going to fewer links; ``second_t`` is the smallest total time of
+    every other link count, and ``p`` and ``mean`` are the winner's EC
+    probability and mean attempt count.
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
-    for bit.  Every link count that may be feasible gets a lower bound on
-    its total time from max(1/p, H_n / lambda), the lower side of the
-    two-sided bounds on the mean attempt count (see
-    :func:`_link_candidates`), and link counts are evaluated in increasing
-    ``(lower, n)`` order.  The scan stops at the first lower bound above
-    the runner-up: no link count left could place first or second, so the
+    for bit.  Link counts are walked in increasing ``(lower, n)`` order of
+    the lower bounds on their total times from :func:`_link_candidates`
+    (``candidates``, when the caller already has them); those come from
+    numpy arrays, and their margin keeps them below the scalar times.  Only
+    the link counts evaluated get a ``ChainConfig``, the scalar ``ec_prob``
+    and a series.  The scan stops at the first lower bound above the
+    runner-up: no link count left could place first or second, so the
     result equals that of evaluating every link count.
     """
     tol = _check_tol(tol)
-    best_n, best_t, second_t = 0, math.inf, math.inf
-    for lower, n, chain, p, _ in _link_candidates(hw, total_length, ch, n_max):
-        if lower > second_t:
+    if candidates is None:
+        candidates = _link_candidates(hw, total_length, ch, n_max)
+    lower, ns, _ = candidates
+    best_n, best_t, second_t, best_p, best_mean = 0, math.inf, math.inf, 0.0, 0.0
+    for bound, n in zip(lower.tolist(), ns.tolist()):
+        if bound > second_t:
             break
+        n = int(n)
+        chain = ChainConfig(total_length=total_length, link_count=n)
+        p = ec_prob(hw, chain, ch)
+        mean = _attempts_mean(p, n, tol)
         try:
-            t = _chain_times(hw, chain, ch, _attempts_mean(p, n, tol))[-1]
+            t = _chain_times(hw, chain, ch, mean)[-1]
         except BeyondRepresentable:
             continue
         if (t, n) < (best_t, best_n):
-            best_n, best_t, second_t = n, t, min(second_t, best_t)
+            second_t = min(second_t, best_t)
+            best_n, best_t, best_p, best_mean = n, t, p, mean
         else:
             second_t = min(second_t, t)
     if best_n == 0:
         raise UnreachableConfiguration(
             f"no feasible link count in [1, {n_max}] for L = {total_length} km"
         )
-    return best_n, best_t, second_t
+    return best_n, best_t, second_t, best_p, best_mean
 
 
 def optimize_link_count(
@@ -197,17 +291,25 @@ def optimize_link_count(
     Link counts are evaluated in increasing order of a lower bound on
     their total time, and the scan stops at the first bound above the
     runner-up (see :class:`OptimizationResult`); ``scanned_range`` is the
-    whole range searched, ``(1, n_max)``.
+    whole range searched, ``(1, n_max)``.  The metrics equal
+    ``metrics(...)`` at the best link count bit for bit.  Raises
+    :class:`BeyondRepresentable` when the best total time underflows to 0,
+    where no two link counts can be told apart.
     """
     _check_finite(total_length, "total_length")
     if n_max is None:
         n_max = _default_n_max(total_length)
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    best_n, best_t, second_t = _scan_link_counts(hw, total_length, ch, n_max, tol)
+    best_n, best_t, second_t, p, mean = _scan_link_counts(hw, total_length, ch, n_max, tol)
+    if best_t == 0.0:
+        # t_cc = L / c underflowed, so every feasible link count takes 0 s.
+        raise BeyondRepresentable("total distribution time below representable")
+    chain = ChainConfig(total_length=total_length, link_count=best_n)
+    variance = _attempts_variance(p, best_n, tol, mean)
     return OptimizationResult(
         best_n=best_n,
-        metrics=metrics(hw, ChainConfig(total_length=total_length, link_count=best_n), ch, tol),
+        metrics=_metrics_from_moments(hw, chain, ch, p, mean, variance),
         scanned_range=(1, n_max),
         runner_up_ratio=second_t / best_t,
     )
@@ -325,14 +427,17 @@ def crossover_with_direct(
     take equally long, found by bisection to within 1 km.
 
     The bisection only reads the sign of the optimized chain's time minus
-    the direct time at each distance.  The two-sided bounds on every link
-    count's mean attempt count (see :func:`_link_candidates`) often settle
-    that sign without summing a series: the chain is faster when some link
-    count's time at its upper bound is below the direct time, and slower
-    when every lower-bound time is above it while some link count is
-    feasible.  Only when the bounds straddle the direct time is the exact
-    link-count scan run, so every step, and the distance returned, is the
-    same as with the exact scan at every step.
+    the direct time at each distance.  Each step builds the link-count
+    candidates once, in one numpy pass (see :func:`_link_candidates`;
+    the bounds' 2^-30 margin keeps its times on the right side of the
+    scalar times), whose times at the two-sided bounds on the mean attempt
+    count often settle that sign without summing a series: the chain is
+    faster when some link count's upper-bound time is below the direct
+    time, and slower when every lower-bound time is above it while some
+    upper-bound time is finite.  Only when the bounds straddle the direct time does
+    the exact link-count scan run, on the same candidates, so every step,
+    and the distance returned, is the same as with the exact scan at every
+    step.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -347,18 +452,12 @@ def crossover_with_direct(
             _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
             raise
         candidates = _link_candidates(hw, L, ch, n_max)
-        feasible = False
-        for _, _, chain, _, upper_mean in candidates:
-            try:
-                upper = _chain_times(hw, chain, ch, upper_mean)[-1]
-            except BeyondRepresentable:
-                continue
-            if upper < direct:
-                return -1.0
-            feasible = True
-        if feasible and candidates[0][0] > direct:
+        lower, _, upper = candidates
+        if (upper < direct).any():
+            return -1.0
+        if np.isfinite(upper).any() and lower[0] > direct:
             return 1.0
-        return _scan_link_counts(hw, L, ch, n_max, tol)[1] - direct
+        return _scan_link_counts(hw, L, ch, n_max, tol, candidates)[1] - direct
 
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:

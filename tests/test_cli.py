@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeaterchain.cli import METRIC_COLUMNS, format_time, main, parse_config
+from repeaterchain.cli import FORMATS, METRIC_COLUMNS, format_time, main, parse_config
 from repeaterchain.errors import ConfigError
 
 
@@ -517,3 +518,108 @@ def test_crossover_and_fixed_link_close_the_input_domain(scenario, fmt, values, 
 
     if fmt == "json" and out.getvalue():
         json.loads(out.getvalue(), parse_constant=reject)
+
+
+def run_cli_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value of the wrong type
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def non_finite_fields(fmt: str, text: str) -> list[str]:
+    """Every json number or csv cell of ``text`` that is NaN or infinite;
+    json's NaN and Infinity constants raise."""
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in json output")
+
+    if fmt == "json":
+        found = []
+
+        def walk(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    walk(item)
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, float) and not math.isfinite(value):
+                found.append(repr(value))
+
+        walk(json.loads(text, parse_constant=reject))
+        return found
+    if fmt == "csv":
+        cells = [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+        return [cell for cell in cells if cell.lower().lstrip("+-") in ("nan", "inf", "infinity")]
+    return []
+
+
+N_MAX_EDGES = ("0", "-1", "1", "2", "5000", "1" + "0" * 400, "-" + "1" * 400)
+PLAN_DOMAIN = {
+    **{key: CLI_DOMAIN[key] for key in
+       ("L", "L0", "m", "rho", "eta_d", "eta_m", "alpha", "c", "tol")},
+    "n_max": st.integers(min_value=1, max_value=5000).map(str),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=st.sampled_from(["optimize", "sweep"]),
+    fmt=st.sampled_from(["human", "csv", "json"]),
+    values=st.fixed_dictionaries({"L": PLAN_DOMAIN["L"]},
+                                 optional={k: v for k, v in PLAN_DOMAIN.items() if k != "L"}),
+    hostile=st.dictionaries(
+        st.sampled_from(list(PLAN_DOMAIN)),
+        st.one_of(HOSTILE, st.sampled_from(N_MAX_EDGES)), max_size=2),
+    grid=st.lists(st.floats(min_value=1.0, max_value=5000.0), min_size=1, max_size=3,
+                  unique=True).map(sorted),
+)
+def test_optimize_and_sweep_close_the_input_domain(scenario, fmt, values, hostile, grid):
+    argv = [scenario, f"--format={fmt}"]
+    if scenario == "sweep":
+        argv += ["--param", "L", "--values", ",".join(map(repr, grid))]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in {**values, **hostile}.items()]
+    code, out, err = run_cli_in_process(argv)
+    assert code in {0, 2, 3, 4}, (argv, err)
+    assert "Traceback" not in err
+    if out:
+        assert non_finite_fields(fmt, out) == [], argv
+
+
+def test_optimize_n_max_beyond_every_float_scans_like_5000(capsys):
+    # Every n past the overflow point (641 at 1600 km) is infeasible, so a
+    # 400-digit n_max finds the same chain; only the reported range differs.
+    huge = "1" + "0" * 400
+    runs = {n_max: {fmt: run_cli(capsys, "optimize", "--L", "1600", "--n-max", n_max,
+                                 "--format", fmt)
+                    for fmt in FORMATS}
+            for n_max in (huge, "5000")}
+    for n_max in runs:
+        assert all(code == 0 and err == "" for code, _, err in runs[n_max].values())
+    assert runs[huge]["csv"][1] == runs["5000"]["csv"][1]
+    payload = {n_max: json.loads(runs[n_max]["json"][1]) for n_max in runs}
+    assert payload[huge].pop("scanned_range") == [1, int(huge)]
+    assert payload["5000"].pop("scanned_range") == [1, 5000]
+    assert payload[huge] == payload["5000"]
+    human = {n_max: runs[n_max]["human"][1].splitlines() for n_max in runs}
+    assert human[huge][0] == f"best link count in [1, {huge}]: 8"
+    assert human[huge][1:] == human["5000"][1:]
+
+
+def test_single_feasible_link_count_reports_no_runner_up(capsys):
+    # With one link count there is no runner-up: the ratio is null in json,
+    # not the Infinity json cannot carry.
+    code, out, err = run_cli(capsys, "optimize", "--L", "1600", "--n-max", "1",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=lambda c: pytest.fail(c))["runner_up_ratio"] is None
+
+
+def test_optimize_rejects_a_total_time_that_underflows(capsys):
+    # t_cc = L / c underflows to 0 s at every link count: none can be ranked.
+    code, out, err = run_cli(capsys, "optimize", "--L", "5e-324", "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["code"] == "beyond_representable"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeaterchain import model
+from repeaterchain import model, planner
 from repeaterchain.errors import (
     BeyondRepresentable,
     ConfigError,
@@ -30,6 +30,7 @@ from repeaterchain.model import (
 from repeaterchain.planner import (
     SweepSpec,
     _default_n_max,
+    _link_candidates,
     _scan_link_counts,
     crossover_with_direct,
     direct_transmission_time,
@@ -211,6 +212,88 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
     for p, n in grid:
         lower, upper = _attempts_mean_bounds(p, harmonic(n))
         assert lower <= _attempts_mean(p, n, DEFAULT_TOL) <= upper, (p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    detector_eff=st.floats(min_value=0.05, max_value=1.0),
+    memory_eff=st.floats(min_value=0.05, max_value=1.0),
+    emission_prob=st.floats(min_value=0.05, max_value=1.0),
+    mode_count=st.integers(min_value=1, max_value=1000),
+    L=st.floats(min_value=1.0, max_value=5000.0),
+    n_max=st.integers(min_value=1, max_value=5000),
+)
+def test_candidate_times_bracket_the_scalar_times(
+    detector_eff, memory_eff, emission_prob, mode_count, L, n_max
+):
+    # The candidate pass computes p, the mean bounds and the times in numpy,
+    # whose transcendentals may differ from math's by a few ulps; its
+    # margins must still bracket the time each kept n gets from the scalar
+    # p, and no n the scalar code finds feasible may be left out.
+    hw = HardwareParams(detector_eff=detector_eff, memory_eff=memory_eff,
+                        emission_prob=emission_prob, mode_count=mode_count)
+    lower, ns, upper = _link_candidates(hw, L, CH, n_max)
+    ns = [int(n) for n in ns.tolist()]
+    assert list(zip(lower.tolist(), ns)) == sorted(zip(lower.tolist(), ns))
+    kept = set(ns)
+    assert len(kept) == len(ns)
+
+    def scalar_time(n):
+        """The total time of n links as the scan computes it, inf when it
+        overflows, None when n is infeasible before any series."""
+        chain = ChainConfig(total_length=L, link_count=n)
+        p = ec_prob(hw, chain, CH)
+        try:
+            _chain_times(hw, chain, CH, 0.0)
+        except (UnreachableConfiguration, BeyondRepresentable):
+            return None
+        if p == 0.0:
+            return None
+        try:
+            return _chain_times(hw, chain, CH, _attempts_mean(p, n, DEFAULT_TOL))[-1]
+        except BeyondRepresentable:
+            return math.inf
+
+    for low, n, up in zip(lower.tolist(), ns, upper.tolist()):
+        t = scalar_time(n)
+        assert t is not None, n
+        assert low <= t <= up, (n, low, t, up)
+    # (r/2)^(n-1) <= 2^-(n-1) leaves no round success from n = 1076 on.
+    assert model._round_success(hw, 1076)[1] == 0.0
+    for n in range(1, min(n_max, 1075) + 1):
+        if n not in kept:
+            assert scalar_time(n) in (None, math.inf), n
+
+
+def test_optimize_sums_each_evaluated_series_once(monkeypatch):
+    # The scan sums the series of every link count it evaluates; the
+    # winner's metrics reuse that mean instead of summing it again.
+    evaluated, summed = [], []
+    attempts_mean = planner._attempts_mean
+    survival_sum_mean = model._survival_sum_mean
+    monkeypatch.setattr(planner, "_attempts_mean",
+                        lambda p, n, tol: evaluated.append(n) or attempts_mean(p, n, tol))
+    monkeypatch.setattr(model, "_survival_sum_mean",
+                        lambda p, n, tol: summed.append(n) or survival_sum_mean(p, n, tol))
+    result = optimize_link_count(HW, 1600.0, CH)
+    assert evaluated == summed == [8, 9]
+    assert result.metrics == metrics(HW, ChainConfig(total_length=1600.0, link_count=8), CH)
+
+
+def test_crossover_builds_the_candidates_once_per_step(monkeypatch):
+    builds, steps, scans = [], [], []
+    link_candidates = planner._link_candidates
+    direct_time = planner.direct_transmission_time
+    scan = planner._scan_link_counts
+    monkeypatch.setattr(planner, "_link_candidates",
+                        lambda hw, L, *rest: builds.append(L) or link_candidates(hw, L, *rest))
+    monkeypatch.setattr(planner, "direct_transmission_time",
+                        lambda L, *rest: steps.append(L) or direct_time(L, *rest))
+    monkeypatch.setattr(planner, "_scan_link_counts",
+                        lambda hw, L, *rest: scans.append(L) or scan(hw, L, *rest))
+    assert crossover_with_direct(HW, CH, 1e10) == 488.34197998046875
+    assert builds == steps and len(steps) == 16
+    assert 0 < len(scans) < len(steps)  # the exact scan reuses the step's candidates
 
 
 def test_optimize_all_links_unreachable():

@@ -66,6 +66,11 @@ _MAX_DIST_TERMS = 1 << 25
 
 _CHUNK = 1 << 16
 
+# Survival terms evaluated at once: 64 KiB per float64 temporary, below
+# glibc's 128 KiB mmap threshold and well inside L2, so summing a chunk
+# neither maps fresh pages nor leaves the cache.
+_BLOCK = 1 << 13
+
 
 def _check_prob(value: float, name: str) -> float:
     if not (0.0 <= value <= 1.0):
@@ -328,9 +333,11 @@ def _first_chunk_length(p: float, n: int) -> int:
     Every term past L is below n q^k, so all of them together, in this
     chunk, later chunks or the analytic tail, stay below 2^-70: under half
     an ulp of any partial sum that holds the k = 0 term, which is 1.  numpy
-    sums a chunk pairwise, halving down to blocks of 128, so the prefix is
+    sums a chunk pairwise, halving down to runs of 128, so the prefix is
     a subtree of the chunk's summation tree and its sum equals the whole
-    chunk's bit for bit; nothing added after it moves the total either.
+    chunk's bit for bit (see :func:`_chunk_sum` for how a prefix longer
+    than one block is summed along that tree); nothing added after it
+    moves the total either.
     """
     need = (math.log(n / p) + 70.0 * math.log(2.0)) / -math.log1p(-p)
     length = 128
@@ -339,30 +346,55 @@ def _first_chunk_length(p: float, n: int) -> int:
     return length
 
 
+def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, float]:
+    """``(total, x, summand)`` over the survival terms k = k0 .. k0 + size - 1,
+    for a power of two ``size`` up to one chunk: their sum, and the last
+    term's q^k and summand 1 - (1 - q^k)^n.
+
+    The terms are evaluated in blocks of at most ``_BLOCK``, so that no
+    temporary outgrows the allocator's heap or the cache, and each block is
+    summed by numpy's ``.sum()``.  numpy sums ``size`` terms pairwise,
+    splitting them into halves down to runs of 128, so every block is a
+    subtree of that summation tree; adding the block sums in pairs,
+    ((s0 + s1) + (s2 + s3)) + ..., retraces the tree above the blocks and
+    gives the sum of ``size`` terms in one array bit for bit.
+    """
+    step = min(size, _BLOCK)
+    sums = []
+    with np.errstate(divide="ignore"):  # log1p(-1) at k = 0
+        for start in range(k0, k0 + size, step):
+            ks = np.arange(start, start + step, dtype=np.float64)
+            x = np.exp(-lam * ks)  # q^k
+            summand = -np.expm1(n * np.log1p(-x))
+            sums.append(float(summand.sum()))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0], float(x[-1]), float(summand[-1])
+
+
 def _survival_sum_mean(p: float, n: int, tol: float) -> float:
     # <k> = sum_{k >= 0} P(max > k) = sum_{k >= 0} [1 - (1 - q^k)^n],
     # summed explicitly until the summand is negligible, then completed
     # with the analytic geometric tail.  Only the first chunk's leading
-    # terms are materialized (see _first_chunk_length); past a prefix
+    # terms are evaluated (see _first_chunk_length); past a prefix
     # shorter than a chunk nothing moves the total, so the stopping test
-    # may read the prefix's last term.
+    # may read the prefix's last term.  Every chunk or prefix is summed in
+    # cache-sized blocks along numpy's own pairwise tree (see _chunk_sum),
+    # so the total is the same as from one array per chunk.
     lam = -math.log1p(-p)
     total = 0.0
     k0 = 0
     size = _first_chunk_length(p, n)
     while True:
-        ks = np.arange(k0, k0 + size, dtype=np.float64)
-        x = np.exp(-lam * ks)  # q^k
-        with np.errstate(divide="ignore"):
-            summand = -np.expm1(n * np.log1p(-x))
-        total += float(summand.sum())
+        chunk_total, x, summand = _chunk_sum(lam, n, k0, size)
+        total += chunk_total
         k0 += _CHUNK
         size = _CHUNK
-        converged = summand[-1] <= tol * total and n * x[-1] <= 0.25
+        converged = summand <= tol * total and n * x <= 0.25
         if converged:
             break
         if k0 > _MAX_EXPLICIT_TERMS:
-            if n * x[-1] <= 0.25:
+            if n * x <= 0.25:
                 break  # analytic tail still valid, just short of the tol stop
             return _closed_form_moments(p, n)[0]
     return total + _survival_tail(p, n, k0)
@@ -535,7 +567,8 @@ def metrics(
     Raises :class:`NonTerminatingProcess` when the EC probability is zero,
     :class:`UnreachableConfiguration` when the end-to-end success
     probability underflows, and :class:`BeyondRepresentable` when the
-    total time or the memory-time spread overflows.
+    total time underflows to 0 or overflows, or the memory-time spread
+    overflows.
     """
     tol = _check_tol(tol)
     p = ec_prob(hw, chain, ch)
@@ -559,8 +592,12 @@ def _metrics_from_moments(
 ) -> RepeaterMetrics:
     """The metrics of a chain whose EC probability ``p`` and attempt-count
     moments are already known: :func:`metrics` computes both moments, the
-    link-count optimizer reuses the mean its scan summed."""
+    link-count optimizer reuses the mean its scan summed.  Raises
+    :class:`BeyondRepresentable` when t_cc = L / c underflows to 0, so
+    that every time would print as 0."""
     clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
+    if t_tot == 0.0:
+        raise BeyondRepresentable("total distribution time below representable")
     mem_time_std = clock * math.sqrt(variance)
     if not math.isfinite(mem_time_std):
         raise BeyondRepresentable("memory time spread beyond representable")

@@ -337,7 +337,7 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     Aborts (:class:`SimulationAbort`) when a success is expected or
     observed to need more than 10^9 rounds, or when the per-trial arrays
     do not fit in memory; raises :class:`BeyondRepresentable` when a
-    statistic overflows double precision.
+    statistic overflows double precision or t_cc = L / c underflows to 0.
     """
     p = ec_prob(cfg.hw, cfg.chain, cfg.ch)
     if p == 0.0:
@@ -354,6 +354,8 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     log_q_round = math.log1p(-round_success) if round_success < 1.0 else None
     clock = cfg.chain.link_length / cfg.ch.signal_speed
     t_cc = cfg.chain.total_length / cfg.ch.signal_speed
+    if t_cc == 0.0:  # every sampled time would be 0 s
+        raise BeyondRepresentable("total distribution time below representable")
 
     try:
         k_success = np.empty(cfg.trials, dtype=np.float64)

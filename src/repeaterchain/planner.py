@@ -302,14 +302,13 @@ def optimize_link_count(
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
     best_n, best_t, second_t, p, mean = _scan_link_counts(hw, total_length, ch, n_max, tol)
-    if best_t == 0.0:
-        # t_cc = L / c underflowed, so every feasible link count takes 0 s.
-        raise BeyondRepresentable("total distribution time below representable")
     chain = ChainConfig(total_length=total_length, link_count=best_n)
     variance = _attempts_variance(p, best_n, tol, mean)
+    # Raises first when t_cc = L / c underflowed and every time is 0 s.
+    best_metrics = _metrics_from_moments(hw, chain, ch, p, mean, variance)
     return OptimizationResult(
         best_n=best_n,
-        metrics=_metrics_from_moments(hw, chain, ch, p, mean, variance),
+        metrics=best_metrics,
         scanned_range=(1, n_max),
         runner_up_ratio=second_t / best_t,
     )
@@ -512,9 +511,12 @@ class SweepSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        if self.swept_parameter != "total_length" and self.total_length is None:
-            raise ConfigError("total_length is required when it is not the swept parameter")
-        if self.swept_parameter == "mode_count" and any(int(v) != v for v in grid):
+        if self.swept_parameter != "total_length":
+            if self.total_length is None:
+                raise ConfigError("total_length is required when it is not the swept parameter")
+            _check_finite(self.total_length, "total_length")
+        if self.swept_parameter == "mode_count" and not all(
+                math.isfinite(v) and int(v) == v for v in grid):
             raise ConfigError("mode_count grid values must be integers")
 
 

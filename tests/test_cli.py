@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeaterchain.cli import FORMATS, METRIC_COLUMNS, format_time, main, parse_config
@@ -501,23 +501,10 @@ HOSTILE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr), st.inte
     values=st.fixed_dictionaries({"L": CLI_DOMAIN["L"]}, optional={k: v for k, v in CLI_DOMAIN.items() if k != "L"}),
     hostile=st.dictionaries(st.sampled_from(list(CLI_DOMAIN)), HOSTILE, max_size=2),
 )
+@example(scenario="fixed-link", fmt="csv", values={"L": "1e-300"},
+         hostile={"L0": "1e-300", "c": "1e300"})  # t_cc = L / c underflows
 def test_crossover_and_fixed_link_close_the_input_domain(scenario, fmt, values, hostile):
-    argv = [scenario, f"--format={fmt}"]
-    argv += [f"--{key.replace('_', '-')}={value}" for key, value in {**values, **hostile}.items()]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a value of the wrong type
-            code = exc.code
-    assert code in {0, 2, 3, 4}, (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-
-    def reject(constant):
-        raise AssertionError(f"non-finite {constant} in json output of {argv}")
-
-    if fmt == "json" and out.getvalue():
-        json.loads(out.getvalue(), parse_constant=reject)
+    check_domain_run(domain_argv(scenario, fmt, values, hostile), fmt)
 
 
 def run_cli_in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -557,12 +544,59 @@ def non_finite_fields(fmt: str, text: str) -> list[str]:
     return []
 
 
+def total_times(fmt: str, text: str) -> list[float]:
+    """The total time (``t_tot_s``, or ``mean_t_tot_s`` of a simulation) of
+    every record of a json or csv output that has one; a sweep's error
+    rows have none."""
+    if fmt == "json":
+        payload = json.loads(text)
+        records = payload.get("records") or [payload.get("record", {})]
+    elif fmt == "csv":
+        records = parse_csv(text)
+    else:
+        return []
+    return [float(record[key]) for record in records for key in ("t_tot_s", "mean_t_tot_s")
+            if record.get(key, "") != ""]
+
+
+def check_domain_run(argv: list[str], fmt: str) -> None:
+    """Run ``argv``: it exits 0, 2, 3 or 4 without a traceback, and its
+    output holds no NaN or infinity and no total time of 0 s or less."""
+    code, out, err = run_cli_in_process(argv)
+    assert code in {0, 2, 3, 4}, (argv, err)
+    assert "Traceback" not in err
+    if out:
+        assert non_finite_fields(fmt, out) == [], argv
+    if code == 0:
+        assert all(t > 0.0 for t in total_times(fmt, out)), (argv, out)
+
+
+def domain_argv(scenario: str, fmt: str, values: dict, hostile: dict) -> list[str]:
+    return [scenario, f"--format={fmt}"] + [f"--{key.replace('_', '-')}={value}"
+                                             for key, value in {**values, **hostile}.items()]
+
+
 N_MAX_EDGES = ("0", "-1", "1", "2", "5000", "1" + "0" * 400, "-" + "1" * 400)
 PLAN_DOMAIN = {
     **{key: CLI_DOMAIN[key] for key in
        ("L", "L0", "m", "rho", "eta_d", "eta_m", "alpha", "c", "tol")},
     "n_max": st.integers(min_value=1, max_value=5000).map(str),
 }
+# Each swept parameter's grid values in its physical range.
+SWEEP_GRIDS = {
+    "L": st.floats(min_value=1.0, max_value=5000.0),
+    "m": st.integers(min_value=1, max_value=1000),
+    "rho": st.floats(min_value=0.0, max_value=1.0),
+}
+
+
+def sweep_values(param: str):
+    """``(param, values)``: an increasing grid in the physical range, or
+    up to three hostile values in any order."""
+    plausible = st.lists(SWEEP_GRIDS[param], min_size=1, max_size=3, unique=True).map(
+        lambda grid: ",".join(map(repr, sorted(grid))))
+    hostile = st.lists(HOSTILE, min_size=1, max_size=3).map(",".join)
+    return st.tuples(st.just(param), st.one_of(plausible, hostile))
 
 
 @settings(max_examples=150, deadline=None)
@@ -574,19 +608,40 @@ PLAN_DOMAIN = {
     hostile=st.dictionaries(
         st.sampled_from(list(PLAN_DOMAIN)),
         st.one_of(HOSTILE, st.sampled_from(N_MAX_EDGES)), max_size=2),
-    grid=st.lists(st.floats(min_value=1.0, max_value=5000.0), min_size=1, max_size=3,
-                  unique=True).map(sorted),
+    sweep=st.sampled_from(list(SWEEP_GRIDS)).flatmap(sweep_values),
 )
-def test_optimize_and_sweep_close_the_input_domain(scenario, fmt, values, hostile, grid):
-    argv = [scenario, f"--format={fmt}"]
+@example(scenario="sweep", fmt="json", values={"L": "1e-300"}, hostile={"c": "1e300"},
+         sweep=("rho", "0.5"))  # t_cc = L / c underflows at every point
+@example(scenario="sweep", fmt="csv", values={"L": "nan"}, hostile={}, sweep=("m", "1"))
+@example(scenario="sweep", fmt="csv", values={"L": "500"}, hostile={}, sweep=("m", "inf"))
+def test_optimize_and_sweep_close_the_input_domain(scenario, fmt, values, hostile, sweep):
+    argv = domain_argv(scenario, fmt, values, hostile)
     if scenario == "sweep":
-        argv += ["--param", "L", "--values", ",".join(map(repr, grid))]
-    argv += [f"--{key.replace('_', '-')}={value}" for key, value in {**values, **hostile}.items()]
-    code, out, err = run_cli_in_process(argv)
-    assert code in {0, 2, 3, 4}, (argv, err)
-    assert "Traceback" not in err
-    if out:
-        assert non_finite_fields(fmt, out) == [], argv
+        argv += [f"--param={sweep[0]}", f"--values={sweep[1]}"]
+    check_domain_run(argv, fmt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=st.sampled_from(["eval", "simulate"]),
+    fmt=st.sampled_from(["human", "csv", "json"]),
+    values=st.fixed_dictionaries(
+        {"L": CLI_DOMAIN["L"], "n": st.integers(min_value=1, max_value=64).map(str)},
+        optional={k: v for k, v in CLI_DOMAIN.items() if k != "L"}),
+    hostile=st.dictionaries(st.sampled_from([*CLI_DOMAIN, "n"]), HOSTILE, max_size=2),
+    trials=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example(scenario="eval", fmt="csv", values={"L": "5e-324", "n": "1"}, hostile={},
+         trials=1, seed=0)  # t_cc = L / c underflows
+@example(scenario="simulate", fmt="json", values={"L": "5e-324", "n": "1"}, hostile={},
+         trials=10, seed=0)
+def test_eval_and_simulate_close_the_input_domain(scenario, fmt, values, hostile, trials,
+                                                  seed):
+    argv = domain_argv(scenario, fmt, values, hostile)
+    if scenario == "simulate":
+        argv += [f"--trials={trials}", f"--seed={seed}"]
+    check_domain_run(argv, fmt)
 
 
 def test_optimize_n_max_beyond_every_float_scans_like_5000(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,32 @@ def test_first_chunk_length_bounds_the_dropped_terms():
             dropped = n * (1.0 - p) ** length / p
             assert length == model._CHUNK or dropped < 2.0**-70
             assert length == 128 or n * (1.0 - p) ** (length // 2) / p >= 2.0**-70
+
+
+def test_numpy_sums_a_chunk_along_the_block_tree():
+    # _chunk_sum adds its block sums in pairs, assuming numpy's .sum() of
+    # a chunk splits it in halves down to the blocks.  A numpy that sums
+    # in another order fails here instead of changing outputs.
+    rng = np.random.default_rng(4)
+    chunk = rng.random(model._CHUNK) * 10.0 ** rng.uniform(-30.0, 0.0, model._CHUNK)
+    sums = [float(block.sum()) for block in chunk.reshape(-1, model._BLOCK)]
+    assert len(sums) == 8
+    assert sum(sums) != float(chunk.sum())  # the data tells the orders apart
+    pairwise = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+        (sums[4] + sums[5]) + (sums[6] + sums[7]))
+    assert pairwise == float(chunk.sum())
+
+
+@pytest.mark.parametrize("p, n", [(1e-3, 8), (1e-5, 3)])  # a full chunk; several chunks
+def test_survival_sum_peaks_below_512_kib(p, n):
+    model._survival_sum_mean(p, n, DEFAULT_TOL)  # any one-off allocations
+    tracemalloc.start()
+    try:
+        model._survival_sum_mean(p, n, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_survival_sum_falls_back_to_closed_form_past_the_term_cap(monkeypatch):

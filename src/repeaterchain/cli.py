@@ -102,22 +102,22 @@ PARAMETERS: dict[str, tuple[object, object, str | None]] = {
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved invocation: scenario, physics parameters, and output
-    selection, with defaults already applied."""
+    selection, with the defaults of :data:`PARAMETERS` already applied."""
 
     scenario: str
     hw: HardwareParams
     ch: ChannelParams
     output: str
     tol: float
-    total_length: float | None = None
-    link_count: int | None = None
-    link_length: float | None = None
-    trials: int = 1000
-    seed: int = 0
-    source_rate: float = 1.0e10
-    n_max: int | None = None
-    sweep_param: str | None = None
-    sweep_values: tuple[float, ...] | None = None
+    total_length: float | None
+    link_count: int | None
+    link_length: float | None
+    trials: int
+    seed: int
+    source_rate: float
+    n_max: int | None
+    sweep_param: str | None
+    sweep_values: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)

@@ -306,38 +306,44 @@ def _explicit_feasible(p: float, n: int, tol: float) -> bool:
     return bound <= _MAX_EXPLICIT_TERMS
 
 
-def _survival_tail(p: float, n: int, k_start: int) -> float:
-    # sum_{k >= k_start} [1 - (1 - q^k)^n]
-    #   = sum_i (-1)^(i+1) C(n, i) q^(i k_start) / (1 - q^i),
-    # convergent term-by-term once n q^k_start < 1.
+def _survival_tail(p: float, n: int, k_start: int) -> tuple[float, float]:
+    # With S(k) = 1 - (1 - q^k)^n, r = q^i and t_i = C(n, i) r^k_start / (1 - r):
+    #   sum_{k >= k_start} S(k) = sum_i (-1)^(i+1) t_i,
+    #   sum_{k >= k_start} (2k - 1) S(k) = sum_i (-1)^(i+1) t_i (2 k_start - 1 + 2r / (1 - r)),
+    # convergent term-by-term once n q^k_start < 1.  The second factor falls
+    # with i, so the loop may stop on the first series' terms.
     log_q = math.log1p(-p)
-    tail = 0.0
+    tail = spread = 0.0
     for i in range(1, n + 1):
         power = math.exp(i * k_start * log_q)
         if power == 0.0:
             break
-        term = math.comb(n, i) * power / -math.expm1(i * log_q)
+        denom = -math.expm1(i * log_q)
+        term = math.comb(n, i) * power / denom
         if i % 2 == 0:
             term = -term
         tail += term
+        spread += term * (2 * k_start - 1 + 2.0 * math.exp(i * log_q) / denom)
         if abs(term) <= 1e-17 * abs(tail):
             break
-    return max(tail, 0.0)
+    return max(tail, 0.0), max(spread, 0.0)
 
 
 def _first_chunk_length(p: float, n: int) -> int:
-    """Number of leading survival terms that fix the series' sum: the
+    """Number of leading survival terms that fix the series' sums: the
     smallest power of two L >= 128 with n q^L / (1 - q) < 2^-70, at most
     one chunk.
 
     Every term past L is below n q^k, so all of them together, in this
     chunk, later chunks or the analytic tail, stay below 2^-70: under half
-    an ulp of any partial sum that holds the k = 0 term, which is 1.  numpy
-    sums a chunk pairwise, halving down to runs of 128, so the prefix is
-    a subtree of the chunk's summation tree and its sum equals the whole
+    an ulp of any partial sum that holds the k = 0 term, which is 1; the
+    weighted terms (2k - 1) S(k) past L stay below 2^-70 (2L + 2q / (1 - q)),
+    under half an ulp of the sum of (2k - 1) q^k over 1 <= k < L.  numpy
+    sums a chunk pairwise, halving down to runs of 128, so the prefix is a
+    subtree of the chunk's summation tree and its sums equal the whole
     chunk's bit for bit (see :func:`_chunk_sum` for how a prefix longer
     than one block is summed along that tree); nothing added after it
-    moves the total either.
+    moves the totals either.
     """
     need = (math.log(n / p) + 70.0 * math.log(2.0)) / -math.log1p(-p)
     length = 128
@@ -346,10 +352,11 @@ def _first_chunk_length(p: float, n: int) -> int:
     return length
 
 
-def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, float]:
-    """``(total, x, summand)`` over the survival terms k = k0 .. k0 + size - 1,
-    for a power of two ``size`` up to one chunk: their sum, and the last
-    term's q^k and summand 1 - (1 - q^k)^n.
+def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, float, float]:
+    """``(total, spread, x, summand)`` over the survival terms
+    S(k) = 1 - (1 - q^k)^n, k = k0 .. k0 + size - 1, for a power of two
+    ``size`` up to one chunk: the sum of S(k), the sum of (2k - 1) S(k)
+    over the k >= 1 among them, and the last term's q^k and S(k).
 
     The terms are evaluated in blocks of at most ``_BLOCK``, so that no
     temporary outgrows the allocator's heap or the cache, and each block is
@@ -366,28 +373,35 @@ def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, fl
             ks = np.arange(start, start + step, dtype=np.float64)
             x = np.exp(-lam * ks)  # q^k
             summand = -np.expm1(n * np.log1p(-x))
-            sums.append(float(summand.sum()))
+            total, last = float(summand.sum()), float(summand[-1])
+            if start == 0:
+                summand[0] = 0.0  # k = 0 is no term of the weighted series
+            summand *= 2.0 * ks - 1.0
+            sums.append((total, float(summand.sum())))
     while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0], float(x[-1]), float(summand[-1])
+        sums = [(a + c, b + d) for (a, b), (c, d) in zip(sums[::2], sums[1::2])]
+    return *sums[0], float(x[-1]), last
 
 
-def _survival_sum_mean(p: float, n: int, tol: float) -> float:
-    # <k> = sum_{k >= 0} P(max > k) = sum_{k >= 0} [1 - (1 - q^k)^n],
-    # summed explicitly until the summand is negligible, then completed
-    # with the analytic geometric tail.  Only the first chunk's leading
-    # terms are evaluated (see _first_chunk_length); past a prefix
-    # shorter than a chunk nothing moves the total, so the stopping test
+def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
+    # <k> = sum_{k >= 0} S(k) with S(k) = P(max > k) = 1 - (1 - q^k)^n, and
+    # the variance is <(k - 1)^2> - (<k> - 1)^2 with <(k - 1)^2> =
+    # sum_{k >= 1} (2k - 1) S(k): centred at 1, no 1 cancels in it when p is
+    # close to 1.  Both series are summed explicitly until the summand is
+    # negligible, then completed with analytic tails.  Only the first chunk's
+    # leading terms are evaluated (see _first_chunk_length); past a prefix
+    # shorter than a chunk nothing moves the totals, so the stopping test
     # may read the prefix's last term.  Every chunk or prefix is summed in
     # cache-sized blocks along numpy's own pairwise tree (see _chunk_sum),
-    # so the total is the same as from one array per chunk.
+    # so the totals are the same as from one array per chunk.
     lam = -math.log1p(-p)
-    total = 0.0
+    total = spread = 0.0
     k0 = 0
     size = _first_chunk_length(p, n)
     while True:
-        chunk_total, x, summand = _chunk_sum(lam, n, k0, size)
+        chunk_total, chunk_spread, x, summand = _chunk_sum(lam, n, k0, size)
         total += chunk_total
+        spread += chunk_spread
         k0 += _CHUNK
         size = _CHUNK
         converged = summand <= tol * total and n * x <= 0.25
@@ -396,8 +410,10 @@ def _survival_sum_mean(p: float, n: int, tol: float) -> float:
         if k0 > _MAX_EXPLICIT_TERMS:
             if n * x <= 0.25:
                 break  # analytic tail still valid, just short of the tol stop
-            return _closed_form_moments(p, n)[0]
-    return total + _survival_tail(p, n, k0)
+            return _closed_form_moments(p, n)
+    tail, spread_tail = _survival_tail(p, n, k0)
+    mean = total + tail
+    return mean, max(spread + spread_tail - (mean - 1.0) ** 2, 0.0)
 
 
 def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
@@ -424,16 +440,19 @@ def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
         return float(mean), max(float(variance), 0.0)
 
 
-def _attempts_mean(p: float, n: int, tol: float) -> float:
+def _attempts_moments(p: float, n: int, tol: float) -> tuple[float, float]:
+    """Mean and variance of the slowest link's attempt number: exact at
+    p = 1, from the survival series where it is short enough to sum
+    (:func:`_survival_moments`), else from the closed form."""
     if p == 1.0:
-        return 1.0
+        return 1.0, 0.0
     if _explicit_feasible(p, n, tol):
-        return _survival_sum_mean(p, n, tol)
-    return _closed_form_moments(p, n)[0]
+        return _survival_moments(p, n, tol)
+    return _closed_form_moments(p, n)
 
 
 def _attempts_mean_bounds(p, harmonic):
-    """``(lower, upper)`` around ``_attempts_mean(p, n, tol)`` for any
+    """``(lower, upper)`` around ``_attempts_moments(p, n, tol)[0]`` for any
     ``tol``, given the harmonic number ``harmonic = H_n = 1 + 1/2 + ... + 1/n``.
 
     The survival summand 1 - (1 - q^k)^n decreases in k and integrates to
@@ -461,30 +480,6 @@ def _attempts_mean_bounds(p, harmonic):
     return larger * (1.0 - 2.0**-30), (1.0 + integral) * (1.0 + 2.0**-30)
 
 
-def _attempts_variance(p: float, n: int, tol: float, mean: float) -> float:
-    """Variance of the slowest link's attempt number, given its mean
-    ``mean = _attempts_mean(p, n, tol)``.
-
-    On the series route it is taken about that mean from the distribution
-    truncated at ``tol``; on the closed-form route it comes with the mean.
-    """
-    if p == 1.0:
-        return 0.0
-    if not _explicit_feasible(p, n, tol):
-        return _closed_form_moments(p, n)[1]
-    dist = combined_attempt_dist(p, n, tol)
-    deviations = dist.attempt_numbers - mean
-    return float(np.dot(deviations * deviations, dist.probs))
-
-
-def _attempts_moments(p: float, n: int, tol: float) -> tuple[float, float]:
-    """Mean and variance of the slowest link's attempt number."""
-    if p != 1.0 and not _explicit_feasible(p, n, tol):
-        return _closed_form_moments(p, n)  # one pass gives both
-    mean = _attempts_mean(p, n, tol)
-    return mean, _attempts_variance(p, n, tol, mean)
-
-
 def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
     """Expected number of attempts until all ``n`` links have succeeded.
 
@@ -497,7 +492,7 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
     p = _require_success_prob(p)
     n = _check_links(n)
     tol = _check_tol(tol)
-    return _attempts_mean(p, n, tol)
+    return _attempts_moments(p, n, tol)[0]
 
 
 def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:

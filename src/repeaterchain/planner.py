@@ -32,9 +32,8 @@ from .model import (
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
-    _attempts_mean,
     _attempts_mean_bounds,
-    _attempts_variance,
+    _attempts_moments,
     _chain_times,
     _check_finite,
     _check_tol,
@@ -233,11 +232,11 @@ def _scan_link_counts(
     n_max: int,
     tol: float,
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[int, float, float, float, float]:
-    """``(best_n, best_t, second_t, p, mean)`` over link counts 1..n_max,
-    ties going to fewer links; ``second_t`` is the smallest total time of
-    every other link count, and ``p`` and ``mean`` are the winner's EC
-    probability and mean attempt count.
+) -> tuple[int, float, float, float, tuple[float, float]]:
+    """``(best_n, best_t, second_t, p, moments)`` over link counts
+    1..n_max, ties going to fewer links; ``second_t`` is the smallest total
+    time of every other link count, and ``p`` and ``moments`` are the
+    winner's EC probability and the mean and variance of its attempt count.
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
@@ -246,36 +245,36 @@ def _scan_link_counts(
     (``candidates``, when the caller already has them); those come from
     numpy arrays, and their margin keeps them below the scalar times.  Only
     the link counts evaluated get a ``ChainConfig``, the scalar ``ec_prob``
-    and a series.  The scan stops at the first lower bound above the
-    runner-up: no link count left could place first or second, so the
-    result equals that of evaluating every link count.
+    and a series, which gives both moments.  The scan stops at the first
+    lower bound above the runner-up: no link count left could place first
+    or second, so the result equals that of evaluating every link count.
     """
     tol = _check_tol(tol)
     if candidates is None:
         candidates = _link_candidates(hw, total_length, ch, n_max)
     lower, ns, _ = candidates
-    best_n, best_t, second_t, best_p, best_mean = 0, math.inf, math.inf, 0.0, 0.0
+    best_n, best_t, second_t, best_p, best_moments = 0, math.inf, math.inf, 0.0, (0.0, 0.0)
     for bound, n in zip(lower.tolist(), ns.tolist()):
         if bound > second_t:
             break
         n = int(n)
         chain = ChainConfig(total_length=total_length, link_count=n)
         p = ec_prob(hw, chain, ch)
-        mean = _attempts_mean(p, n, tol)
+        moments = _attempts_moments(p, n, tol)
         try:
-            t = _chain_times(hw, chain, ch, mean)[-1]
+            t = _chain_times(hw, chain, ch, moments[0])[-1]
         except BeyondRepresentable:
             continue
         if (t, n) < (best_t, best_n):
             second_t = min(second_t, best_t)
-            best_n, best_t, best_p, best_mean = n, t, p, mean
+            best_n, best_t, best_p, best_moments = n, t, p, moments
         else:
             second_t = min(second_t, t)
     if best_n == 0:
         raise UnreachableConfiguration(
             f"no feasible link count in [1, {n_max}] for L = {total_length} km"
         )
-    return best_n, best_t, second_t, best_p, best_mean
+    return best_n, best_t, second_t, best_p, best_moments
 
 
 def optimize_link_count(
@@ -301,11 +300,10 @@ def optimize_link_count(
         n_max = _default_n_max(total_length)
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    best_n, best_t, second_t, p, mean = _scan_link_counts(hw, total_length, ch, n_max, tol)
+    best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol)
     chain = ChainConfig(total_length=total_length, link_count=best_n)
-    variance = _attempts_variance(p, best_n, tol, mean)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
-    best_metrics = _metrics_from_moments(hw, chain, ch, p, mean, variance)
+    best_metrics = _metrics_from_moments(hw, chain, ch, p, *moments)
     return OptimizationResult(
         best_n=best_n,
         metrics=best_metrics,
@@ -485,7 +483,8 @@ class SweepSpec:
 
     ``swept_parameter`` is one of ``total_length`` (km), ``mode_count``,
     or ``emission_prob``; ``grid`` must be strictly increasing.  When the
-    swept parameter is not the distance, ``total_length`` fixes it.  With
+    swept parameter is not the distance, ``total_length`` fixes it; every
+    distance, fixed or swept, must be finite and above 0 km.  With
     ``fixed_link_length`` set, each point is planned at that link length
     instead of optimizing the link count.  A ``source_rate`` adds the
     direct-transmission baseline time to every record.
@@ -511,10 +510,13 @@ class SweepSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        if self.swept_parameter != "total_length":
-            if self.total_length is None:
-                raise ConfigError("total_length is required when it is not the swept parameter")
-            _check_finite(self.total_length, "total_length")
+        swept_length = self.swept_parameter == "total_length"
+        if not swept_length and self.total_length is None:
+            raise ConfigError("total_length is required when it is not the swept parameter")
+        for length in grid if swept_length else (self.total_length,):
+            _check_finite(length, "total_length")
+            if length <= 0.0:
+                raise ConfigError(f"total_length must be > 0, got {length}")
         if self.swept_parameter == "mode_count" and not all(
                 math.isfinite(v) and int(v) == v for v in grid):
             raise ConfigError("mode_count grid values must be integers")

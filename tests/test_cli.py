@@ -467,6 +467,36 @@ def test_crossover_leaves_mpmath_unloaded(src_env):
     assert result.stdout == b"chain beats direct transmission beyond ~488 km (source rate 1e+10 Hz)\n"
 
 
+def test_machine_output_does_not_depend_on_blas_threads(src_env):
+    # OpenBLAS splits long dot products across its threads, which changes
+    # the order of the additions; no output may depend on that.
+    probe = ("import sys; from repeaterchain.cli import main\n"
+             "for argv in (['eval', '--L', '250', '--n', '1'], ['optimize', '--L', '1600'],\n"
+             "             ['fixed-link', '--L', '1600', '--L0', '125']):\n"
+             "    for fmt in ('csv', 'json'):\n"
+             "        assert main([*argv, '--format', fmt]) == 0\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**src_env, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--param", "rho", "--values", "0.5", "--L", "-5"),
+    ("--param=L", "--values=-5,100"),
+    ("--param", "L", "--values", "0,100"),
+])
+def test_sweep_rejects_distances_at_or_below_zero(capsys, argv):
+    # A fixed and a swept distance get the same check, before any point.
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: total_length must be > 0, got ")
+
+
 # ---------------------------------------------------------------- input domain
 
 EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "2.2250738585072014e-308",

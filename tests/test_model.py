@@ -259,20 +259,26 @@ def test_expected_attempts_tiny_probability_route():
 
 # ---------------------------------------------------------------- survival series
 
-def full_chunk_survival_mean(p: float, n: int, tol: float) -> float:
-    """The survival series with every chunk summed in full: the reference
-    the sized first chunk must reproduce bit for bit."""
+def full_chunk_survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
+    """Both survival series with every chunk summed in full, in one array
+    each: the reference the sized first chunk and the blocks must reproduce
+    bit for bit."""
     lam = -math.log1p(-p)
-    total, k0 = 0.0, 0
+    total, spread, k0 = 0.0, 0.0, 0
     while True:
         ks = np.arange(k0, k0 + model._CHUNK, dtype=np.float64)
         x = np.exp(-lam * ks)
         with np.errstate(divide="ignore"):
             summand = -np.expm1(n * np.log1p(-x))
         total += float(summand.sum())
+        weights = 2.0 * ks - 1.0
+        weights[ks == 0.0] = 0.0  # E[(K - 1)^2] = sum over k >= 1 of (2k - 1) S(k)
+        spread += float((weights * summand).sum())
         k0 += model._CHUNK
         if summand[-1] <= tol * total and n * x[-1] <= 0.25:
-            return total + model._survival_tail(p, n, k0)
+            tail, spread_tail = model._survival_tail(p, n, k0)
+            mean = total + tail
+            return mean, max(spread + spread_tail - (mean - 1.0) ** 2, 0.0)
         assert k0 <= model._MAX_EXPLICIT_TERMS
 
 
@@ -308,23 +314,31 @@ def test_sized_first_chunk_sum_equals_full_chunk_sum():
     lengths = {model._first_chunk_length(p, n) for p, n in grid}
     assert lengths == {1 << j for j in range(7, 17)}
     for p, n in grid:
-        assert model._survival_sum_mean(p, n, DEFAULT_TOL) == full_chunk_survival_mean(
+        assert model._survival_moments(p, n, DEFAULT_TOL) == full_chunk_survival_moments(
             p, n, DEFAULT_TOL), (p, n)
     # A tol so small that the stopping test fails on the prefix's last term
     # and on the full chunk's: the sums past the prefix add nothing.
     for p, n in ((0.01, 5), (0.3, 1), (2e-3, 128)):
-        assert model._survival_sum_mean(p, n, 1e-300) == full_chunk_survival_mean(
+        assert model._survival_moments(p, n, 1e-300) == full_chunk_survival_moments(
             p, n, 1e-300), (p, n)
 
 
 def test_first_chunk_length_bounds_the_dropped_terms():
-    for p in (1e-4, 1.3e-3, 0.01, 0.2, 0.9):
+    for p in (1e-4, 1.3e-3, 0.01, 0.2, 0.5, 0.9, 0.999):
         for n in (1, 5, 128):
             length = model._first_chunk_length(p, n)
             assert length in {1 << j for j in range(7, 17)}
-            dropped = n * (1.0 - p) ** length / p
+            q = 1.0 - p
+            dropped = n * q**length / p
             assert length == model._CHUNK or dropped < 2.0**-70
-            assert length == 128 or n * (1.0 - p) ** (length // 2) / p >= 2.0**-70
+            assert length == 128 or n * q ** (length // 2) / p >= 2.0**-70
+            # The weighted terms (2k - 1) S(k) past the prefix stay below
+            # 2^-54 of the prefix's weighted sum, under half its ulp; that
+            # sum holds at least (2k - 1) q^k for each 1 <= k < length.
+            ks = np.arange(1.0, length)
+            held = float(((2.0 * ks - 1.0) * q**ks).sum())
+            dropped_weighted = dropped * (2.0 * length - 1.0 + 2.0 * q / p)
+            assert length == model._CHUNK or dropped_weighted < 2.0**-54 * held, (p, n)
 
 
 def test_numpy_sums_a_chunk_along_the_block_tree():
@@ -343,10 +357,10 @@ def test_numpy_sums_a_chunk_along_the_block_tree():
 
 @pytest.mark.parametrize("p, n", [(1e-3, 8), (1e-5, 3)])  # a full chunk; several chunks
 def test_survival_sum_peaks_below_512_kib(p, n):
-    model._survival_sum_mean(p, n, DEFAULT_TOL)  # any one-off allocations
+    model._survival_moments(p, n, DEFAULT_TOL)  # any one-off allocations
     tracemalloc.start()
     try:
-        model._survival_sum_mean(p, n, DEFAULT_TOL)
+        model._survival_moments(p, n, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,15 +376,17 @@ def test_survival_sum_falls_back_to_closed_form_past_the_term_cap(monkeypatch):
     closed_form = model._closed_form_moments
     monkeypatch.setattr(model, "_closed_form_moments",
                         lambda *args: calls.append(args) or closed_form(*args))
-    mean = model._survival_sum_mean(p, n, tol)
+    moments = model._survival_moments(p, n, tol)
     assert calls == [(p, n)]
-    assert mean == closed_form(p, n)[0] == 7500000.5
+    assert moments == closed_form(p, n)
+    assert moments[0] == 7500000.5
 
 
 def test_moments_match_mp_oracle_across_the_seam():
-    # Tolerances are the worst case measured on this grid.  The variance
-    # comes from the distribution truncated at tol, which drops about
-    # tol * K^2 of the second moment; it is worst at n = 1 next to the seam.
+    # Tolerances are the worst case measured on this grid.  The variance is
+    # E[(K - 1)^2] - (E[K] - 1)^2, both from survival series with analytic
+    # tails; the subtraction cancels about log2((E[K] - 1)^2 / var) bits,
+    # most at large n (worst here at n = 91, p = 4.05e-5).
     rng = np.random.default_rng(4)
     grid = [(float(10 ** rng.uniform(-6.0, 0.0)), int(round(2 ** rng.uniform(0.0, 7.0))))
             for _ in range(60)]
@@ -386,7 +402,7 @@ def test_moments_match_mp_oracle_across_the_seam():
         worst_mean = max(worst_mean, abs(mean - oracle_mean) / oracle_mean)
         worst_variance = max(worst_variance, abs(variance - oracle_variance) / oracle_variance)
     assert worst_mean <= 3.5e-16
-    assert worst_variance <= 7.65e-10
+    assert worst_variance <= 9.4e-15
 
 
 # ---------------------------------------------------------------- chain metrics
@@ -430,6 +446,21 @@ def test_metrics_errors():
     with pytest.raises(UnreachableConfiguration):
         metrics(HardwareParams(memory_eff=0.3, detector_eff=0.5),
                 ChainConfig(total_length=1000.0, link_count=167), DEFAULT_CH)
+
+
+def test_metrics_next_to_the_seam_peaks_below_512_kib():
+    # p = 5.7e-6 at one link: the series needs 4.9e6 terms, next to the
+    # 5e6 the series route allows, and still no array longer than a block.
+    chain = ChainConfig(total_length=338.0, link_count=1)
+    assert model._explicit_feasible(ec_prob(DEFAULT_HW, chain, DEFAULT_CH), 1, DEFAULT_TOL)
+    metrics(DEFAULT_HW, chain, DEFAULT_CH)  # any one-off allocations
+    tracemalloc.start()
+    try:
+        metrics(DEFAULT_HW, chain, DEFAULT_CH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_metrics_checks_round_success_before_moments(monkeypatch):

@@ -21,8 +21,8 @@ from repeaterchain.model import (
     ChainConfig,
     ChannelParams,
     HardwareParams,
-    _attempts_mean,
     _attempts_mean_bounds,
+    _attempts_moments,
     _chain_times,
     ec_prob,
     metrics,
@@ -190,7 +190,7 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
         n = int(rng.integers(1, 4)) if rng.random() < 0.7 else int(rng.integers(4, 41))
         chain = ChainConfig(total_length=n * float(rng.uniform(1.0, 250.0)), link_count=n)
         p = ec_prob(hw, chain, CH)
-        mean = _attempts_mean(p, n, DEFAULT_TOL)
+        mean = _attempts_moments(p, n, DEFAULT_TOL)[0]
         below_inverse_p += mean < 1.0 / p
         lower, upper = _attempts_mean_bounds(p, harmonic(n))
         assert lower <= mean <= upper
@@ -211,7 +211,7 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
     assert _attempts_mean_bounds(1.0, harmonic(5000)) == (1.0, 1.0)
     for p, n in grid:
         lower, upper = _attempts_mean_bounds(p, harmonic(n))
-        assert lower <= _attempts_mean(p, n, DEFAULT_TOL) <= upper, (p, n)
+        assert lower <= _attempts_moments(p, n, DEFAULT_TOL)[0] <= upper, (p, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,7 +250,7 @@ def test_candidate_times_bracket_the_scalar_times(
         if p == 0.0:
             return None
         try:
-            return _chain_times(hw, chain, CH, _attempts_mean(p, n, DEFAULT_TOL))[-1]
+            return _chain_times(hw, chain, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
         except BeyondRepresentable:
             return math.inf
 
@@ -267,17 +267,30 @@ def test_candidate_times_bracket_the_scalar_times(
 
 def test_optimize_sums_each_evaluated_series_once(monkeypatch):
     # The scan sums the series of every link count it evaluates; the
-    # winner's metrics reuse that mean instead of summing it again.
+    # winner's metrics reuse both of its moments instead of summing again.
     evaluated, summed = [], []
-    attempts_mean = planner._attempts_mean
-    survival_sum_mean = model._survival_sum_mean
-    monkeypatch.setattr(planner, "_attempts_mean",
-                        lambda p, n, tol: evaluated.append(n) or attempts_mean(p, n, tol))
-    monkeypatch.setattr(model, "_survival_sum_mean",
-                        lambda p, n, tol: summed.append(n) or survival_sum_mean(p, n, tol))
+    attempts_moments = planner._attempts_moments
+    survival_moments = model._survival_moments
+    monkeypatch.setattr(planner, "_attempts_moments",
+                        lambda p, n, tol: evaluated.append(n) or attempts_moments(p, n, tol))
+    monkeypatch.setattr(model, "_survival_moments",
+                        lambda p, n, tol: summed.append(n) or survival_moments(p, n, tol))
     result = optimize_link_count(HW, 1600.0, CH)
     assert evaluated == summed == [8, 9]
     assert result.metrics == metrics(HW, ChainConfig(total_length=1600.0, link_count=8), CH)
+
+
+def test_metrics_path_builds_no_distribution(monkeypatch):
+    # Both moments come from the survival series or the closed form; the
+    # attempt distribution serves only its own callers.
+    def distribution_not_expected(*args, **kwargs):
+        raise AssertionError("attempt distribution built on the metrics path")
+
+    monkeypatch.setattr(model, "combined_attempt_dist", distribution_not_expected)
+    metrics(HW, ChainConfig(total_length=250.0, link_count=1), CH)
+    metrics(HW, ChainConfig(total_length=1600.0, link_count=8), CH)
+    optimize_link_count(HW, 1600.0, CH)
+    plan_fixed_link(HW, 1600.0, CH, 125.0)
 
 
 def test_crossover_builds_the_candidates_once_per_step(monkeypatch):
@@ -501,6 +514,19 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(swept_parameter="mode_count", grid=(10.5,), hw=HW, ch=CH,
                   total_length=500.0)
+
+
+@pytest.mark.parametrize("swept, grid, fixed", [
+    ("emission_prob", (0.5,), -5.0),
+    ("mode_count", (10.0,), 0.0),
+    ("total_length", (-5.0, 100.0), None),
+    ("total_length", (0.0, 100.0), None),
+])
+def test_sweep_spec_rejects_distances_at_or_below_zero(swept, grid, fixed):
+    # A fixed and a swept distance get one check, before any point runs.
+    with pytest.raises(ConfigError, match="total_length must be > 0"):
+        SweepSpec(swept_parameter=swept, grid=grid, hw=HW, ch=CH, total_length=fixed,
+                  source_rate=1e10)
 
 
 def test_sweep_spec_is_frozen():

@@ -10,75 +10,66 @@ Three layers:
 
 The ``repeaterchain`` console script (see :mod:`repeaterchain.cli`) exposes
 all of it as subcommands.
+
+The public names below are resolved on first access, so importing the
+package loads none of the layers: each process pays only for the layers
+it uses.
 """
 
-from .errors import (
-    BeyondRepresentable,
-    ConfigError,
-    ModelError,
-    NoCrossoverInRange,
-    NonTerminatingProcess,
-    SimulationAbort,
-    UnreachableConfiguration,
-)
-from .model import (
-    DEFAULT_TOL,
-    AttemptDistribution,
-    ChainConfig,
-    ChannelParams,
-    HardwareParams,
-    RepeaterMetrics,
-    combined_attempt_dist,
-    ec_prob,
-    ec_prob_single_mode,
-    expected_max_attempts,
-    metrics,
-)
-from .montecarlo import TrialConfig, TrialStats, sample_chain_round, simulate
-from .planner import (
-    FixedLinkPlan,
-    OptimizationResult,
-    SweepRecord,
-    SweepSpec,
-    crossover_with_direct,
-    direct_transmission_time,
-    optimize_link_count,
-    plan_fixed_link,
-    run_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttemptDistribution",
-    "BeyondRepresentable",
-    "ChainConfig",
-    "ChannelParams",
-    "ConfigError",
-    "DEFAULT_TOL",
-    "FixedLinkPlan",
-    "HardwareParams",
-    "ModelError",
-    "NoCrossoverInRange",
-    "NonTerminatingProcess",
-    "OptimizationResult",
-    "RepeaterMetrics",
-    "SimulationAbort",
-    "SweepRecord",
-    "SweepSpec",
-    "TrialConfig",
-    "TrialStats",
-    "UnreachableConfiguration",
-    "combined_attempt_dist",
-    "crossover_with_direct",
-    "direct_transmission_time",
-    "ec_prob",
-    "ec_prob_single_mode",
-    "expected_max_attempts",
-    "metrics",
-    "optimize_link_count",
-    "plan_fixed_link",
-    "run_sweep",
-    "sample_chain_round",
-    "simulate",
-]
+# Public name -> the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys((
+        "BeyondRepresentable",
+        "ConfigError",
+        "ModelError",
+        "NoCrossoverInRange",
+        "NonTerminatingProcess",
+        "SimulationAbort",
+        "UnreachableConfiguration",
+    ), "errors"),
+    **dict.fromkeys((
+        "DEFAULT_TOL",
+        "AttemptDistribution",
+        "ChainConfig",
+        "ChannelParams",
+        "HardwareParams",
+        "RepeaterMetrics",
+        "combined_attempt_dist",
+        "ec_prob",
+        "ec_prob_single_mode",
+        "expected_max_attempts",
+        "metrics",
+    ), "model"),
+    **dict.fromkeys(("TrialConfig", "TrialStats", "sample_chain_round", "simulate"),
+                    "montecarlo"),
+    **dict.fromkeys((
+        "FixedLinkPlan",
+        "OptimizationResult",
+        "SweepRecord",
+        "SweepSpec",
+        "crossover_with_direct",
+        "direct_transmission_time",
+        "optimize_link_count",
+        "plan_fixed_link",
+        "run_sweep",
+    ), "planner"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

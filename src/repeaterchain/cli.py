@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, ModelError, SimulationAbort
 from .model import (
@@ -36,15 +36,9 @@ from .model import (
     _check_tol,
     metrics,
 )
-from .montecarlo import TrialConfig, simulate
-from .planner import (
-    FixedLinkPlan,
-    SweepSpec,
-    crossover_with_direct,
-    optimize_link_count,
-    plan_fixed_link,
-    run_sweep,
-)
+
+if TYPE_CHECKING:
+    from .planner import FixedLinkPlan
 
 __all__ = ["RunConfig", "execute", "main", "parse_config"]
 
@@ -156,7 +150,7 @@ def _read_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, object] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -313,8 +307,10 @@ def _metric_report(scenario: str, row: dict, heading: tuple[str, ...] = (), **ex
                    METRIC_COLUMNS, (row,), (*heading, *lines))
 
 
-# Runners look the layer entry points up in this module's namespace at
-# call time, so a wrapper installed there sees every call.
+# Runners import the planner and the sampler only when they run, so each
+# process loads just the layers of its subcommand.  They look the entry
+# points up at call time, ``metrics`` in this module's namespace and the
+# others on their own module, so a wrapper installed there sees every call.
 
 def _run_eval(cfg: RunConfig) -> _Report:
     chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
@@ -323,7 +319,9 @@ def _run_eval(cfg: RunConfig) -> _Report:
 
 
 def _run_optimize(cfg: RunConfig) -> _Report:
-    result = optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max, cfg.tol)
+    from . import planner
+
+    result = planner.optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max, cfg.tol)
     lo, hi = result.scanned_range
     return _metric_report(
         "optimize",
@@ -337,12 +335,16 @@ def _run_optimize(cfg: RunConfig) -> _Report:
 
 
 def _run_fixed_link(cfg: RunConfig) -> _Report:
-    plan = plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length, cfg.tol)
+    from . import planner
+
+    plan = planner.plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length, cfg.tol)
     return _metric_report("fixed-link", _plan_row(cfg.total_length, plan))
 
 
 def _run_crossover(cfg: RunConfig) -> _Report:
-    km = crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate, cfg.tol)
+    from . import planner
+
+    km = planner.crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate, cfg.tol)
     return _Report(
         {"scenario": "crossover", "crossover_km": km, "source_rate_hz": cfg.source_rate},
         ("crossover_km",),
@@ -353,8 +355,10 @@ def _run_crossover(cfg: RunConfig) -> _Report:
 
 
 def _run_sweep(cfg: RunConfig) -> _Report:
+    from . import planner
+
     swept_length = cfg.sweep_param == "total_length"
-    spec = SweepSpec(
+    spec = planner.SweepSpec(
         swept_parameter=cfg.sweep_param, grid=cfg.sweep_values, hw=cfg.hw, ch=cfg.ch,
         total_length=None if swept_length else cfg.total_length,
         fixed_link_length=cfg.link_length, n_max=cfg.n_max,
@@ -362,7 +366,7 @@ def _run_sweep(cfg: RunConfig) -> _Report:
     )
     lead = {"mode_count": "m", "emission_prob": "rho"}.get(cfg.sweep_param)  # swept column
     rows, lines = [], []
-    for rec in run_sweep(spec, cfg.tol):
+    for rec in planner.run_sweep(spec, cfg.tol):
         if rec.metrics is None:
             row = {**dict.fromkeys(METRIC_COLUMNS, ""), "L_km": rec.total_length,
                    "error": rec.error}
@@ -385,9 +389,11 @@ def _run_sweep(cfg: RunConfig) -> _Report:
 
 
 def _run_simulate(cfg: RunConfig) -> _Report:
+    from . import montecarlo
+
     chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
-    stats = simulate(TrialConfig(hw=cfg.hw, chain=chain, ch=cfg.ch,
-                                 trials=cfg.trials, seed=cfg.seed))
+    stats = montecarlo.simulate(montecarlo.TrialConfig(hw=cfg.hw, chain=chain, ch=cfg.ch,
+                                                       trials=cfg.trials, seed=cfg.seed))
     row = {
         "L_km": cfg.total_length,
         "n": cfg.link_count,

@@ -18,7 +18,10 @@ This module evaluates the resulting quantities deterministically:
   probability, average distribution time, and the mean and standard
   deviation of the memory storage time per round.
 
-mpmath is imported only when the closed-form route is taken.
+Import rule of the package: numpy is imported on the first numeric call
+that needs it (see :class:`_NumpyOnFirstUse`), and mpmath only when the
+closed-form route is taken.  Parsing, validation and the checks that
+reject a configuration before any moments load neither.
 
 Units are km, seconds, and dB/km throughout; probabilities are
 dimensionless.  All functions are pure and all returned objects immutable,
@@ -30,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     BeyondRepresentable,
     ConfigError,
@@ -39,6 +40,25 @@ from .errors import (
     NonTerminatingProcess,
     UnreachableConfiguration,
 )
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy as a module's ``np``.  The first attribute
+    access imports numpy and rebinds that module's ``np`` to it, so later
+    calls pay nothing; the import lock makes concurrent first accesses
+    wait for one fully initialised numpy."""
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _NumpyOnFirstUse(globals())
 
 __all__ = [
     "DEFAULT_TOL",
@@ -188,7 +208,7 @@ class AttemptDistribution:
 
     def expectation(self) -> float:
         """Mean attempt number of the truncated distribution (tail ignored)."""
-        return float(np.dot(self.attempt_numbers, self.probs))
+        return float((self.attempt_numbers * self.probs).sum())
 
 
 @dataclass(frozen=True)
@@ -245,9 +265,9 @@ def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelP
 
 def _multimode_prob(hw: HardwareParams, p1):
     # Elementwise in the single-mode probability; p1 = 0 gives 0.  Floats go
-    # through ``math`` and arrays through numpy, whose transcendentals may
-    # differ from math's by a few ulps.
-    xp = np if isinstance(p1, np.ndarray) else math
+    # through ``math`` without touching numpy, and arrays through numpy,
+    # whose transcendentals may differ from math's by a few ulps.
+    xp = math if isinstance(p1, float) else np
     return -xp.expm1(float(hw.mode_count) * xp.log1p(-p1))
 
 
@@ -419,11 +439,15 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
 def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
     # Inclusion-exclusion closed forms for the mean and variance of the
     # maximum of n geometric variables.  The alternating binomial sums
-    # cancel ~n bits, and 1 - p must stay distinguishable from 1, so the
-    # working precision covers both.
+    # cancel ~n bits, 1 - p must stay distinguishable from 1, and the
+    # variance second - mean^2 cancels ~log2(1 / (1 - p)) bits when p is
+    # close to 1, so the working precision covers all three.  The floor
+    # adds no bit for p < 1/2; at p = 1, q = 0 and nothing cancels.
     from mpmath import mp
 
     prec = 70 + n + max(0, math.ceil(-math.log2(p)))
+    if p < 1.0:
+        prec += max(0, math.floor(-math.log2(1.0 - p)))
     with mp.workprec(prec):
         q = mp.one - mp.mpf(p)
         mean = mp.mpf(0)

@@ -38,8 +38,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BeyondRepresentable, ConfigError, NonTerminatingProcess, SimulationAbort
 from .model import (
     DEFAULT_TOL,
@@ -47,9 +45,13 @@ from .model import (
     ChannelParams,
     HardwareParams,
     _attempts_moments,
+    _NumpyOnFirstUse,
     _round_success,
     ec_prob,
 )
+
+# numpy loads on the first draw: a run rejected up front never pays for it.
+np = _NumpyOnFirstUse(globals())
 
 __all__ = ["TrialConfig", "TrialStats", "sample_chain_round", "simulate"]
 

@@ -71,6 +71,23 @@ def test_config_file_reports_line_numbers(tmp_path, capsys):
     assert "2" in err and "bogus_key" in err
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, fmt):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "eval", "--L", "100", "--n", "2",
+                             "--config", str(config), "--format", fmt)
+    assert code == 2
+    message = f"cannot read config file {config}: 'utf-8' codec can't decode"
+    if fmt == "json":
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["code"] == "config_error" and error["message"].startswith(message)
+    else:
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+
 def test_config_file_scenario_conflict(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("scenario = eval\nL = 100\nn = 1\n")
@@ -438,43 +455,128 @@ def test_exit_code_2_on_too_many_trials(capsys):
 
 # ---------------------------------------------------------------- import cost
 
-def test_import_leaves_mpmath_unloaded(src_env):
-    # mpmath only serves the closed-form route; importing the CLI must not load it.
-    probe = "import sys, repeaterchain.cli; sys.exit('mpmath' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=src_env)
-    assert result.returncode == 0
+# Runs a module's import, then ``main(argv)`` when argv is given, and prints
+# the exit code, main's stdout and which of the probed modules were
+# executed.  numpy is probed through a submodule its ``__init__`` always
+# imports, so a placeholder in ``sys.modules`` would not count.
+LOAD_PROBE = """
+import contextlib, importlib, io, json, sys
+module, *argv = sys.argv[1:]
+out, code = io.StringIO(), None
+with contextlib.redirect_stdout(out):
+    imported = importlib.import_module(module)
+    if argv:
+        code = imported.main(argv)
+probes = {"numpy": "numpy.linalg", "mpmath": "mpmath",
+          "planner": "repeaterchain.planner", "montecarlo": "repeaterchain.montecarlo"}
+loaded = sorted(name for name, probe in probes.items() if probe in sys.modules)
+print(json.dumps({"code": code, "stdout": out.getvalue(), "loaded": loaded}))
+"""
+CLI = "repeaterchain.cli"
 
 
-def test_optimize_1600km_leaves_mpmath_unloaded(src_env):
-    # The ordered scan never evaluates n = 1..4 at 1600 km, the only link
-    # counts whose moments need the closed form.
-    probe = ("import sys; from repeaterchain.cli import main; "
-             "code = main(['optimize', '--L', '1600']); "
-             "sys.exit(code or 'mpmath' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith(b"best link count in [1, 64]: 8\n")
+# label -> (module, argv, exit code, probed modules loaded): the package and
+# CLI imports, the six gate commands and the three error paths of the contract.
+LOAD_CASES = {
+    "import-package": ("repeaterchain", [], None, []),
+    "import-cli": (CLI, [], None, []),
+    "eval": (CLI, ["eval", "--L", "1600", "--n", "8"], 0, ["numpy"]),
+    "optimize": (CLI, ["optimize", "--L", "1600"], 0, ["numpy", "planner"]),
+    "fixed-link": (CLI, ["fixed-link", "--L", "1600", "--L0", "125"], 0, ["numpy", "planner"]),
+    "sweep": (CLI, ["sweep", "--param", "L", "--values", "200,400,600,800,1000,1200,1400,1600"],
+              0, ["numpy", "planner"]),
+    "crossover": (CLI, ["crossover"], 0, ["numpy", "planner"]),
+    "simulate": (CLI, ["simulate", "--L", "500", "--n", "4", "--trials", "1000", "--seed", "42"],
+                 0, ["montecarlo", "numpy"]),
+    # Rejected while parsing.
+    "eval-rho-1.5": (CLI, ["eval", "--rho", "1.5", "--format", "json"], 2, []),
+    # Rejected by the round-success check, before any draw.
+    "simulate-L-2000-n-40": (CLI, ["simulate", "--L", "2000", "--n", "40", "--format", "json"],
+                             4, ["montecarlo"]),
+    "crossover-source-rate-1": (CLI, ["crossover", "--source-rate", "1", "--format", "json"],
+                                3, ["numpy", "planner"]),
+}
 
 
-def test_crossover_leaves_mpmath_unloaded(src_env):
-    # The bounds settle every far distance, and near the crossover the
-    # ordered scans evaluate only link counts on the series route.
-    probe = ("import sys; from repeaterchain.cli import main; "
-             "code = main(['crossover']); "
-             "sys.exit(code or 'mpmath' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], env=src_env, capture_output=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == b"chain beats direct transmission beyond ~488 km (source rate 1e+10 Hz)\n"
+@pytest.mark.parametrize("module, argv, code, loaded", LOAD_CASES.values(), ids=LOAD_CASES)
+def test_process_loads_only_the_layers_it_runs(src_env, module, argv, code, loaded):
+    # mpmath only serves the closed-form route, which none of these takes:
+    # at 1600 km the ordered scan never evaluates n = 1..4, and the
+    # crossover's bounds and scans stay on the series route.
+    result = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, *argv], env=src_env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    record = json.loads(result.stdout)
+    assert (record["code"], record["loaded"]) == (code, loaded)
+    if argv[:1] == ["optimize"]:
+        assert record["stdout"].startswith("best link count in [1, 64]: 8\n")
+    if argv == ["crossover"]:
+        assert record["stdout"] == ("chain beats direct transmission beyond ~488 km "
+                                    "(source rate 1e+10 Hz)\n")
+
+
+def test_every_public_name_resolves():
+    import importlib
+
+    import repeaterchain
+
+    for name in repeaterchain.__all__:
+        home = importlib.import_module(f"repeaterchain.{repeaterchain._HOMES[name]}")
+        assert getattr(repeaterchain, name) is getattr(home, name)
+    assert set(repeaterchain.__all__) <= set(dir(repeaterchain))
+    with pytest.raises(AttributeError):
+        getattr(repeaterchain, "not_a_name")
+
+
+def test_layer_modules_import_from_the_package(src_env):
+    # In a fresh process, where no layer is loaded yet.
+    probe = ("from repeaterchain import cli, montecarlo, planner\n"
+             "assert callable(planner.optimize_link_count) and callable(montecarlo.simulate)\n"
+             "from repeaterchain import *\n"
+             "assert callable(run_sweep) and callable(simulate)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_concurrent_first_numeric_calls_both_succeed(src_env):
+    # Two threads reach numpy's first use at once: both must see the
+    # complete module and compute the same metrics.
+    probe = """
+import sys, threading
+from repeaterchain.model import ChainConfig, ChannelParams, HardwareParams, metrics
+assert "numpy.linalg" not in sys.modules
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(2)
+results = []
+def first_call():
+    barrier.wait()
+    results.append(metrics(HardwareParams(), ChainConfig(1600.0, 8), ChannelParams()))
+threads = [threading.Thread(target=first_call) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+assert len(results) == 2 and results[0] == results[1], results
+"""
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_machine_output_does_not_depend_on_blas_threads(src_env):
     # OpenBLAS splits long dot products across its threads, which changes
-    # the order of the additions; no output may depend on that.
+    # the order of the additions; no output, nor the public expectation of
+    # an attempt distribution, may depend on that.
     probe = ("import sys; from repeaterchain.cli import main\n"
+             "from repeaterchain import combined_attempt_dist\n"
              "for argv in (['eval', '--L', '250', '--n', '1'], ['optimize', '--L', '1600'],\n"
              "             ['fixed-link', '--L', '1600', '--L0', '125']):\n"
              "    for fmt in ('csv', 'json'):\n"
-             "        assert main([*argv, '--format', fmt]) == 0\n")
+             "        assert main([*argv, '--format', fmt]) == 0\n"
+             "for p, n in ((1e-4, 1), (3e-4, 8)):\n"
+             "    print(repr(combined_attempt_dist(p, n).expectation()))\n")
     outputs = []
     for threads in ("1", "2"):
         env = {**src_env, "OPENBLAS_NUM_THREADS": threads}

@@ -405,6 +405,17 @@ def test_moments_match_mp_oracle_across_the_seam():
     assert worst_variance <= 9.4e-15
 
 
+def test_closed_form_variance_keeps_its_bits_near_p_one():
+    # second - mean^2 cancels about log2(1 / (1 - p)) = 33 bits here; the
+    # exact variance of one geometric variable is (1 - p) / p^2.
+    from mpmath import mp
+
+    p = 1.0 - 1e-10
+    with mp.workprec(300):
+        exact = float((mp.one - mp.mpf(p)) / mp.mpf(p) ** 2)
+    assert _closed_form_moments(p, 1)[1] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------- chain metrics
 
 def test_metrics_reference_point_1600km_8_links():

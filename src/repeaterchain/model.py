@@ -19,9 +19,8 @@ This module evaluates the resulting quantities deterministically:
   deviation of the memory storage time per round.
 
 Import rule of the package: numpy is imported on the first numeric call
-that needs it (see :class:`_NumpyOnFirstUse`), and mpmath only when the
-closed-form route is taken.  Parsing, validation and the checks that
-reject a configuration before any moments load neither.
+that needs it (see :class:`_NumpyOnFirstUse`).  Parsing, validation and
+the checks that reject a configuration before any moments do not load it.
 
 Units are km, seconds, and dB/km throughout; probabilities are
 dimensionless.  All functions are pure and all returned objects immutable,
@@ -87,8 +86,9 @@ _MAX_DIST_TERMS = 1 << 25
 _CHUNK = 1 << 16
 
 # Survival terms evaluated at once: 64 KiB per float64 temporary, below
-# glibc's 128 KiB mmap threshold and well inside L2, so summing a chunk
-# neither maps fresh pages nor leaves the cache.
+# glibc's 128 KiB mmap threshold and well inside L2, so no temporary is a
+# fresh mapping and the data stays in cache; pages may still fault in
+# where glibc has trimmed the heap top, depending on the heap's layout.
 _BLOCK = 1 << 13
 
 
@@ -443,23 +443,27 @@ def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
     # variance second - mean^2 cancels ~log2(1 / (1 - p)) bits when p is
     # close to 1, so the working precision covers all three.  The floor
     # adds no bit for p < 1/2; at p = 1, q = 0 and nothing cancels.
-    from mpmath import mp
+    # Decimal digits stand in for the bits, with one to spare.
+    from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
     prec = 70 + n + max(0, math.ceil(-math.log2(p)))
     if p < 1.0:
         prec += max(0, math.floor(-math.log2(1.0 - p)))
-    with mp.workprec(prec):
-        q = mp.one - mp.mpf(p)
-        mean = mp.mpf(0)
-        second = mp.mpf(0)
+    digits = math.ceil(prec * math.log10(2.0)) + 1
+    with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN)):
+        one = Decimal(1)
+        q = one - Decimal(p)
+        mean = second = Decimal(0)
+        binomial = 1  # C(n, i), exact
         for i in range(1, n + 1):
             qi = q**i
-            denom = mp.one - qi
-            term = mp.mpf(math.comb(n, i))
+            denom = one - qi
+            binomial = binomial * (n - i + 1) // i
+            term = Decimal(binomial)
             if i % 2 == 0:
                 term = -term
             mean += term / denom
-            second += term * (mp.one + qi) / (denom * denom)
+            second += term * (one + qi) / (denom * denom)
         variance = second - mean * mean
         return float(mean), max(float(variance), 0.0)
 
@@ -554,8 +558,8 @@ def _time_terms(hw: HardwareParams, total_length, link_length, link_count,
     ``_round_time(t_ec, t_cc, success)``.
 
     Elementwise: link counts, link lengths and means may be arrays.  The
-    only home of the time formulas: :func:`metrics` and the link-count
-    scan both go through it, so their times agree bit for bit.
+    only home of the time formulas: :func:`metrics`, the link-count scan
+    and the sampler all go through it, so their times agree bit for bit.
     """
     clock = link_length / ch.signal_speed
     p_es, success = _round_success(hw, link_count)

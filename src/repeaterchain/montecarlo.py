@@ -45,8 +45,10 @@ from .model import (
     ChannelParams,
     HardwareParams,
     _attempts_moments,
+    _check_links,
     _NumpyOnFirstUse,
-    _round_success,
+    _require_success_prob,
+    _time_terms,
     ec_prob,
 )
 
@@ -203,20 +205,10 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
             yield j, rng
 
 
-def _check_round_args(p: float, n: int) -> None:
-    if p == 0.0:
-        raise NonTerminatingProcess("non-terminating process: success probability is zero")
-    if not (0.0 < p <= 1.0):
-        raise ConfigError(f"success probability must be in (0, 1], got {p}")
-    if int(n) != n or n < 1:
-        raise ConfigError(f"link count must be a positive integer, got {n}")
-
-
 def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
     """Attempt number at which the slowest of ``n`` links succeeds:
     the maximum of ``n`` inverse-CDF geometric draws."""
-    _check_round_args(p, n)
-    return int(_sample_chain_rounds(p, int(n), 1, rng)[0])
+    return int(_sample_chain_rounds(_require_success_prob(p), _check_links(n), 1, rng)[0])
 
 
 def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -346,16 +338,15 @@ def simulate(cfg: TrialConfig) -> TrialStats:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    n = int(cfg.chain.link_count)
-    _check_round_args(p, n)
-    _, round_success = _round_success(cfg.hw, n)
+    p = _require_success_prob(p)
+    n = _check_links(cfg.chain.link_count)
+    clock, _, t_cc, _, round_success = _time_terms(
+        cfg.hw, cfg.chain.total_length, cfg.chain.link_length, n, cfg.ch, 0.0)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:
         raise SimulationAbort(
             f"simulation aborted: expected rounds per success exceeds {_MAX_ROUNDS_PER_SUCCESS:.0e}"
         )
     log_q_round = math.log1p(-round_success) if round_success < 1.0 else None
-    clock = cfg.chain.link_length / cfg.ch.signal_speed
-    t_cc = cfg.chain.total_length / cfg.ch.signal_speed
     if t_cc == 0.0:  # every sampled time would be 0 s
         raise BeyondRepresentable("total distribution time below representable")
 

@@ -22,13 +22,13 @@ from repeaterchain.model import (
     ChainConfig,
     ChannelParams,
     HardwareParams,
-    _closed_form_moments,
     combined_attempt_dist,
     expected_max_attempts,
     metrics,
 )
 from repeaterchain.montecarlo import TrialConfig, _sample_chain_rounds, _trial_rng, simulate
 from repeaterchain.planner import direct_transmission_time
+from mp_oracle import mp_closed_form_moments
 
 HW = HardwareParams()
 CH = ChannelParams()
@@ -104,7 +104,7 @@ def test_criterion_5_series_matches_closed_form():
     for p in np.geomspace(1e-3, 1.0, 10):
         for n in range(1, 21):
             series = expected_max_attempts(float(p), n)
-            closed = _closed_form_moments(float(p), n)[0]
+            closed = mp_closed_form_moments(float(p), n)[0]
             worst = max(worst, abs(series - closed) / closed)
             points += 1
     elapsed = time.perf_counter() - start

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeaterchain.cli import FORMATS, METRIC_COLUMNS, format_time, main, parse_config
+from repeaterchain.cli import (
+    FORMATS,
+    METRIC_COLUMNS,
+    PARAMETERS,
+    SCENARIOS,
+    format_time,
+    main,
+    parse_config,
+)
 from repeaterchain.errors import ConfigError
 
 
@@ -60,6 +68,14 @@ def test_flags_override_config_file(tmp_path):
                         "--config", str(config), "--m", "100"])
     assert cfg.hw.mode_count == 100  # flag wins
     assert cfg.hw.emission_prob == 0.5  # file value survives
+
+
+def test_config_file_repeated_key_takes_last_value_and_unused_keys_pass(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("m = 10\nm = 20\nvalues = 1,2\nparam = rho\nn_max = 3\n")
+    cfg = parse_config(["eval", "--L", "100", "--n", "1", "--config", str(config)])
+    assert cfg.hw.mode_count == 20
+    assert cfg.sweep_values is None  # eval ignores the sweep keys
 
 
 def test_config_file_reports_line_numbers(tmp_path, capsys):
@@ -467,7 +483,7 @@ with contextlib.redirect_stdout(out):
     imported = importlib.import_module(module)
     if argv:
         code = imported.main(argv)
-probes = {"numpy": "numpy.linalg", "mpmath": "mpmath",
+probes = {"numpy": "numpy.linalg", "mpmath": "mpmath", "decimal": "decimal",
           "planner": "repeaterchain.planner", "montecarlo": "repeaterchain.montecarlo"}
 loaded = sorted(name for name, probe in probes.items() if probe in sys.modules)
 print(json.dumps({"code": code, "stdout": out.getvalue(), "loaded": loaded}))
@@ -476,11 +492,14 @@ CLI = "repeaterchain.cli"
 
 
 # label -> (module, argv, exit code, probed modules loaded): the package and
-# CLI imports, the six gate commands and the three error paths of the contract.
+# CLI imports, the six gate commands, one closed-form eval and the three
+# error paths of the contract.
 LOAD_CASES = {
     "import-package": ("repeaterchain", [], None, []),
     "import-cli": (CLI, [], None, []),
     "eval": (CLI, ["eval", "--L", "1600", "--n", "8"], 0, ["numpy"]),
+    # On the closed-form route: stdlib decimal, no numpy.
+    "eval-closed-form": (CLI, ["eval", "--L", "600", "--n", "1"], 0, ["decimal"]),
     "optimize": (CLI, ["optimize", "--L", "1600"], 0, ["numpy", "planner"]),
     "fixed-link": (CLI, ["fixed-link", "--L", "1600", "--L0", "125"], 0, ["numpy", "planner"]),
     "sweep": (CLI, ["sweep", "--param", "L", "--values", "200,400,600,800,1000,1200,1400,1600"],
@@ -500,9 +519,10 @@ LOAD_CASES = {
 
 @pytest.mark.parametrize("module, argv, code, loaded", LOAD_CASES.values(), ids=LOAD_CASES)
 def test_process_loads_only_the_layers_it_runs(src_env, module, argv, code, loaded):
-    # mpmath only serves the closed-form route, which none of these takes:
-    # at 1600 km the ordered scan never evaluates n = 1..4, and the
-    # crossover's bounds and scans stay on the series route.
+    # No process loads mpmath.  decimal only serves the closed-form route,
+    # which only eval-closed-form takes: at 1600 km the ordered scan never
+    # evaluates n = 1..4, and the crossover's bounds and scans stay on the
+    # series route.
     result = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, *argv], env=src_env,
                             capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
@@ -626,17 +646,64 @@ CLI_DOMAIN = {
 HOSTILE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr), st.integers().map(str))
 
 
+def config_files():
+    """``(file bytes, keys it sets, file_wins)`` of a ``--config`` file.
+    Most files are ``key = value`` lines in the argv domain: keys with
+    plausible values, repeats allowed (the last value wins), and at most
+    one hostile line (any known key with a hostile value or a scenario or
+    format name).  The rest add one junk line (an unknown key, or any
+    text as a value) or are random bytes.  With ``file_wins`` the argv
+    leaves out the flags for the keys the file sets, so that the file's
+    values stand."""
+    domain = {**CLI_DOMAIN, "n": st.integers(min_value=1, max_value=64).map(str),
+              "n_max": st.integers(min_value=1, max_value=5000).map(str)}
+    plausible_line = st.sampled_from(list(domain)).flatmap(
+        lambda key: st.tuples(st.just(key), domain[key]))
+    hostile_line = st.tuples(st.sampled_from(list(PARAMETERS)),
+                             st.one_of(HOSTILE, st.sampled_from([*SCENARIOS, *FORMATS])))
+    junk_line = st.tuples(
+        st.one_of(st.sampled_from(list(PARAMETERS)),
+                  st.text(alphabet="abcdefghijklmnopqrstuvwxyzL0_", min_size=1, max_size=6)),
+        st.text(max_size=8))
+
+    def encode(pairs):
+        return "".join(f"{k} = {v}\n" for k, v in pairs).encode(), {k for k, _ in pairs}
+
+    lines = st.tuples(st.lists(plausible_line, max_size=5), st.lists(hostile_line, max_size=1))
+    lines = lines.map(lambda drawn: drawn[0] + drawn[1])
+    junk = st.tuples(lines, junk_line).map(lambda drawn: [*drawn[0], drawn[1]])
+    files = st.one_of(lines, lines, junk).flatmap(st.permutations).map(encode)
+    raw = st.binary(max_size=64).map(lambda data: (data, set()))
+    return st.tuples(st.one_of(files, raw), st.booleans()).map(
+        lambda drawn: (*drawn[0], drawn[1]))
+
+
+CONFIG = st.one_of(st.none(), config_files())
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """One path that each drawn ``--config`` file overwrites."""
+    return tmp_path_factory.mktemp("domain") / "run.cfg"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     scenario=st.sampled_from(["crossover", "fixed-link"]),
     fmt=st.sampled_from(["human", "csv", "json"]),
     values=st.fixed_dictionaries({"L": CLI_DOMAIN["L"]}, optional={k: v for k, v in CLI_DOMAIN.items() if k != "L"}),
     hostile=st.dictionaries(st.sampled_from(list(CLI_DOMAIN)), HOSTILE, max_size=2),
+    config=CONFIG,
 )
 @example(scenario="fixed-link", fmt="csv", values={"L": "1e-300"},
-         hostile={"L0": "1e-300", "c": "1e300"})  # t_cc = L / c underflows
-def test_crossover_and_fixed_link_close_the_input_domain(scenario, fmt, values, hostile):
-    check_domain_run(domain_argv(scenario, fmt, values, hostile), fmt)
+         hostile={"L0": "1e-300", "c": "1e300"}, config=None)  # t_cc = L / c underflows
+@example(scenario="fixed-link", fmt="json", values={"L": "1600"}, hostile={},
+         config=(b"L0 = 100\nL0 = 1e-300\nc = 1e300\n", {"L0", "c"}, True))  # a repeated key
+@example(scenario="crossover", fmt="json", values={"L": "1600"}, hostile={},
+         config=(b"\xff\xfe\x00", set(), False))
+def test_crossover_and_fixed_link_close_the_input_domain(config_path, scenario, fmt, values,
+                                                         hostile, config):
+    check_domain_run(domain_argv(scenario, fmt, values, hostile, config, config_path), fmt)
 
 
 def run_cli_in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -703,9 +770,19 @@ def check_domain_run(argv: list[str], fmt: str) -> None:
         assert all(t > 0.0 for t in total_times(fmt, out)), (argv, out)
 
 
-def domain_argv(scenario: str, fmt: str, values: dict, hostile: dict) -> list[str]:
-    return [scenario, f"--format={fmt}"] + [f"--{key.replace('_', '-')}={value}"
-                                             for key, value in {**values, **hostile}.items()]
+def domain_argv(scenario: str, fmt: str, values: dict, hostile: dict, config=None,
+                config_path=None) -> list[str]:
+    """The argv of one domain run; a drawn ``config`` (see
+    :func:`config_files`) is written to ``config_path`` first."""
+    argv = [scenario, f"--format={fmt}"]
+    flags = {**values, **hostile}
+    if config is not None:
+        raw, keys, file_wins = config
+        config_path.write_bytes(raw)
+        argv.append(f"--config={config_path}")
+        if file_wins:
+            flags = {key: value for key, value in flags.items() if key not in keys}
+    return argv + [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
 
 
 N_MAX_EDGES = ("0", "-1", "1", "2", "5000", "1" + "0" * 400, "-" + "1" * 400)
@@ -741,13 +818,20 @@ def sweep_values(param: str):
         st.sampled_from(list(PLAN_DOMAIN)),
         st.one_of(HOSTILE, st.sampled_from(N_MAX_EDGES)), max_size=2),
     sweep=st.sampled_from(list(SWEEP_GRIDS)).flatmap(sweep_values),
+    config=CONFIG,
 )
 @example(scenario="sweep", fmt="json", values={"L": "1e-300"}, hostile={"c": "1e300"},
-         sweep=("rho", "0.5"))  # t_cc = L / c underflows at every point
-@example(scenario="sweep", fmt="csv", values={"L": "nan"}, hostile={}, sweep=("m", "1"))
-@example(scenario="sweep", fmt="csv", values={"L": "500"}, hostile={}, sweep=("m", "inf"))
-def test_optimize_and_sweep_close_the_input_domain(scenario, fmt, values, hostile, sweep):
-    argv = domain_argv(scenario, fmt, values, hostile)
+         sweep=("rho", "0.5"), config=None)  # t_cc = L / c underflows at every point
+@example(scenario="sweep", fmt="csv", values={"L": "nan"}, hostile={}, sweep=("m", "1"),
+         config=None)
+@example(scenario="sweep", fmt="csv", values={"L": "500"}, hostile={}, sweep=("m", "inf"),
+         config=None)
+@example(scenario="optimize", fmt="csv", values={"L": "1600"}, hostile={}, sweep=("m", "1"),
+         config=(b"n_max = 0\nn = 3\nvalues = nan\nn_max = 1\n", {"n_max", "n", "values"},
+                 True))  # keys optimize ignores
+def test_optimize_and_sweep_close_the_input_domain(config_path, scenario, fmt, values, hostile,
+                                                   sweep, config):
+    argv = domain_argv(scenario, fmt, values, hostile, config, config_path)
     if scenario == "sweep":
         argv += [f"--param={sweep[0]}", f"--values={sweep[1]}"]
     check_domain_run(argv, fmt)
@@ -763,14 +847,17 @@ def test_optimize_and_sweep_close_the_input_domain(scenario, fmt, values, hostil
     hostile=st.dictionaries(st.sampled_from([*CLI_DOMAIN, "n"]), HOSTILE, max_size=2),
     trials=st.integers(min_value=1, max_value=20),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
+    config=CONFIG,
 )
 @example(scenario="eval", fmt="csv", values={"L": "5e-324", "n": "1"}, hostile={},
-         trials=1, seed=0)  # t_cc = L / c underflows
+         trials=1, seed=0, config=None)  # t_cc = L / c underflows
 @example(scenario="simulate", fmt="json", values={"L": "5e-324", "n": "1"}, hostile={},
-         trials=10, seed=0)
-def test_eval_and_simulate_close_the_input_domain(scenario, fmt, values, hostile, trials,
-                                                  seed):
-    argv = domain_argv(scenario, fmt, values, hostile)
+         trials=10, seed=0, config=None)
+@example(scenario="eval", fmt="json", values={"L": "1600", "n": "8"}, hostile={},
+         trials=1, seed=0, config=(b"L = 600\nn = 1\nL = inf\n", {"L", "n"}, True))
+def test_eval_and_simulate_close_the_input_domain(config_path, scenario, fmt, values, hostile,
+                                                  trials, seed, config):
+    argv = domain_argv(scenario, fmt, values, hostile, config, config_path)
     if scenario == "simulate":
         argv += [f"--trials={trials}", f"--seed={seed}"]
     check_domain_run(argv, fmt)

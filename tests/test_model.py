@@ -23,6 +23,7 @@ from repeaterchain.model import (
     expected_max_attempts,
     metrics,
 )
+from mp_oracle import mp_closed_form_moments
 
 DEFAULT_HW = HardwareParams()
 DEFAULT_CH = ChannelParams()
@@ -224,7 +225,7 @@ def test_expected_attempts_matches_closed_form_small_n():
     for p in np.geomspace(1e-3, 1.0, 12):
         for n in range(1, 21):
             series = expected_max_attempts(float(p), n)
-            closed = _closed_form_moments(float(p), n)[0]
+            closed = mp_closed_form_moments(float(p), n)[0]
             assert series == pytest.approx(closed, rel=1e-8)
 
 
@@ -398,7 +399,7 @@ def test_moments_match_mp_oracle_across_the_seam():
     worst_mean = worst_variance = 0.0
     for p, n in grid:
         mean, variance = model._attempts_moments(p, n, DEFAULT_TOL)
-        oracle_mean, oracle_variance = _closed_form_moments(p, n)
+        oracle_mean, oracle_variance = mp_closed_form_moments(p, n)
         worst_mean = max(worst_mean, abs(mean - oracle_mean) / oracle_mean)
         worst_variance = max(worst_variance, abs(variance - oracle_variance) / oracle_variance)
     assert worst_mean <= 3.5e-16
@@ -414,6 +415,30 @@ def test_closed_form_variance_keeps_its_bits_near_p_one():
     with mp.workprec(300):
         exact = float((mp.one - mp.mpf(p)) / mp.mpf(p) ** 2)
     assert _closed_form_moments(p, 1)[1] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_decimal_closed_form_equals_mp_oracle():
+    # The same sums at the same precision, in decimal digits instead of
+    # bits: both are good to 70 bits past a double, so their floats could
+    # differ only where the exact value lies within about 2^-70 of a
+    # rounding midpoint.  p is drawn down to the smallest subnormal and n
+    # up to 1075; large n are few, since their cost grows as about n^2.
+    rng = np.random.default_rng(12)
+    log_p = (math.log10(5e-324), -4.0)
+    grid = [(float(10 ** rng.uniform(*log_p)), int(round(64 ** rng.uniform(0.0, 1.0))))
+            for _ in range(1000)]
+    grid += [(float(10 ** rng.uniform(*log_p)), int(rng.integers(65, 1076)))
+             for _ in range(24)]
+    grid += [(5e-324, 1), (5e-324, 1075), (1e-4, 1075)]
+    for n in (1, 8, 128, 1075):
+        seam = flip_point(lambda p: model._explicit_feasible(p, n, DEFAULT_TOL), 1e-6, 1e-4)
+        grid += [(p, n) for p in seam]
+    # The term-cap fallback case and the guard bits near p = 1.
+    grid += [(-math.expm1(-2e-7), 2), (1.0 - 1e-10, 1), (1.0 - 1e-10, 8)]
+    assert min(p for p, _ in grid) == 5e-324
+    mismatched = [(p, n) for p, n in grid
+                  if _closed_form_moments(p, n) != mp_closed_form_moments(p, n)]
+    assert mismatched == []
 
 
 # ---------------------------------------------------------------- chain metrics

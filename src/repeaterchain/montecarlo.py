@@ -16,14 +16,15 @@ derives it for a block of trials at once with SeedSequence's own hashing
 and re-keys a single generator per trial, so the streams are the same as
 those of one ``SeedSequence`` per trial.
 
-Chain rounds are drawn as raw ``Philox`` words, the words that
-``Generator.random`` would turn into ``(w >> 11) * 2**-53``.  Each trial
-only appends its words to a buffer; one numpy pass per buffer (about
-2**13 words) takes each round's largest word, forms one double and one
-logarithm per round, and reads back each trial's recorded round and the
-attempt sum of its failed rounds.  That sum is numpy's sum of the
-trial's own contiguous slice, as one draw per trial would give: beyond
-2**53 partial sums round, so summing in another order changes the bits.
+Each trial draws its chain rounds' uniforms with ``Generator.random``
+straight into one scratch buffer of doubles per run (2**13 of them,
+grown only for a trial that needs more).  Once the next trial would not
+fit, one kernel turns the buffer into attempt counts: each round's
+largest draw, then one logarithm per round, written into a second
+reusable buffer.  Each trial's attempt sum over its failed rounds is
+numpy's sum of its own contiguous slice, as one draw per trial would
+give: beyond 2**53 partial sums round, so summing in another order
+changes the bits.
 
 Rounds whose failure count is large are aggregated through a
 moment-matched normal draw for the summed attempt count instead of being
@@ -72,10 +73,10 @@ _MAX_TRIALS = 2**32
 # Trials whose Philox keys are derived together.
 _KEY_BLOCK = 1024
 
-# Trials' chain-round words are turned into attempt counts in one numpy
-# pass once the buffer holds this many words, or this many trials.
-_WORD_BLOCK = 2**13
-_TRIAL_BLOCK = 2**8
+# Trials' chain-round draws are turned into attempt counts in one numpy
+# pass per buffer of this many doubles (64 KiB, under glibc's default
+# mmap threshold); a trial that needs more grows the buffer.
+_DRAW_BLOCK = 2**13
 
 # Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
 _MASK32 = 0xFFFFFFFF
@@ -97,6 +98,10 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.trials > _MAX_TRIALS:
@@ -215,60 +220,25 @@ def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) 
     # The callers check p in (0, 1] and n >= 1.
     if p == 1.0:
         return np.ones(size, dtype=np.float64)
-    return _attempts_from_words(rng.bit_generator.random_raw(size * n), n, p)
+    return _round_attempts(rng.random(size * n), n, math.log1p(-p), np.empty(size))
 
 
-def _attempts_from_words(words: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Attempt number of the slowest link in each chain round, from ``n``
-    raw Philox words per round; ``words`` may be overwritten.  Returned as
-    float64: attempt counts scale as 1/p and can exceed the int64 range
+def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the attempt number of the slowest link in each
+    chain round of ``n`` uniform draws, with ``log_q = ln(1 - p)``.
+    Float64: attempt counts scale as 1/p and can exceed the int64 range
     for very lossy links."""
-    if p == 1.0:
-        return np.ones(words.size // n, dtype=np.float64)
-    # The inverse CDF k = ceil(ln u / ln(1 - p)) of u = 1 - (w >> 11) 2**-53
-    # never falls as w grows, so a round's slowest link is its largest
-    # word: one double and one log per round.  The transposed copy makes
-    # the row maximum a contiguous reduction.
-    top = np.ascontiguousarray(words.reshape(-1, n).T).max(axis=0)
-    top >>= 11
-    # u and k as above, with the same operations done in place.
-    k = top.astype(np.float64)
-    k *= 2.0**-53
-    np.subtract(1.0, k, out=k)
-    np.log(k, out=k)
-    k /= math.log1p(-p)
-    np.ceil(k, out=k)
-    return np.maximum(k, 1.0, out=k)
-
-
-def _settle_buffer(
-    words: list[np.ndarray],
-    trial_rounds: list[int],
-    aggregated: list[tuple[int, float]],
-    n: int,
-    p: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round count, attempt count of the recorded round and attempt count
-    over all rounds of each buffered trial.  A trial that needed ``r``
-    rounds owns the next ``r`` rounds of ``words``, its recorded round
-    last; a trial listed in ``aggregated`` as ``(position, failed-round
-    sum)`` owns only its recorded round."""
-    rounds = np.array(trial_rounds, dtype=np.int64)
-    replayed = rounds.copy()
-    for i, _ in aggregated:
-        replayed[i] = 1
-    k = _attempts_from_words(words[0] if len(words) == 1 else np.concatenate(words), n, p)
-    ends = np.cumsum(replayed)
-    recorded = k[ends - 1]
-    # The failed-round sum first, as a sum of its own slice, then the
-    # recorded round.  A trial of one round has no failed rounds.
-    total = recorded.copy()
-    for i, (b, r) in enumerate(zip(ends.tolist(), replayed.tolist())):
-        if r > 1:
-            total[i] += k[b - r:b - 1].sum()
-    for i, failed_sum in aggregated:
-        total[i] = failed_sum + recorded[i]
-    return rounds, recorded, total
+    # The inverse CDF k = ceil(ln(1 - u) / ln q) never falls as u grows, so
+    # a round's slowest link is its largest draw: one log per round.
+    rows = draws.reshape(-1, n)
+    top = rows[:, 0]
+    for column in range(1, n):
+        top = np.maximum(top, rows[:, column], out=out)
+    np.subtract(1.0, top, out=out)
+    np.log(out, out=out)
+    np.divide(out, log_q, out=out)
+    np.ceil(out, out=out)
+    return np.maximum(out, 1.0, out=out)
 
 
 def _aggregate_failed_attempts(
@@ -287,14 +257,33 @@ def _aggregate_failed_attempts(
 def _buffered_trials(
     cfg: TrialConfig, p: float, n: int, log_q_round: float | None
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Play the trials; per buffer, yield the span of trials it holds and,
-    per trial, the rounds played, the attempt count of the recorded round
-    and the attempt count over all rounds."""
+    """Play the trials; per filled buffer, yield the span of trials it holds
+    and, per trial, the rounds played, the attempt count of the recorded
+    round and the attempt count over all rounds."""
+    # At p = 1 every ln(1 - u) / -inf is 0: each round takes one attempt.
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
     moments = None  # of one chain round's attempt count, once a trial aggregates
-    first, buffered = 0, 0
-    words: list[np.ndarray] = []
-    trial_rounds: list[int] = []
-    aggregated: list[tuple[int, float]] = []  # (position in buffer, failed sum)
+    draws = np.empty(_DRAW_BLOCK)
+    attempts = np.empty(_DRAW_BLOCK // n)
+    first = pos = 0
+    # Per buffered trial: rounds played, the end of its rounds in the
+    # buffer, and its failed-round sum if that was aggregated.
+    played: list[tuple[int, int, float | None]] = []
+
+    def settled(stop: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+        k = _round_attempts(draws[:pos], n, log_q, attempts[:pos // n])
+        rounds, ends, failed_sums = zip(*played)
+        recorded = k[np.array(ends) - 1]
+        # The failed-round sum is numpy's sum of the trial's own slice, as
+        # one draw per trial gives: beyond 2**53 partial sums round.
+        total = recorded.copy()
+        for i, (begin, end, failed_sum) in enumerate(zip((0, *ends), ends, failed_sums)):
+            if failed_sum is not None:
+                total[i] += failed_sum
+            elif end - begin > 1:
+                total[i] += k[begin:end - 1].sum()
+        return slice(first, stop), np.array(rounds, dtype=np.int64), recorded, total
+
     for j, rng in _trial_streams(cfg.seed, cfg.trials):
         if log_q_round is None:
             r = 1
@@ -305,23 +294,26 @@ def _buffered_trials(
             raise SimulationAbort(
                 f"simulation aborted: trial {j} needed {r} rounds for one success"
             )
-        trial_rounds.append(r)
-        replayed = r
+        replayed, failed_sum = r, None
         if r - 1 > _EXACT_ROUND_LIMIT:
             if moments is None:
                 moments = _attempts_moments(p, n, DEFAULT_TOL)
-            aggregated.append((j - first, _aggregate_failed_attempts(r - 1, rng, *moments)))
-            replayed = 1
+            replayed, failed_sum = 1, _aggregate_failed_attempts(r - 1, rng, *moments)
         # The replayed failed rounds and the recorded one are consecutive
         # in the stream: one draw covers them all.
-        words.append(rng.bit_generator.random_raw(replayed * n))
-        buffered += replayed * n
-        if buffered >= _WORD_BLOCK or len(words) == _TRIAL_BLOCK or j + 1 == cfg.trials:
-            yield slice(first, j + 1), *_settle_buffer(words, trial_rounds, aggregated, n, p)
-            first, buffered = j + 1, 0
-            words.clear()
-            trial_rounds.clear()
-            aggregated.clear()
+        size = replayed * n
+        if pos + size > draws.size:
+            if pos:
+                yield settled(j)
+                first, pos = j, 0
+                played.clear()
+            if size > draws.size:  # to the most any trial replays: once per run
+                draws = np.empty((_EXACT_ROUND_LIMIT + 1) * n)
+                attempts = np.empty(_EXACT_ROUND_LIMIT + 1)
+        rng.random(out=draws[pos:pos + size])
+        pos += size
+        played.append((r, pos // n, failed_sum))
+    yield settled(cfg.trials)
 
 
 def simulate(cfg: TrialConfig) -> TrialStats:

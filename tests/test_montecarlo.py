@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from repeaterchain.model import (
 )
 from repeaterchain import montecarlo
 from repeaterchain.montecarlo import (
+    _DRAW_BLOCK,
     _EXACT_ROUND_LIMIT,
     _KEY_BLOCK,
     TrialConfig,
@@ -40,12 +42,9 @@ CH = ChannelParams()
 
 def test_trial_config_validation():
     chain = ChainConfig(total_length=500.0, link_count=4)
-    with pytest.raises(ConfigError):
-        TrialConfig(hw=HW, chain=chain, ch=CH, trials=0, seed=1)
-    with pytest.raises(ConfigError):
-        TrialConfig(hw=HW, chain=chain, ch=CH, trials=10, seed=-1)
-    with pytest.raises(ConfigError):
-        TrialConfig(hw=HW, chain=chain, ch=CH, trials=10, seed=2**64)
+    for trials, seed in [(0, 1), (10, -1), (10, 2**64), (10.0, 1), (10.5, 1), (10, 1.5)]:
+        with pytest.raises(ConfigError):
+            TrialConfig(hw=HW, chain=chain, ch=CH, trials=trials, seed=seed)
 
 
 def test_trial_config_caps_trials_at_2_32():
@@ -236,10 +235,14 @@ def test_simulate_replays_a_trial_at_the_aggregation_boundary():
     assert stats.mean_t_tot == clock * (k[:-1].sum() + k[-1]) + rounds * t_cc
 
 
-def test_buffered_totals_match_one_trial_replays():
+@pytest.mark.parametrize("block", [1, 64, _DRAW_BLOCK],
+                         ids=["one-round", "middle", "default"])
+def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     # Attempt counts near 3e18 make the failed-round sums pass 2**53, where
     # their bits depend on the order of summation: each trial's total must be
-    # the sum of its own failed rounds, then its recorded round.
+    # the sum of its own failed rounds, then its recorded round, wherever the
+    # draw buffer settles between trials.
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
     hw = HardwareParams(memory_eff=0.3)
     chain = ChainConfig(total_length=1000.0, link_count=1)
     cfg = TrialConfig(hw=hw, chain=chain, ch=CH, trials=400, seed=0)
@@ -257,6 +260,27 @@ def test_buffered_totals_match_one_trial_replays():
     assert max(rounds for rounds, _ in expected) > 8  # past numpy's sequential sums
     assert min(total for _, total in expected) > 2.0**53
     assert totals.tolist() == [total for _, total in expected]
+
+
+def test_simulate_memory_stays_within_buffers():
+    # Trials here replay thousands of rounds, so the buffers grow.  n draws
+    # and one attempt count per buffered round, in the first buffers and in
+    # those grown to the most rounds one trial replays (both alive while
+    # they grow); beyond them, the two per-trial arrays and one key block's
+    # Python lists.
+    n, trials = 8, 10**3
+    doubles = (_DRAW_BLOCK // n + _EXACT_ROUND_LIMIT + 1) * (n + 1) + 2 * trials
+    bound = 8 * doubles + 256 * _KEY_BLOCK
+    cfg = TrialConfig(hw=HW, chain=ChainConfig(total_length=500.0, link_count=n),
+                      ch=CH, trials=trials, seed=0)
+    simulate(dataclasses.replace(cfg, trials=1))  # numpy's own first-use allocations
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_simulate_is_deterministic():

@@ -9,6 +9,10 @@ never prefix units and are byte-stable for a fixed seed.
 :data:`PARAMETERS` declares every parameter once, and :data:`SCENARIOS`
 maps each subcommand to a runner whose report one emitter prints.
 
+argparse only splits the command line: every flag arrives as text and
+becomes a value the way a config-file value does, so a value that does
+not parse or names no choice is a configuration error either way.
+
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
 simulation abort.  Once the format is known, errors follow it: under
@@ -69,8 +73,8 @@ def _grid(raw: str) -> tuple[float, ...]:
 
 # key -> (type, default, help).  Every key is a config-file key and, when
 # it has a help text, the flag ``--key`` with ``_`` written as ``-``.  A
-# tuple type lists the choices.  argparse converts int and float flags;
-# other flags arrive as text and are parsed like config-file values.
+# tuple type lists the choices.  Flag and file text alike become a value
+# only through ``_parse_value``.
 PARAMETERS: dict[str, tuple[object, object, str | None]] = {
     "L": (float, None, "total distance in km"),
     "n": (int, None, "number of elementary links"),
@@ -86,8 +90,8 @@ PARAMETERS: dict[str, tuple[object, object, str | None]] = {
     "seed": (int, 0, "simulation seed (64-bit unsigned)"),
     "source_rate": (float, 1.0e10, "direct-transmission source rate in Hz"),
     "n_max": (int, None, "largest link count to scan"),
-    "format": (FORMATS, "human", "output format"),
-    "param": (tuple(_SWEPT), None, "swept parameter"),
+    "format": (FORMATS, "human", "output format: human, csv or json"),
+    "param": (tuple(_SWEPT), None, "swept parameter: L, m or rho"),
     "values": (_grid, None, "comma-separated, strictly increasing grid"),
     "scenario": (str, None, None),
 }
@@ -141,9 +145,13 @@ def _flag(key: str) -> str:
 def _parse_value(key: str, raw: str, where: str):
     kind = PARAMETERS[key][0]
     try:
-        return raw if isinstance(kind, tuple) else kind(raw)
+        if not isinstance(kind, tuple):
+            return kind(raw)
+        if raw in kind:
+            return raw
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
+        pass
+    raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}")
 
 
 def _read_config_file(path: str) -> dict[str, object]:
@@ -166,32 +174,20 @@ def _read_config_file(path: str) -> dict[str, object]:
     return out
 
 
-def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
-    kind, _, text = PARAMETERS[key]
-    if isinstance(kind, tuple):
-        parser.add_argument(_flag(key), dest=key, choices=kind, help=text)
-    else:
-        parser.add_argument(_flag(key), dest=key, help=text,
-                            type=kind if kind in (int, float) else None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     own_flags = {key for scenario in SCENARIOS.values() for key in scenario.flags}
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file; flags override it")
-    for key, (_, _, text) in PARAMETERS.items():
-        if text is not None and key not in own_flags:
-            _add_flag(common, key)
-
     parser = argparse.ArgumentParser(
         prog="repeaterchain",
         description="Entanglement-distribution performance of semihierarchical repeater chains.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name, scenario in SCENARIOS.items():
-        scenario_parser = sub.add_parser(name, parents=[common], help=scenario.help)
-        for key in scenario.flags:
-            _add_flag(scenario_parser, key)
+        scenario_parser = sub.add_parser(name, help=scenario.help)
+        scenario_parser.add_argument("--config",
+                                     help="flat key = value config file; flags override it")
+        for key, (_, _, text) in PARAMETERS.items():
+            if text is not None and (key in scenario.flags or key not in own_flags):
+                scenario_parser.add_argument(_flag(key), dest=key, help=text)
     return parser
 
 
@@ -214,12 +210,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                     f"subcommand {args.scenario!r}"
                 )
             merged.update(file_values)
-        for key, (kind, _, _) in PARAMETERS.items():
-            value = getattr(args, key, None)  # the subcommand is ``scenario``
-            if isinstance(value, str) and not isinstance(kind, tuple):
-                value = _parse_value(key, value, _flag(key))
-            if value is not None:
-                merged[key] = value
+        for key in PARAMETERS:
+            raw = getattr(args, key, None)  # the subcommand is ``scenario``
+            if raw is not None:
+                merged[key] = _parse_value(key, raw, _flag(key))
         return _resolve(merged)
     except ConfigError as exc:
         fmt = args.format or merged["format"]
@@ -228,9 +222,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def _resolve(merged: dict[str, object]) -> RunConfig:
-    fmt = merged["format"]
-    if fmt not in FORMATS:
-        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     hw = HardwareParams(detector_eff=merged["eta_d"], memory_eff=merged["eta_m"],
                         emission_prob=merged["rho"], mode_count=merged["m"])
     ch = ChannelParams(attenuation=merged["alpha"], signal_speed=merged["c"])
@@ -242,10 +233,6 @@ def _resolve(merged: dict[str, object]) -> RunConfig:
             raise ConfigError(f"{_flag(key)} is required for scenario {scenario!r}")
     sweep_param = None
     if scenario == "sweep":
-        if merged["param"] is None or merged["values"] is None:
-            raise ConfigError("sweep requires --param and --values")
-        if merged["param"] not in _SWEPT:
-            raise ConfigError(f"--param must be L, m, or rho, got {merged['param']!r}")
         sweep_param = _SWEPT[merged["param"]]
         if sweep_param != "total_length" and merged["L"] is None:
             raise ConfigError("--L is required when it is not the swept parameter")
@@ -253,7 +240,7 @@ def _resolve(merged: dict[str, object]) -> RunConfig:
     if scenario == "fixed-link" and link_length is None:
         link_length = 125.0
     return RunConfig(
-        scenario=scenario, hw=hw, ch=ch, output=fmt, tol=tol,
+        scenario=scenario, hw=hw, ch=ch, output=merged["format"], tol=tol,
         total_length=merged["L"], link_count=merged["n"], link_length=link_length,
         trials=merged["trials"], seed=merged["seed"], source_rate=merged["source_rate"],
         n_max=merged["n_max"], sweep_param=sweep_param,
@@ -433,7 +420,8 @@ SCENARIOS: dict[str, _Scenario] = {
     "fixed-link": _Scenario("plan a chain with fixed link length", _run_fixed_link, ("L",)),
     "crossover": _Scenario("distance where the chain beats direct transmission",
                            _run_crossover),
-    "sweep": _Scenario("tabulate metrics over a grid", _run_sweep, flags=("param", "values")),
+    "sweep": _Scenario("tabulate metrics over a grid", _run_sweep, ("param", "values"),
+                       flags=("param", "values")),
     "simulate": _Scenario("Monte Carlo validation run", _run_simulate, ("L", "n")),
 }
 

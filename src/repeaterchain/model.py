@@ -30,7 +30,7 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BeyondRepresentable,
@@ -157,7 +157,6 @@ class ChainConfig:
 
     total_length: float
     link_count: int
-    link_length: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         _check_finite(self.total_length, "total_length")
@@ -166,15 +165,10 @@ class ChainConfig:
             raise ConfigError(f"total_length must be > 0, got {self.total_length}")
         if int(self.link_count) != self.link_count or self.link_count < 1:
             raise ConfigError(f"link_count must be a positive integer, got {self.link_count}")
-        if self.link_length == 0.0:
-            object.__setattr__(self, "link_length", self.total_length / self.link_count)
-        else:
-            expected = self.total_length / self.link_count
-            if not math.isclose(self.link_length, expected, rel_tol=1e-12):
-                raise ConfigError(
-                    f"link_length {self.link_length} is inconsistent with "
-                    f"total_length / link_count = {expected}"
-                )
+
+    @property
+    def link_length(self) -> float:
+        return self.total_length / self.link_count
 
 
 @dataclass(frozen=True)

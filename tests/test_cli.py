@@ -121,6 +121,12 @@ KEY_VALUES = {
     "values": "10,20",
 }
 SWEEP_BASE = {"param": "rho", "values": "0.5", "L": "1000"}
+# One value per key that does not parse; ``format`` and ``param`` take a
+# name outside their choices.
+BAD_VALUES = {
+    **{key: "abc" for key in KEY_VALUES}, "n": "1.5", "m": "1e2", "trials": "1e3",
+    "seed": "-", "n_max": "4.0", "values": "1,x", "format": "xml", "param": "n",
+}
 
 
 @pytest.mark.parametrize("key", list(KEY_VALUES))
@@ -136,6 +142,17 @@ def test_config_file_key_matches_flag(tmp_path, key):
     assert parse_config(base + ["--config", str(config)]) == from_flag
     reference = [a for k, v in SWEEP_BASE.items() for a in ("--" + k, v)]
     assert from_flag != parse_config(["sweep", *reference])
+
+    config.write_text(f"{key} = {BAD_VALUES[key]}\n")
+    with pytest.raises(ConfigError) as file_error:
+        parse_config(base + ["--config", str(config)])
+    with pytest.raises(ConfigError) as flag_error:
+        parse_config(base + [f"{flag}={BAD_VALUES[key]}"])
+    file_prefix, flag_prefix = f"{config}:1: ", f"{flag}: "
+    assert str(file_error.value).startswith(file_prefix)
+    assert str(flag_error.value).startswith(flag_prefix)
+    assert (str(file_error.value).removeprefix(file_prefix)
+            == str(flag_error.value).removeprefix(flag_prefix))
 
 
 def test_config_file_can_supply_everything(tmp_path, capsys):
@@ -701,6 +718,8 @@ def config_path(tmp_path_factory):
          config=(b"L0 = 100\nL0 = 1e-300\nc = 1e300\n", {"L0", "c"}, True))  # a repeated key
 @example(scenario="crossover", fmt="json", values={"L": "1600"}, hostile={},
          config=(b"\xff\xfe\x00", set(), False))
+@example(scenario="fixed-link", fmt="json", values={"L": "abc"}, hostile={},
+         config=None)  # a float flag that does not parse
 def test_crossover_and_fixed_link_close_the_input_domain(config_path, scenario, fmt, values,
                                                          hostile, config):
     check_domain_run(domain_argv(scenario, fmt, values, hostile, config, config_path), fmt)
@@ -709,10 +728,7 @@ def test_crossover_and_fixed_link_close_the_input_domain(config_path, scenario, 
 def run_cli_in_process(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a value of the wrong type
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -760,10 +776,17 @@ def total_times(fmt: str, text: str) -> list[float]:
 
 def check_domain_run(argv: list[str], fmt: str) -> None:
     """Run ``argv``: it exits 0, 2, 3 or 4 without a traceback, and its
-    output holds no NaN or infinity and no total time of 0 s or less."""
+    output holds no NaN or infinity and no total time of 0 s or less.
+    Under json a failure is one error record on stdout and nothing else."""
     code, out, err = run_cli_in_process(argv)
     assert code in {0, 2, 3, 4}, (argv, err)
     assert "Traceback" not in err
+    if fmt == "json" and code != 0:
+        assert err == "", (argv, err)
+        assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
+        payload = json.loads(out)
+        assert list(payload) == ["error"], (argv, out)
+        assert set(payload["error"]) == {"code", "message"}, (argv, out)
     if out:
         assert non_finite_fields(fmt, out) == [], argv
     if code == 0:
@@ -855,6 +878,8 @@ def test_optimize_and_sweep_close_the_input_domain(config_path, scenario, fmt, v
          trials=10, seed=0, config=None)
 @example(scenario="eval", fmt="json", values={"L": "1600", "n": "8"}, hostile={},
          trials=1, seed=0, config=(b"L = 600\nn = 1\nL = inf\n", {"L", "n"}, True))
+@example(scenario="eval", fmt="json", values={"L": "1600", "n": "8"}, hostile={"m": "1.5"},
+         trials=1, seed=0, config=None)  # an int flag that does not parse
 def test_eval_and_simulate_close_the_input_domain(config_path, scenario, fmt, values, hostile,
                                                   trials, seed, config):
     argv = domain_argv(scenario, fmt, values, hostile, config, config_path)

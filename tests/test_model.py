@@ -76,8 +76,6 @@ def test_chain_config_derives_link_length():
     chain = ChainConfig(total_length=1600.0, link_count=8)
     assert chain.link_length == 200.0
     with pytest.raises(ConfigError):
-        ChainConfig(total_length=1600.0, link_count=8, link_length=150.0)
-    with pytest.raises(ConfigError):
         ChainConfig(total_length=0.0, link_count=1)
     with pytest.raises(ConfigError):
         ChainConfig(total_length=100.0, link_count=0)

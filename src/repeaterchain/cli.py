@@ -11,7 +11,9 @@ maps each subcommand to a runner whose report one emitter prints.
 
 argparse only splits the command line: every flag arrives as text and
 becomes a value the way a config-file value does, so a value that does
-not parse or names no choice is a configuration error either way.
+not parse or names no choice is a configuration error either way.  So is
+a command line argparse cannot split (an unknown flag, or ``--L -inf``
+written with a space, where ``-inf`` reads as a flag).
 
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
@@ -174,9 +176,26 @@ def _read_config_file(path: str) -> dict[str, object]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subcommand parsers share this class, so every argparse error lands here.
+    def error(self, message: str):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
+def _argv_format(argv: list[str]) -> str | None:
+    # The last ``--format X`` or ``--format=X`` of an argv argparse rejected.
+    fmt = None
+    for arg, following in zip(argv, [*argv[1:], None]):
+        if arg == "--format":
+            fmt = following
+        elif arg.startswith("--format="):
+            fmt = arg.partition("=")[2]
+    return fmt
+
+
 def _build_parser() -> argparse.ArgumentParser:
     own_flags = {key for scenario in SCENARIOS.values() for key in scenario.flags}
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repeaterchain",
         description="Entanglement-distribution performance of semihierarchical repeater chains.",
     )
@@ -196,11 +215,15 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
     Precedence: built-in defaults, then config-file keys, then flags.  A
     :class:`ConfigError` raised after the output format is known carries
-    it as ``output``.
+    it as ``output``; when argparse cannot split argv, the format is the
+    one argv names.
     """
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     merged = {key: default for key, (_, default, _) in PARAMETERS.items()}
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         if args.config:
             file_values = _read_config_file(args.config)
             file_scenario = file_values.pop("scenario", None)
@@ -216,7 +239,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 merged[key] = _parse_value(key, raw, _flag(key))
         return _resolve(merged)
     except ConfigError as exc:
-        fmt = args.format or merged["format"]
+        fmt = _argv_format(argv) if args is None else args.format or merged["format"]
         exc.output = fmt if fmt in FORMATS else "human"
         raise
 

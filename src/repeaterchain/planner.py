@@ -94,15 +94,18 @@ class OptimizationResult:
 
     The search bounds every link count's total time from below without
     summing a series, from a mean attempt count of max(1/p, H_n / lambda)
-    with lambda = -ln(1 - p), evaluates link counts in increasing order of
-    that bound, and stops at the first bound above the runner-up time; the
-    result equals that of evaluating every link count in the range.  The
-    bounds of all link counts come from one numpy pass, whose 2^-30 margin
-    also covers the few ulps by which numpy's transcendentals differ from
-    ``math``'s (see :func:`_link_candidates`), and the winner's series is
-    summed once, in the scan, for both the scan and ``metrics``.  The mean
-    also has an upper bound, 1 + H_n / lambda, which the crossover search
-    uses with the lower one to decide signs without a series.  ``runner_up_ratio`` is the
+    with lambda = -ln(1 - p), and evaluates link counts in increasing order
+    of that bound.  :func:`optimize_link_count` stops at the first bound
+    above the runner-up time, since it reports ``runner_up_ratio``; sweeps
+    and the crossover search read only the winner and stop at the first
+    bound above the best time so far.  Either way the winner equals that of
+    evaluating every link count in the range.  The bounds of all link
+    counts come from one numpy pass, whose 2^-30 margin also covers the few
+    ulps by which numpy's transcendentals differ from ``math``'s (see
+    :func:`_link_candidates`), and the winner's series is summed once, in
+    the scan, for both the scan and ``metrics``.  The mean also has an
+    upper bound, 1 + H_n / lambda, which the crossover search uses with the
+    lower one to decide signs without a series.  ``runner_up_ratio`` is the
     second-best total time over the best one (infinite when only a single
     link count was feasible).
     """
@@ -232,11 +235,13 @@ def _scan_link_counts(
     n_max: int,
     tol: float,
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    runner_up: bool = False,
 ) -> tuple[int, float, float, float, tuple[float, float]]:
     """``(best_n, best_t, second_t, p, moments)`` over link counts
     1..n_max, ties going to fewer links; ``second_t`` is the smallest total
-    time of every other link count, and ``p`` and ``moments`` are the
-    winner's EC probability and the mean and variance of its attempt count.
+    time of every other link count when ``runner_up`` is set and nan
+    otherwise, and ``p`` and ``moments`` are the winner's EC probability
+    and the mean and variance of its attempt count.
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
@@ -246,8 +251,13 @@ def _scan_link_counts(
     numpy arrays, and their margin keeps them below the scalar times.  Only
     the link counts evaluated get a ``ChainConfig``, the scalar ``ec_prob``
     and a series, which gives both moments.  The scan stops at the first
-    lower bound above the runner-up: no link count left could place first
-    or second, so the result equals that of evaluating every link count.
+    lower bound above the best time so far: no link count left could beat
+    or tie the winner, and a bound equal to it is still evaluated, so ties
+    still go to fewer links.  With ``runner_up``, which only
+    :func:`optimize_link_count` sets because it reports
+    ``runner_up_ratio``, the scan stops at the first lower bound above the
+    runner-up instead: no link count left could place first or second.
+    Either way the result equals that of evaluating every link count.
     """
     tol = _check_tol(tol)
     if candidates is None:
@@ -255,7 +265,7 @@ def _scan_link_counts(
     lower, ns, _ = candidates
     best_n, best_t, second_t, best_p, best_moments = 0, math.inf, math.inf, 0.0, (0.0, 0.0)
     for bound, n in zip(lower.tolist(), ns.tolist()):
-        if bound > second_t:
+        if bound > (second_t if runner_up else best_t):
             break
         n = int(n)
         chain = ChainConfig(total_length=total_length, link_count=n)
@@ -274,7 +284,7 @@ def _scan_link_counts(
         raise UnreachableConfiguration(
             f"no feasible link count in [1, {n_max}] for L = {total_length} km"
         )
-    return best_n, best_t, second_t, best_p, best_moments
+    return best_n, best_t, second_t if runner_up else math.nan, best_p, best_moments
 
 
 def optimize_link_count(
@@ -295,12 +305,20 @@ def optimize_link_count(
     :class:`BeyondRepresentable` when the best total time underflows to 0,
     where no two link counts can be told apart.
     """
+    return _optimize(hw, total_length, ch, n_max, tol, runner_up=True)
+
+
+def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max: int | None,
+              tol: float, runner_up: bool = False) -> OptimizationResult:
+    # optimize_link_count; without ``runner_up`` the scan stops at the
+    # winner and ``runner_up_ratio`` is nan.
     _check_finite(total_length, "total_length")
     if n_max is None:
         n_max = _default_n_max(total_length)
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol)
+    best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
+                                                             runner_up=runner_up)
     chain = ChainConfig(total_length=total_length, link_count=best_n)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
     best_metrics = _metrics_from_moments(hw, chain, ch, p, *moments)
@@ -432,7 +450,8 @@ def crossover_with_direct(
     faster when some link count's upper-bound time is below the direct
     time, and slower when every lower-bound time is above it while some
     upper-bound time is finite.  Only when the bounds straddle the direct time does
-    the exact link-count scan run, on the same candidates, so every step,
+    the exact link-count scan run, on the same candidates and only up to
+    the winner (see :func:`_scan_link_counts`), so every step,
     and the distance returned, is the same as with the exact scan at every
     step.
     """
@@ -563,7 +582,7 @@ def _sweep_point(spec: SweepSpec, value: float, tol: float) -> SweepRecord:
                 plan=plan,
                 direct_time=direct,
             )
-        result = optimize_link_count(hw, total_length, spec.ch, spec.n_max, tol)
+        result = _optimize(hw, total_length, spec.ch, spec.n_max, tol)
         return SweepRecord(
             value=value,
             metrics=result.metrics,

@@ -470,6 +470,31 @@ def test_exit_code_2_json_carries_machine_code(capsys, tmp_path):
         assert "emission_prob" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--L", "-inf", "--n", "8"],  # -inf reads as a flag
+    ["sweep", "--param", "L", "--values", "-5,100"],
+    ["eval", "--L", "1600", "--n", "8", "--bogus", "1"],
+    ["bogus"],
+])
+def test_argv_argparse_cannot_split_exits_2_in_its_format(capsys, argv):
+    for fmt in (["--format", "json"], ["--format=json"]):
+        code, out, err = run_cli(capsys, *argv, *fmt)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["code"] == "config_error"
+        assert out.count("\n") == 1
+    for fmt in ([], ["--format", "csv"], ["--format", "xml"]):
+        code, out, err = run_cli(capsys, *argv, *fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--help" in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: repeaterchain eval")
+
+
 def test_exit_code_4_on_simulation_abort(capsys):
     code, _, err = run_cli(capsys, "simulate", "--L", "120", "--n", "24",
                            "--trials", "1", "--seed", "0")

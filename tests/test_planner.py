@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeaterchain import model, planner
@@ -278,6 +278,119 @@ def test_optimize_sums_each_evaluated_series_once(monkeypatch):
     result = optimize_link_count(HW, 1600.0, CH)
     assert evaluated == summed == [8, 9]
     assert result.metrics == metrics(HW, ChainConfig(total_length=1600.0, link_count=8), CH)
+
+
+# Distances in the physical range, or at the edges of the float range:
+# subnormal, t_cc = L / c underflowing, every link count overflowing.
+SCAN_DISTANCES = st.one_of(
+    st.floats(min_value=1.0, max_value=5000.0),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-3, 14000.0, 1e300]),
+    st.floats(min_value=5e-324, max_value=1e308),
+)
+SCAN_HARDWARE = st.builds(
+    HardwareParams,
+    detector_eff=st.floats(min_value=0.05, max_value=1.0),
+    memory_eff=st.floats(min_value=0.05, max_value=1.0),
+    emission_prob=st.floats(min_value=0.05, max_value=1.0),
+    mode_count=st.integers(min_value=1, max_value=1000),
+)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ConfigError, ModelError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hw=SCAN_HARDWARE,
+    L=SCAN_DISTANCES,
+    n_max=st.one_of(st.integers(min_value=1, max_value=5000), st.just(10**400)),
+)
+@example(hw=HW, L=1.0, n_max=30)  # a tight bound, equal to the best time
+@example(hw=HardwareParams(mode_count=1), L=253.86595851662494, n_max=30)  # n = 3, 4 tie
+def test_winner_only_scan_matches_the_runner_up_scan(hw, L, n_max):
+    # Stopping at the winner's time instead of the runner-up's leaves out
+    # only link counts that can neither beat nor tie the winner.
+    def scan(runner_up):
+        return outcome(lambda: _scan_link_counts(hw, L, CH, n_max, DEFAULT_TOL,
+                                                 runner_up=runner_up))
+
+    full, winner_only = scan(True), scan(False)
+    if isinstance(full[0], type):
+        assert winner_only == full
+        return
+    best_n, best_t, second_t, p, moments = full
+    assert second_t >= best_t
+    assert winner_only[:2] == (best_n, best_t)
+    assert math.isnan(winner_only[2])
+    assert winner_only[3:] == (p, moments)
+
+
+# Each swept parameter's grid values in its physical range.
+SWEEP_GRIDS = {
+    "total_length": st.floats(min_value=1.0, max_value=5000.0),
+    "mode_count": st.integers(min_value=1, max_value=1000).map(float),
+    "emission_prob": st.floats(min_value=0.0, max_value=1.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hw=SCAN_HARDWARE,
+    sweep=st.sampled_from(list(SWEEP_GRIDS)).flatmap(lambda swept: st.tuples(
+        st.just(swept),
+        st.lists(SWEEP_GRIDS[swept], min_size=1, max_size=3, unique=True).map(sorted))),
+    L=SCAN_DISTANCES,
+    n_max=st.one_of(st.none(), st.integers(min_value=-1, max_value=200)),
+)
+@example(hw=HardwareParams(mode_count=1), sweep=("emission_prob", [0.9]),
+         L=253.86595851662494, n_max=None)  # n = 3, 4 tie
+def test_sweep_records_match_optimize_link_count(hw, sweep, L, n_max):
+    # The sweep's winner-only scan finds what optimize_link_count reports.
+    swept, grid = sweep
+    spec = SweepSpec(swept, grid, hw, CH, total_length=None if swept == "total_length" else L,
+                     n_max=n_max)
+    for record in run_sweep(spec):
+        if swept == "total_length":
+            point_hw, point_L = hw, record.value
+        else:
+            field = int(record.value) if swept == "mode_count" else record.value
+            point_hw, point_L = dataclasses.replace(hw, **{swept: field}), L
+        expected = outcome(lambda: optimize_link_count(point_hw, point_L, CH, n_max))
+        if record.error is None:
+            assert (record.best_n, record.metrics) == (expected.best_n, expected.metrics)
+        else:
+            assert record.metrics is None and record.error == expected[1]
+
+
+def test_scans_sum_only_the_series_their_callers_read(monkeypatch):
+    # Sweeps and the crossover read only the winner, so their scans stop at
+    # it; optimize_link_count reports the runner-up and evaluates it too.
+    evaluated = []
+    attempts_moments = planner._attempts_moments
+    monkeypatch.setattr(planner, "_attempts_moments",
+                        lambda p, n, tol: evaluated.append(n) or attempts_moments(p, n, tol))
+
+    def series(call):
+        evaluated.clear()
+        call()
+        return len(evaluated)
+
+    distances = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0)
+    figure_sweeps = [  # README's figure sweeps; the fixed-link one scans nothing
+        SweepSpec("total_length", distances, HW, CH, source_rate=1e10),
+        SweepSpec("total_length", distances, HW, CH, fixed_link_length=125.0, source_rate=1e10),
+        SweepSpec("mode_count", (10.0, 20.0, 50.0, 100.0, 200.0), HW, CH, total_length=1000.0),
+        SweepSpec("emission_prob", (0.3, 0.5, 0.7, 0.9), HW, CH, total_length=1000.0),
+    ]
+    assert [series(lambda: run_sweep(spec)) for spec in figure_sweeps] == [9, 0, 6, 5]
+    assert series(lambda: crossover_with_direct(HW, CH, 1e10)) == 2
+    evaluated.clear()
+    optimize_link_count(HW, 1600.0, CH)
+    assert evaluated == [8, 9]
 
 
 def test_metrics_path_builds_no_distribution(monkeypatch):

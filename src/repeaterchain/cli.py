@@ -197,11 +197,12 @@ def _build_parser() -> argparse.ArgumentParser:
     own_flags = {key for scenario in SCENARIOS.values() for key in scenario.flags}
     parser = _Parser(
         prog="repeaterchain",
+        allow_abbrev=False,
         description="Entanglement-distribution performance of semihierarchical repeater chains.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name, scenario in SCENARIOS.items():
-        scenario_parser = sub.add_parser(name, help=scenario.help)
+        scenario_parser = sub.add_parser(name, help=scenario.help, allow_abbrev=False)
         scenario_parser.add_argument("--config",
                                      help="flat key = value config file; flags override it")
         for key, (_, _, text) in PARAMETERS.items():

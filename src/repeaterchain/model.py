@@ -85,10 +85,8 @@ _MAX_DIST_TERMS = 1 << 25
 
 _CHUNK = 1 << 16
 
-# Survival terms evaluated at once: 64 KiB per float64 temporary, below
-# glibc's 128 KiB mmap threshold and well inside L2, so no temporary is a
-# fresh mapping and the data stays in cache; pages may still fault in
-# where glibc has trimmed the heap top, depending on the heap's layout.
+# Survival terms evaluated at once: 64 KiB per float64 buffer, under glibc's
+# 128 KiB mmap threshold and well inside L2.
 _BLOCK = 1 << 13
 
 
@@ -251,18 +249,18 @@ def ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
 
 
 def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
-    # Elementwise: ``link_count`` may be an array of link counts.
+    # Elementwise: the fields of ``hw`` and every other argument may be arrays.
     exponent = -ch.attenuation * total_length / (20.0 * link_count)
     amplitude = hw.detector_eff * hw.emission_prob * 10.0**exponent
     return 0.5 * amplitude * amplitude
 
 
 def _multimode_prob(hw: HardwareParams, p1):
-    # Elementwise in the single-mode probability; p1 = 0 gives 0.  Floats go
+    # Elementwise in p1 and ``hw.mode_count``; p1 = 0 gives 0.  Floats go
     # through ``math`` without touching numpy, and arrays through numpy,
     # whose transcendentals may differ from math's by a few ulps.
     xp = math if isinstance(p1, float) else np
-    return -xp.expm1(float(hw.mode_count) * xp.log1p(-p1))
+    return -xp.expm1(hw.mode_count * xp.log1p(-p1))
 
 
 def _require_success_prob(p: float) -> float:
@@ -372,29 +370,33 @@ def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, fl
     ``size`` up to one chunk: the sum of S(k), the sum of (2k - 1) S(k)
     over the k >= 1 among them, and the last term's q^k and S(k).
 
-    The terms are evaluated in blocks of at most ``_BLOCK``, so that no
-    temporary outgrows the allocator's heap or the cache, and each block is
-    summed by numpy's ``.sum()``.  numpy sums ``size`` terms pairwise,
-    splitting them into halves down to runs of 128, so every block is a
-    subtree of that summation tree; adding the block sums in pairs,
-    ((s0 + s1) + (s2 + s3)) + ..., retraces the tree above the blocks and
-    gives the sum of ``size`` terms in one array bit for bit.
+    The terms are evaluated in blocks of at most ``_BLOCK``, in buffers
+    allocated once per call, each summed by numpy's ``add.reduce``, which
+    sums ``size`` terms pairwise, halving them down to runs of 128: every
+    block is a subtree of that tree, and adding the block sums in pairs,
+    ((s0 + s1) + (s2 + s3)) + ..., retraces the tree above the blocks, bit
+    for bit.  The blocks hold -S(k), whose sums negate exactly, and
+    ``0.0 - s`` keeps a zero sum at +0.0.
     """
     step = min(size, _BLOCK)
+    ks = np.arange(k0, k0 + step, dtype=np.float64)
+    x, terms, weights = np.empty(step), np.empty(step), np.empty(step)  # out= of every ufunc
     sums = []
     with np.errstate(divide="ignore"):  # log1p(-1) at k = 0
         for start in range(k0, k0 + size, step):
-            ks = np.arange(start, start + step, dtype=np.float64)
-            x = np.exp(-lam * ks)  # q^k
-            summand = -np.expm1(n * np.log1p(-x))
-            total, last = float(summand.sum()), float(summand[-1])
+            if start > k0:
+                ks += step
+            np.exp(np.multiply(ks, -lam, x), x)  # q^k
+            np.log1p(np.negative(x, terms), terms)
+            np.expm1(np.multiply(terms, n, terms), terms)  # -S(k)
+            total, last = float(np.add.reduce(terms)), float(terms[-1])
             if start == 0:
-                summand[0] = 0.0  # k = 0 is no term of the weighted series
-            summand *= 2.0 * ks - 1.0
-            sums.append((total, float(summand.sum())))
+                terms[0] = 0.0  # k = 0 is no term of the weighted series
+            np.subtract(np.add(ks, ks, weights), 1.0, weights)  # 2k - 1
+            sums.append((total, float(np.add.reduce(np.multiply(terms, weights, terms)))))
     while len(sums) > 1:
         sums = [(a + c, b + d) for (a, b), (c, d) in zip(sums[::2], sums[1::2])]
-    return *sums[0], float(x[-1]), last
+    return 0.0 - sums[0][0], 0.0 - sums[0][1], float(x[-1]), 0.0 - last
 
 
 def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
@@ -406,8 +408,7 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
     # leading terms are evaluated (see _first_chunk_length); past a prefix
     # shorter than a chunk nothing moves the totals, so the stopping test
     # may read the prefix's last term.  Every chunk or prefix is summed in
-    # cache-sized blocks along numpy's own pairwise tree (see _chunk_sum),
-    # so the totals are the same as from one array per chunk.
+    # blocks along numpy's own pairwise tree (see _chunk_sum), as one array.
     lam = -math.log1p(-p)
     total = spread = 0.0
     k0 = 0
@@ -418,9 +419,8 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
         spread += chunk_spread
         k0 += _CHUNK
         size = _CHUNK
-        converged = summand <= tol * total and n * x <= 0.25
-        if converged:
-            break
+        if summand <= tol * total and n * x <= 0.25:
+            break  # converged
         if k0 > _MAX_EXPLICIT_TERMS:
             if n * x <= 0.25:
                 break  # analytic tail still valid, just short of the tol stop
@@ -521,7 +521,7 @@ def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
     """Swap success probability ``p_es = (r/2)^(n-1)`` of an ``n``-link
     chain, and ``p_es * r``, the chance that a whole round succeeds once
     both end memories are read out, with ``r = (eta_m eta_d)^2``;
-    elementwise in ``n``."""
+    elementwise in ``n`` and the fields of ``hw``."""
     retrieval = (hw.memory_eff * hw.detector_eff) ** 2
     p_es = (0.5 * retrieval) ** (n - 1)
     return p_es, p_es * retrieval
@@ -551,7 +551,7 @@ def _time_terms(hw: HardwareParams, total_length, link_length, link_count,
     needs ``mean_attempts`` attempts on average; the total time is
     ``_round_time(t_ec, t_cc, success)``.
 
-    Elementwise: link counts, link lengths and means may be arrays.  The
+    Elementwise: ``hw``'s fields, lengths, counts and means may be arrays.  The
     only home of the time formulas: :func:`metrics`, the link-count scan
     and the sampler all go through it, so their times agree bit for bit.
     """

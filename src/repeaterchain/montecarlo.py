@@ -220,7 +220,13 @@ def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) 
     # The callers check p in (0, 1] and n >= 1.
     if p == 1.0:
         return np.ones(size, dtype=np.float64)
-    return _round_attempts(rng.random(size * n), n, math.log1p(-p), np.empty(size))
+    try:
+        draws = rng.random(size * n)
+    except (MemoryError, ValueError):  # numpy's ValueError: past the largest array size
+        raise SimulationAbort(
+            f"simulation aborted: {size * n} draws do not fit in memory"
+        ) from None
+    return _round_attempts(draws, n, math.log1p(-p), np.empty(size))
 
 
 def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) -> np.ndarray:

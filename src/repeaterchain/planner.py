@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,6 +70,10 @@ _UNDERFLOW_LINKS = 1076
 
 _SWEEPABLE = ("total_length", "mode_count", "emission_prob")
 
+# Bisection levels whose midpoints one crossover candidate pass covers:
+# 3, 4 and 5 took 0.80, 0.76 and 1.15 ms for the default crossover.
+_SPECULATIVE_LEVELS = 4
+
 
 def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) -> float:
     """Mean time in seconds until one photon from a ``source_rate`` Hz
@@ -99,13 +104,14 @@ class OptimizationResult:
     above the runner-up time, since it reports ``runner_up_ratio``; sweeps
     and the crossover search read only the winner and stop at the first
     bound above the best time so far.  Either way the winner equals that of
-    evaluating every link count in the range.  The bounds of all link
-    counts come from one numpy pass, whose 2^-30 margin also covers the few
-    ulps by which numpy's transcendentals differ from ``math``'s (see
-    :func:`_link_candidates`), and the winner's series is summed once, in
-    the scan, for both the scan and ``metrics``.  The mean also has an
-    upper bound, 1 + H_n / lambda, which the crossover search uses with the
-    lower one to decide signs without a series.  ``runner_up_ratio`` is the
+    evaluating every link count in the range.  The bounds come from one
+    numpy pass over every link count of every point the caller reads (a
+    sweep's grid, or several bisection steps of the crossover), whose
+    2^-30 margin also covers the few ulps by which numpy's transcendentals
+    differ from ``math``'s (see :func:`_link_candidates`), and the winner's
+    series is summed once, in the scan, for both the scan and ``metrics``.
+    The mean also has an upper bound, 1 + H_n / lambda, which the crossover
+    search uses with the lower one to decide signs without a series.  ``runner_up_ratio`` is the
     second-best total time over the best one (infinite when only a single
     link count was feasible).
     """
@@ -126,8 +132,9 @@ def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelP
     t_cc / (p_es r), has a representable time, or 0.
 
     That time never falls as n grows: p_es = (r/2)^(n-1) at least halves
-    with every link, so the scalar test below is monotone in n and a
-    bisection finds the same n as testing n = 1, 2, ... in turn.  Since
+    with every link, so the scalar test below is monotone in n.  n_max
+    itself is tested first, and only when it is unreachable does a
+    bisection find the same n as testing n = 1, 2, ... in turn.  Since
     (r/2)^(n-1) <= 2^-(n-1), p_es underflows to 0 by n = 1076.
     """
     def reachable(n: int) -> bool:
@@ -138,7 +145,10 @@ def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelP
             return False
         return True
 
-    lo, hi = 0, min(n_max, _UNDERFLOW_LINKS - 1)
+    hi = min(n_max, _UNDERFLOW_LINKS - 1)
+    if reachable(hi):
+        return hi
+    lo, hi = 0, hi - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if reachable(mid):
@@ -149,24 +159,25 @@ def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelP
 
 
 def _link_candidates(
-    hw: HardwareParams,
-    total_length: float,
+    rows: list[tuple[HardwareParams, float, int]],
     ch: ChannelParams,
-    n_max: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lower, n, upper)`` float arrays over the link counts in 1..n_max
-    that may be feasible, sorted by ``(lower, n)``: ``lower`` and ``upper``
-    bracket each link count's total time as :func:`metrics` computes it.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(lower, n, upper)`` float arrays for each row ``(hw, total_length,
+    n_max)``, over the link counts in 1..n_max that may be feasible, in
+    increasing n: ``lower`` and ``upper`` bracket each link count's total
+    time as :func:`metrics` computes it.  Callers pass every point they
+    will read, and a single distance is the one-row case.
 
-    One numpy pass computes, for every n up to the last one whose round
-    time with t_ec = 0 is representable (see
-    :func:`_reachable_link_counts`; no later link count is feasible), the
-    EC probability p, H_n (a ``cumsum``, which adds in the order of a
-    running sum), the bounds on the mean attempt count
+    One numpy pass over a (row x n) array computes, for every n up to the
+    last one whose round time with t_ec = 0 is representable in any row
+    (see :func:`_reachable_link_counts`; no later link count of that row is
+    feasible), the EC probability p, H_n (a ``cumsum``, which adds in the
+    order of a running sum), the bounds on the mean attempt count
     (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
-    times at those bounds (:func:`~repeaterchain.model._time_terms`); the
-    time formulas are monotone in the mean.  No ``ChainConfig``, scalar
-    ``ec_prob`` or ``_chain_times`` is needed for that.
+    times at those bounds (:func:`~repeaterchain.model._time_terms`), with
+    the hardware fields and the distance as columns; the time formulas are
+    monotone in the mean.  No ``ChainConfig``, scalar ``ec_prob`` or
+    ``_chain_times`` is needed for that.
 
     numpy's transcendentals may differ from ``math``'s by a few ulps, so an
     array p stands for the scalar p within a few dozen ulps, far less than
@@ -184,29 +195,44 @@ def _link_candidates(
     instead, and left out only when the scalar p is 0 or the lower-bound
     time overflows (then the total time does as well).
     """
-    if total_length <= 0.0:
-        raise ConfigError(f"total_length must be > 0, got {total_length}")
-    ns = np.arange(1.0, _reachable_link_counts(hw, total_length, ch, n_max) + 1.0)
+    for _, total_length, _ in rows:
+        if total_length <= 0.0:
+            raise ConfigError(f"total_length must be > 0, got {total_length}")
+    widths = [_reachable_link_counts(hw, L, ch, n_max) for hw, L, n_max in rows]
+    ns = np.arange(1.0, max(widths) + 1.0)
+    lengths = np.array([L for _, L, _ in rows])[:, None]
+    columns = rows[0][0]  # hardware shared by every row broadcasts as it is
+    if any(hw is not columns for hw, _, _ in rows):
+        table = np.array([(hw.detector_eff, hw.memory_eff, hw.emission_prob, hw.mode_count)
+                          for hw, _, _ in rows], dtype=np.float64)
+        eta_d, eta_m, rho, modes = table.T[:, :, None]  # one column per field
+        columns = SimpleNamespace(detector_eff=eta_d, memory_eff=eta_m, emission_prob=rho,
+                                  mode_count=modes)
     with np.errstate(all="ignore"):
-        p1 = _single_mode_prob(hw, total_length, ns, ch)
+        p1 = _single_mode_prob(columns, lengths, ns, ch)
         harmonic = np.cumsum(1.0 / ns)
-        means = np.array(_attempts_mean_bounds(_multimode_prob(hw, p1), harmonic))
-        clock, t_ec, t_cc, _, success = _time_terms(hw, total_length, total_length / ns, ns,
-                                                    ch, means)
+        means = np.array(_attempts_mean_bounds(_multimode_prob(columns, p1), harmonic))
+        clock, t_ec, t_cc, _, success = _time_terms(columns, lengths, lengths / ns, ns, ch, means)
         lower, upper = _round_time(t_ec, t_cc, success)
     normal = sys.float_info.min
     vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
     vouched &= np.isfinite(lower)
-    if not vouched.all():
-        keep = vouched.copy()
-        for i in np.nonzero(~vouched)[0].tolist():
-            bounds = _scalar_bounds(hw, total_length, i + 1, ch, float(harmonic[i]))
-            if bounds is not None:
-                keep[i] = True
-                lower[i], upper[i] = bounds
-        ns, lower, upper = ns[keep], lower[keep], upper[keep]
-    order = np.lexsort((ns, lower))
-    return lower[order], ns[order], upper[order]
+    if min(widths) < ns.size:
+        vouched |= ns > np.array(widths)[:, None]  # no row reads past its width
+    out = []
+    for r, ((hw, total_length, _), width, whole) in enumerate(
+            zip(rows, widths, vouched.all(axis=1).tolist())):
+        row = lower[r, :width], ns[:width], upper[r, :width]
+        if not whole:
+            keep = vouched[r, :width]
+            for i in np.nonzero(~keep)[0].tolist():
+                bounds = _scalar_bounds(hw, total_length, i + 1, ch, float(harmonic[i]))
+                if bounds is not None:
+                    keep[i] = True
+                    row[0][i], row[2][i] = bounds
+            row = tuple(values[keep] for values in row)
+        out.append(row)
+    return out
 
 
 def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelParams,
@@ -247,10 +273,11 @@ def _scan_link_counts(
     :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
     for bit.  Link counts are walked in increasing ``(lower, n)`` order of
     the lower bounds on their total times from :func:`_link_candidates`
-    (``candidates``, when the caller already has them); those come from
-    numpy arrays, and their margin keeps them below the scalar times.  Only
-    the link counts evaluated get a ``ChainConfig``, the scalar ``ec_prob``
-    and a series, which gives both moments.  The scan stops at the first
+    (``candidates``, the caller's row when it built its points in one
+    pass), sorted here; those come from numpy arrays, and their margin
+    keeps them below the scalar times.  Only the link counts evaluated get
+    a ``ChainConfig``, the scalar ``ec_prob`` and a series, which gives
+    both moments.  The scan stops at the first
     lower bound above the best time so far: no link count left could beat
     or tie the winner, and a bound equal to it is still evaluated, so ties
     still go to fewer links.  With ``runner_up``, which only
@@ -261,10 +288,11 @@ def _scan_link_counts(
     """
     tol = _check_tol(tol)
     if candidates is None:
-        candidates = _link_candidates(hw, total_length, ch, n_max)
+        candidates = _link_candidates([(hw, total_length, n_max)], ch)[0]
     lower, ns, _ = candidates
+    order = np.lexsort((ns, lower))
     best_n, best_t, second_t, best_p, best_moments = 0, math.inf, math.inf, 0.0, (0.0, 0.0)
-    for bound, n in zip(lower.tolist(), ns.tolist()):
+    for bound, n in zip(lower[order].tolist(), ns[order].tolist()):
         if bound > (second_t if runner_up else best_t):
             break
         n = int(n)
@@ -308,17 +336,31 @@ def optimize_link_count(
     return _optimize(hw, total_length, ch, n_max, tol, runner_up=True)
 
 
+def _link_count_limit(total_length: float, n_max) -> int:
+    # The n_max a scan at ``total_length`` searches up to, as an int.
+    if n_max is None:
+        return _default_n_max(total_length)
+    try:
+        limit = int(n_max)
+    except (TypeError, ValueError, OverflowError):
+        limit = None
+    if isinstance(n_max, bool) or limit != n_max:
+        raise ConfigError(f"n_max must be an integer, got {n_max!r}")
+    if limit < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    return limit
+
+
 def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max: int | None,
-              tol: float, runner_up: bool = False) -> OptimizationResult:
+              tol: float, runner_up: bool = False,
+              candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+              ) -> OptimizationResult:
     # optimize_link_count; without ``runner_up`` the scan stops at the
     # winner and ``runner_up_ratio`` is nan.
     _check_finite(total_length, "total_length")
-    if n_max is None:
-        n_max = _default_n_max(total_length)
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    n_max = _link_count_limit(total_length, n_max)
     best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
-                                                             runner_up=runner_up)
+                                                             candidates, runner_up)
     chain = ChainConfig(total_length=total_length, link_count=best_n)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
     best_metrics = _metrics_from_moments(hw, chain, ch, p, *moments)
@@ -442,39 +484,50 @@ def crossover_with_direct(
     take equally long, found by bisection to within 1 km.
 
     The bisection only reads the sign of the optimized chain's time minus
-    the direct time at each distance.  Each step builds the link-count
-    candidates once, in one numpy pass (see :func:`_link_candidates`;
-    the bounds' 2^-30 margin keeps its times on the right side of the
-    scalar times), whose times at the two-sided bounds on the mean attempt
-    count often settle that sign without summing a series: the chain is
-    faster when some link count's upper-bound time is below the direct
-    time, and slower when every lower-bound time is above it while some
-    upper-bound time is finite.  Only when the bounds straddle the direct time does
-    the exact link-count scan run, on the same candidates and only up to
-    the winner (see :func:`_scan_link_counts`), so every step,
-    and the distance returned, is the same as with the exact scan at every
-    step.
+    the direct time at each distance.  The link-count candidates come from
+    one numpy pass over the bracket's ends, then one pass over every
+    midpoint of the next few bisection levels (see
+    :func:`_link_candidates`; the bounds' 2^-30 margin keeps their times on
+    the right side of the scalar times).  Those midpoints are computed as
+    the bisection computes them, so every distance it visits has its row.
+    Their times at the two-sided bounds on the mean attempt count often
+    settle a step's sign without summing a series: the chain is faster when
+    the smallest upper-bound time is below the direct time, and slower when
+    the smallest lower-bound time is above it while some upper-bound time
+    is finite.  Only when the bounds straddle the direct time does the
+    exact link-count scan run, on the same row and only up to the winner
+    (see :func:`_scan_link_counts`), so every step, and the distance
+    returned, is the same as with the exact scan at every step.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ConfigError(f"invalid bracket {bracket}")
+    _check_finite(hi, "bracket")
     tol = _check_tol(tol)
+    rows: dict[float, tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+    def build(distances: list[float]) -> None:
+        limits = [_default_n_max(L) for L in distances]
+        candidates = _link_candidates([(hw, L, n_max) for L, n_max in zip(distances, limits)], ch)
+        rows.update(zip(distances, zip(limits, candidates)))
 
     def gap(L: float) -> float:
-        n_max = _default_n_max(L)
+        n_max, candidates = rows[L]
         try:
             direct = direct_transmission_time(L, ch, source_rate)
         except (ConfigError, ModelError):
-            _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
+            _scan_link_counts(hw, L, ch, n_max, tol, candidates)  # its error comes first
             raise
-        candidates = _link_candidates(hw, L, ch, n_max)
         lower, _, upper = candidates
-        if (upper < direct).any():
-            return -1.0
-        if np.isfinite(upper).any() and lower[0] > direct:
-            return 1.0
+        if lower.size:  # else the scan raises
+            fastest = upper.min()
+            if fastest < direct:
+                return -1.0
+            if fastest < math.inf and lower.min() > direct:
+                return 1.0
         return _scan_link_counts(hw, L, ch, n_max, tol, candidates)[1] - direct
 
+    build([lo, hi])
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:
         return lo
@@ -486,6 +539,9 @@ def crossover_with_direct(
         )
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
+        if mid not in rows:
+            rows.clear()
+            build(_midpoints(lo, hi, _SPECULATIVE_LEVELS))
         g_mid = gap(mid)
         if g_mid == 0.0:
             return mid
@@ -494,6 +550,15 @@ def crossover_with_direct(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    # The midpoints the bisection of [lo, hi] may visit in its next
+    # ``levels`` steps: one for every interval wider than 1 km.
+    if levels == 0 or hi - lo <= 1.0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 @dataclass(frozen=True)
@@ -555,7 +620,8 @@ class SweepRecord:
     error: str | None = None
 
 
-def _sweep_point(spec: SweepSpec, value: float, tol: float) -> SweepRecord:
+def _sweep_inputs(spec: SweepSpec, value: float) -> tuple[HardwareParams, float, float | None]:
+    # The hardware, distance and direct-transmission time of one grid point.
     hw = spec.hw
     if spec.swept_parameter == "total_length":
         total_length = value
@@ -571,6 +637,12 @@ def _sweep_point(spec: SweepSpec, value: float, tol: float) -> SweepRecord:
             direct = direct_transmission_time(total_length, spec.ch, spec.source_rate)
         except BeyondRepresentable:
             direct = None  # baseline overflows long before the chain does
+    return hw, total_length, direct
+
+
+def _sweep_point(spec: SweepSpec, value: float, hw: HardwareParams, total_length: float,
+                 direct: float | None, tol: float,
+                 candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> SweepRecord:
     try:
         if spec.fixed_link_length is not None:
             plan = plan_fixed_link(hw, total_length, spec.ch, spec.fixed_link_length, tol)
@@ -582,7 +654,7 @@ def _sweep_point(spec: SweepSpec, value: float, tol: float) -> SweepRecord:
                 plan=plan,
                 direct_time=direct,
             )
-        result = _optimize(hw, total_length, spec.ch, spec.n_max, tol)
+        result = _optimize(hw, total_length, spec.ch, spec.n_max, tol, candidates=candidates)
         return SweepRecord(
             value=value,
             metrics=result.metrics,
@@ -602,5 +674,17 @@ def _sweep_point(spec: SweepSpec, value: float, tol: float) -> SweepRecord:
 
 def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRecord]:
     """Evaluate the sweep point by point; infeasible points are recorded
-    inline and the sweep continues."""
-    return [_sweep_point(spec, value, tol) for value in spec.grid]
+    inline and the sweep continues.  An optimized sweep builds the
+    link-count candidates of every point in one pass first (see
+    :func:`_link_candidates`), unless its ``n_max`` is invalid, which each
+    point then records."""
+    points = [(value, *_sweep_inputs(spec, value)) for value in spec.grid]
+    candidates = [None] * len(points)
+    if spec.fixed_link_length is None:
+        try:
+            rows = [(hw, L, _link_count_limit(L, spec.n_max)) for _, hw, L, _ in points]
+        except ConfigError:
+            pass
+        else:
+            candidates = _link_candidates(rows, spec.ch)
+    return [_sweep_point(spec, *point, tol, row) for point, row in zip(points, candidates)]

@@ -475,6 +475,8 @@ def test_exit_code_2_json_carries_machine_code(capsys, tmp_path):
     ["sweep", "--param", "L", "--values", "-5,100"],
     ["eval", "--L", "1600", "--n", "8", "--bogus", "1"],
     ["bogus"],
+    ["eval", "--L", "1600", "--n", "8", "--form=json"],  # a prefix is no flag
+    ["simulate", "--L", "500", "--n", "4", "--tri=5"],
 ])
 def test_argv_argparse_cannot_split_exits_2_in_its_format(capsys, argv):
     for fmt in (["--format", "json"], ["--format=json"]):
@@ -905,6 +907,10 @@ def test_optimize_and_sweep_close_the_input_domain(config_path, scenario, fmt, v
          trials=1, seed=0, config=(b"L = 600\nn = 1\nL = inf\n", {"L", "n"}, True))
 @example(scenario="eval", fmt="json", values={"L": "1600", "n": "8"}, hostile={"m": "1.5"},
          trials=1, seed=0, config=None)  # an int flag that does not parse
+@example(scenario="eval", fmt="csv", values={"L": "1600", "n": "8"}, hostile={"form": "json"},
+         trials=1, seed=0, config=None)  # prefixes of flags are unknown flags
+@example(scenario="simulate", fmt="json", values={"L": "500", "n": "4"}, hostile={"tri": "5"},
+         trials=1, seed=0, config=None)
 def test_eval_and_simulate_close_the_input_domain(config_path, scenario, fmt, values, hostile,
                                                   trials, seed, config):
     argv = domain_argv(scenario, fmt, values, hostile, config, config_path)

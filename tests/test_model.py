@@ -322,6 +322,48 @@ def test_sized_first_chunk_sum_equals_full_chunk_sum():
             p, n, 1e-300), (p, n)
 
 
+def allocating_chunk_sum(lam: float, n: int, k0: int, size: int):
+    """:func:`model._chunk_sum` with a fresh array from every ufunc and the
+    terms S(k) summed as they are: the reference its buffered blocks of
+    -S(k) must reproduce bit for bit, signed zeros included."""
+    step = min(size, model._BLOCK)
+    sums = []
+    with np.errstate(divide="ignore"):
+        for start in range(k0, k0 + size, step):
+            ks = np.arange(start, start + step, dtype=np.float64)
+            x = np.exp(-lam * ks)
+            summand = -np.expm1(n * np.log1p(-x))
+            total, last = float(summand.sum()), float(summand[-1])
+            if start == 0:
+                summand[0] = 0.0
+            summand *= 2.0 * ks - 1.0
+            sums.append((total, float(summand.sum())))
+    while len(sums) > 1:
+        sums = [(a + c, b + d) for (a, b), (c, d) in zip(sums[::2], sums[1::2])]
+    return *sums[0], float(x[-1]), last
+
+
+def test_chunk_sum_equals_the_allocating_formula():
+    # Chunks from k = 0 and far out, every size from 128 to one chunk, and
+    # chunks whose q^k has underflowed, where every sum must stay +0.0.
+    rng = np.random.default_rng(16)
+    sizes = [1 << j for j in range(7, 17)]
+    grid = [(float(10 ** rng.uniform(-6.0, -1e-3)), int(rng.integers(1, 300)),
+             int(rng.choice([0, model._CHUNK * int(rng.integers(1, 80))])), size)
+            for size in sizes for _ in range(12)]
+    grid += [(0.5, n, k0, size) for n in (1, 8) for k0 in (1024, 2048, model._CHUNK)
+             for size in (128, model._CHUNK)]
+    zero_chunks = 0
+    for p, n, k0, size in grid:
+        lam = -math.log1p(-p)
+        got = model._chunk_sum(lam, n, k0, size)
+        assert repr(got) == repr(allocating_chunk_sum(lam, n, k0, size)), (p, n, k0, size)
+        zero_chunks += got[0] == 0.0
+        if got[0] == 0.0:
+            assert repr(got) == repr((0.0, 0.0, 0.0, 0.0))
+    assert zero_chunks >= 8
+
+
 def test_first_chunk_length_bounds_the_dropped_terms():
     for p in (1e-4, 1.3e-3, 0.01, 0.2, 0.5, 0.9, 0.999):
         for n in (1, 5, 128):

@@ -98,6 +98,12 @@ def test_chain_round_rejects_zero_probability():
         sample_chain_round(0.0, 2, _trial_rng(0, 0))
 
 
+@pytest.mark.parametrize("n", [2**59, 10**30])  # 4 EiB of draws; more than numpy can index
+def test_chain_round_too_large_for_memory_aborts(n):
+    with pytest.raises(SimulationAbort, match="do not fit in memory"):
+        sample_chain_round(0.5, n, _trial_rng(0, 0))
+
+
 def test_chain_round_mean_two_links():
     draws = _sample_chain_rounds(0.5, 2, 10**6, _trial_rng(1, 0))
     se = draws.std(ddof=1) / math.sqrt(draws.size)

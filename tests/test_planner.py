@@ -232,37 +232,44 @@ def test_candidate_times_bracket_the_scalar_times(
     # p, and no n the scalar code finds feasible may be left out.
     hw = HardwareParams(detector_eff=detector_eff, memory_eff=memory_eff,
                         emission_prob=emission_prob, mode_count=mode_count)
-    lower, ns, upper = _link_candidates(hw, L, CH, n_max)
+    check_candidate_row(hw, L, n_max, _link_candidates([(hw, L, n_max)], CH)[0])
+
+
+def scalar_time(hw, L, n):
+    """The total time of n links over L km as the scan computes it, inf
+    when it overflows, None when n is infeasible before any series."""
+    chain = ChainConfig(total_length=L, link_count=n)
+    p = ec_prob(hw, chain, CH)
+    try:
+        _chain_times(hw, chain, CH, 0.0)
+    except (UnreachableConfiguration, BeyondRepresentable):
+        return None
+    if p == 0.0:
+        return None
+    try:
+        return _chain_times(hw, chain, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
+    except BeyondRepresentable:
+        return math.inf
+
+
+def check_candidate_row(hw, L, n_max, row):
+    """``row`` lists link counts in increasing order, brackets the time
+    each gets from the scalar p, and leaves out no n the scalar code finds
+    feasible; returns its link counts."""
+    lower, ns, upper = row
     ns = [int(n) for n in ns.tolist()]
-    assert list(zip(lower.tolist(), ns)) == sorted(zip(lower.tolist(), ns))
-    kept = set(ns)
-    assert len(kept) == len(ns)
-
-    def scalar_time(n):
-        """The total time of n links as the scan computes it, inf when it
-        overflows, None when n is infeasible before any series."""
-        chain = ChainConfig(total_length=L, link_count=n)
-        p = ec_prob(hw, chain, CH)
-        try:
-            _chain_times(hw, chain, CH, 0.0)
-        except (UnreachableConfiguration, BeyondRepresentable):
-            return None
-        if p == 0.0:
-            return None
-        try:
-            return _chain_times(hw, chain, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
-        except BeyondRepresentable:
-            return math.inf
-
+    assert ns == sorted(set(ns))
     for low, n, up in zip(lower.tolist(), ns, upper.tolist()):
-        t = scalar_time(n)
+        t = scalar_time(hw, L, n)
         assert t is not None, n
         assert low <= t <= up, (n, low, t, up)
     # (r/2)^(n-1) <= 2^-(n-1) leaves no round success from n = 1076 on.
     assert model._round_success(hw, 1076)[1] == 0.0
+    kept = set(ns)
     for n in range(1, min(n_max, 1075) + 1):
         if n not in kept:
-            assert scalar_time(n) in (None, math.inf), n
+            assert scalar_time(hw, L, n) in (None, math.inf), n
+    return ns
 
 
 def test_optimize_sums_each_evaluated_series_once(monkeypatch):
@@ -327,6 +334,38 @@ def test_winner_only_scan_matches_the_runner_up_scan(hw, L, n_max):
     assert winner_only[:2] == (best_n, best_t)
     assert math.isnan(winner_only[2])
     assert winner_only[3:] == (p, moments)
+
+
+# Rows of one candidate pass: any hardware, emission down to 0 (no p at
+# all), distances at the edges of the float range, widths past every float.
+GRID_HARDWARE = st.builds(
+    HardwareParams,
+    detector_eff=st.floats(min_value=0.05, max_value=1.0),
+    memory_eff=st.floats(min_value=0.05, max_value=1.0),
+    emission_prob=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(0.0)),
+    mode_count=st.integers(min_value=1, max_value=1000),
+)
+GRID_ROWS = st.tuples(
+    GRID_HARDWARE,
+    st.one_of(SCAN_DISTANCES, st.sampled_from([16000.0, 25000.0])),
+    st.one_of(st.integers(min_value=1, max_value=5000), st.just(10**400)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(GRID_ROWS, min_size=1, max_size=4), shared=st.booleans())
+@example(rows=[(HW, 16000.0, 3), (HardwareParams(emission_prob=0.0), 1000.0, 40),
+               (HW, 1e300, 10**400), (HW, 5e-324, 5000)], shared=False)  # scalar fallback
+@example(rows=[(HW, 25000.0, 128), (HW, 200.0, 8), (HW, 1600.0, 5000)], shared=True)
+def test_grid_rows_keep_the_link_counts_of_one_row_builds(rows, shared):
+    # One pass over many rows broadcasts the hardware fields and distances;
+    # every row must keep the link counts its own one-row pass keeps, and
+    # its bounds must bracket the scalar times, shared hardware or not.
+    if shared:
+        rows = [(rows[0][0], L, n_max) for _, L, n_max in rows]
+    for (hw, L, n_max), row in zip(rows, _link_candidates(rows, CH)):
+        alone = _link_candidates([(hw, L, n_max)], CH)[0]
+        assert check_candidate_row(hw, L, n_max, row) == alone[1].tolist()
 
 
 # Each swept parameter's grid values in its physical range.
@@ -406,20 +445,81 @@ def test_metrics_path_builds_no_distribution(monkeypatch):
     plan_fixed_link(HW, 1600.0, CH, 125.0)
 
 
-def test_crossover_builds_the_candidates_once_per_step(monkeypatch):
-    builds, steps, scans = [], [], []
+def test_crossover_builds_the_candidates_of_several_steps_at_once(monkeypatch):
+    # Each pass covers the midpoints of the next bisection levels, computed
+    # as the bisection computes them: it visits the reference's distances,
+    # and each exact scan runs on a row a pass built.
+    built, steps, scans, reference_steps = {}, [], [], []
+    builds = 0
     link_candidates = planner._link_candidates
     direct_time = planner.direct_transmission_time
     scan = planner._scan_link_counts
-    monkeypatch.setattr(planner, "_link_candidates",
-                        lambda hw, L, *rest: builds.append(L) or link_candidates(hw, L, *rest))
+
+    def build(rows, ch):
+        nonlocal builds
+        builds += 1
+        candidates = link_candidates(rows, ch)
+        built.update((L, row) for (_, L, _), row in zip(rows, candidates))
+        return candidates
+
+    def exact_scan(hw, L, ch, n_max, tol, candidates=None, *rest):
+        assert candidates is not None and candidates is built[L]
+        scans.append(L)
+        return scan(hw, L, ch, n_max, tol, candidates, *rest)
+
+    monkeypatch.setattr(planner, "_link_candidates", build)
+    monkeypatch.setattr(planner, "_scan_link_counts", exact_scan)
     monkeypatch.setattr(planner, "direct_transmission_time",
                         lambda L, *rest: steps.append(L) or direct_time(L, *rest))
-    monkeypatch.setattr(planner, "_scan_link_counts",
-                        lambda hw, L, *rest: scans.append(L) or scan(hw, L, *rest))
     assert crossover_with_direct(HW, CH, 1e10) == 488.34197998046875
-    assert builds == steps and len(steps) == 16
-    assert 0 < len(scans) < len(steps)  # the exact scan reuses the step's candidates
+    assert builds <= 5
+    assert set(steps) <= set(built)
+    assert 0 < len(scans) < len(steps)  # the bounds settle most steps
+    monkeypatch.undo()
+    assert reference_crossover(HW, CH, 1e10, visited=reference_steps) == 488.34197998046875
+    assert steps == reference_steps and len(steps) == 16
+
+
+def test_crossover_reaches_the_scan_error_of_a_row_without_link_counts():
+    # No emission: no link count is feasible at any distance, and the exact
+    # scan's error must come out of the first step rather than a reduction
+    # over an empty row.
+    with pytest.raises(UnreachableConfiguration):
+        crossover_with_direct(HardwareParams(emission_prob=0.0), CH, 1e10)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, float("nan"), float("inf"), "8", np.float64(2.5)])
+def test_non_integral_n_max_is_a_config_error(n_max):
+    # 2.5 once sent the reach bisection into a loop; a sweep records the
+    # error at every point and builds no candidate grid.
+    with pytest.raises(ConfigError, match="n_max"):
+        optimize_link_count(HW, 1600.0, CH, n_max)
+    records = run_sweep(SweepSpec("total_length", (800.0, 1600.0), HW, CH, n_max=n_max))
+    assert [record.error for record in records] == [
+        f"n_max must be an integer, got {n_max!r}"] * 2
+
+
+def test_integer_n_max_of_any_kind_scans_as_an_int():
+    expected = optimize_link_count(HW, 1600.0, CH, 64)
+    for n_max in (np.int64(64), 64.0):
+        result = optimize_link_count(HW, 1600.0, CH, n_max)
+        assert result == expected and type(result.scanned_range[1]) is int
+
+
+def test_reach_is_one_test_when_n_max_is_reachable(monkeypatch):
+    # The round time with t_ec = 0 never falls with n: a reachable n_max
+    # needs no bisection, and an unreachable one still finds the last n.
+    tested = []
+    time_terms = planner._time_terms
+    monkeypatch.setattr(planner, "_time_terms",
+                        lambda hw, L, link, n, *rest: tested.append(n) or time_terms(
+                            hw, L, link, n, *rest))
+    assert planner._reachable_link_counts(HW, 1600.0, CH, 64) == 64 and tested == [64]
+    last = planner._reachable_link_counts(HW, 1600.0, CH, 5000)
+    assert 64 < last < 1075
+    tested.clear()
+    assert planner._reachable_link_counts(HW, 1600.0, CH, last) == last and tested == [last]
+    assert planner._reachable_link_counts(HW, 1600.0, CH, last + 1) == last
 
 
 def test_optimize_all_links_unreachable():
@@ -478,12 +578,15 @@ def test_fixed_link_rejects_too_short_target():
 
 # ---------------------------------------------------------------- crossover search
 
-def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0e4)):
+def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0e4),
+                        visited=None):
     """The bisection with the exact link-count scan, then the direct time,
-    at every step."""
+    at every step; each distance evaluated is appended to ``visited``."""
     lo, hi = bracket
 
     def gap(L):
+        if visited is not None:
+            visited.append(L)
         repeater = _scan_link_counts(hw, L, ch, _default_n_max(L), tol)[1]
         return repeater - direct_transmission_time(L, ch, source_rate)
 
@@ -559,8 +662,11 @@ def test_crossover_with_unbeatable_baseline_moves_out():
 
 
 def test_crossover_rejects_bad_bracket():
-    with pytest.raises(ConfigError):
-        crossover_with_direct(HW, CH, 1e10, bracket=(100.0, 10.0))
+    # Both ends are built in one candidate pass, so an infinite far end is
+    # rejected up front instead of overflowing the default n_max.
+    for bracket in ((100.0, 10.0), (10.0, math.inf), (10.0, 10**400)):
+        with pytest.raises(ConfigError):
+            crossover_with_direct(HW, CH, 1e10, bracket=bracket)
 
 
 # ---------------------------------------------------------------- sweeps

@@ -200,7 +200,9 @@ def _link_candidates(
             raise ConfigError(f"total_length must be > 0, got {total_length}")
     widths = [_reachable_link_counts(hw, L, ch, n_max) for hw, L, n_max in rows]
     ns = np.arange(1.0, max(widths) + 1.0)
-    lengths = np.array([L for _, L, _ in rows])[:, None]
+    # One row keeps its distance a float and its arrays 1-D, as cheap as
+    # a scalar build; more rows take it as a column.
+    lengths = rows[0][1] if len(rows) == 1 else np.array([L for _, L, _ in rows])[:, None]
     columns = rows[0][0]  # hardware shared by every row broadcasts as it is
     if any(hw is not columns for hw, _, _ in rows):
         table = np.array([(hw.detector_eff, hw.memory_eff, hw.emission_prob, hw.mode_count)
@@ -217,6 +219,7 @@ def _link_candidates(
     normal = sys.float_info.min
     vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
     vouched &= np.isfinite(lower)
+    lower, upper, vouched = (a.reshape(len(rows), ns.size) for a in (lower, upper, vouched))
     if min(widths) < ns.size:
         vouched |= ns > np.array(widths)[:, None]  # no row reads past its width
     out = []

@@ -357,6 +357,7 @@ GRID_ROWS = st.tuples(
 @example(rows=[(HW, 16000.0, 3), (HardwareParams(emission_prob=0.0), 1000.0, 40),
                (HW, 1e300, 10**400), (HW, 5e-324, 5000)], shared=False)  # scalar fallback
 @example(rows=[(HW, 25000.0, 128), (HW, 200.0, 8), (HW, 1600.0, 5000)], shared=True)
+@example(rows=[(HardwareParams(memory_eff=0.0), 100.0, 5), (HW, 200.0, 5)], shared=True)  # no n
 def test_grid_rows_keep_the_link_counts_of_one_row_builds(rows, shared):
     # One pass over many rows broadcasts the hardware fields and distances;
     # every row must keep the link counts its own one-row pass keeps, and

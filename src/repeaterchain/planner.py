@@ -175,8 +175,8 @@ def _link_candidates(
     order of a running sum), the bounds on the mean attempt count
     (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
     times at those bounds (:func:`~repeaterchain.model._time_terms`), with
-    the hardware fields and the distance as columns; the time formulas are
-    monotone in the mean.  No ``ChainConfig``, scalar ``ec_prob`` or
+    the distances and any differing hardware as columns; the time formulas
+    are monotone in the mean.  No ``ChainConfig``, scalar ``ec_prob`` or
     ``_chain_times`` is needed for that.
 
     numpy's transcendentals may differ from ``math``'s by a few ulps, so an

@@ -96,15 +96,41 @@ def _check_prob(value: float, name: str) -> float:
     return float(value)
 
 
-def _check_finite(value: float, name: str) -> None:
-    # Range comparisons are false for NaN and let infinities through; an
-    # int beyond the float range cannot enter the float arithmetic either.
+def _is_bool(value) -> bool:
+    # Python's or numpy's: neither is taken for the number 0 or 1.
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
+def _check_finite(value: float, name: str) -> float:
+    """``value`` as a Python float, so that numpy scalars and ints compute
+    as floats do.  ``str`` and ``bool`` are no real numbers here.  Range
+    comparisons are false for NaN and let infinities through; an int
+    beyond the float range cannot enter the float arithmetic either."""
+    if isinstance(value, str) or _is_bool(value):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        number = float(value)
     except OverflowError:
-        finite = False
-    if not finite:
+        number = math.inf
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value}")
+    return number
+
+
+def _positive_int(value: int, name: str) -> int:
+    """``value`` as an ``int`` of at least 1.  ints, numpy integers and
+    integral floats pass; ``bool`` and anything else is no count."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or _is_bool(value) or number != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if number < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value}")
+    return number
 
 
 def _check_tol(tol: float) -> float:
@@ -121,8 +147,8 @@ class ChannelParams:
     signal_speed: float = 2.0e5
 
     def __post_init__(self) -> None:
-        _check_finite(self.attenuation, "attenuation")
-        _check_finite(self.signal_speed, "signal_speed")
+        object.__setattr__(self, "attenuation", _check_finite(self.attenuation, "attenuation"))
+        object.__setattr__(self, "signal_speed", _check_finite(self.signal_speed, "signal_speed"))
         if self.attenuation < 0.0:
             raise ConfigError(f"attenuation must be >= 0, got {self.attenuation}")
         if self.signal_speed <= 0.0:
@@ -140,12 +166,11 @@ class HardwareParams:
     mode_count: int = 100
 
     def __post_init__(self) -> None:
-        _check_prob(self.detector_eff, "detector_eff")
-        _check_prob(self.memory_eff, "memory_eff")
-        _check_prob(self.emission_prob, "emission_prob")
-        _check_finite(self.mode_count, "mode_count")
-        if int(self.mode_count) != self.mode_count or self.mode_count < 1:
-            raise ConfigError(f"mode_count must be a positive integer, got {self.mode_count}")
+        for name in ("detector_eff", "memory_eff", "emission_prob"):
+            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
+        mode_count = _positive_int(self.mode_count, "mode_count")
+        _check_finite(mode_count, "mode_count")  # it scales a float
+        object.__setattr__(self, "mode_count", mode_count)
 
 
 @dataclass(frozen=True)
@@ -157,12 +182,13 @@ class ChainConfig:
     link_count: int
 
     def __post_init__(self) -> None:
-        _check_finite(self.total_length, "total_length")
-        _check_finite(self.link_count, "link_count")
-        if self.total_length <= 0.0:
+        total_length = _check_finite(self.total_length, "total_length")
+        if total_length <= 0.0:
             raise ConfigError(f"total_length must be > 0, got {self.total_length}")
-        if int(self.link_count) != self.link_count or self.link_count < 1:
-            raise ConfigError(f"link_count must be a positive integer, got {self.link_count}")
+        link_count = _positive_int(self.link_count, "link_count")
+        _check_finite(link_count, "link_count")  # it divides a float
+        object.__setattr__(self, "total_length", total_length)
+        object.__setattr__(self, "link_count", link_count)
 
     @property
     def link_length(self) -> float:
@@ -271,12 +297,6 @@ def _require_success_prob(p: float) -> float:
     return float(p)
 
 
-def _check_links(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ConfigError(f"link count must be a positive integer, got {n}")
-    return int(n)
-
-
 def _combined_dist_length(p: float, n: int, tol: float) -> int:
     # Smallest K with 1 - (1 - q^K)^n <= tol.
     log_q = math.log1p(-p)
@@ -292,7 +312,7 @@ def combined_attempt_dist(p: float, n: int, tol: float = DEFAULT_TOL) -> Attempt
     small ``p`` and large ``n``.
     """
     p = _require_success_prob(p)
-    n = _check_links(n)
+    n = _positive_int(n, "link count")
     tol = _check_tol(tol)
     if p == 1.0:
         return AttemptDistribution(probs=np.array([1.0]), tail_mass=0.0)
@@ -343,25 +363,57 @@ def _survival_tail(p: float, n: int, k_start: int) -> tuple[float, float]:
 
 def _first_chunk_length(p: float, n: int) -> int:
     """Number of leading survival terms that fix the series' sums: the
-    smallest power of two L >= 128 with n q^L / (1 - q) < 2^-70, at most
-    one chunk.
+    smallest power of two L in [128, one chunk] past which, with
+    q = 1 - p, both dropped tails stay below 2^-55 of what the prefix
+    holds at least:
 
-    Every term past L is below n q^k, so all of them together, in this
-    chunk, later chunks or the analytic tail, stay below 2^-70: under half
-    an ulp of any partial sum that holds the k = 0 term, which is 1; the
-    weighted terms (2k - 1) S(k) past L stay below 2^-70 (2L + 2q / (1 - q)),
-    under half an ulp of the sum of (2k - 1) q^k over 1 <= k < L.  numpy
-    sums a chunk pairwise, halving down to runs of 128, so the prefix is a
-    subtree of the chunk's summation tree and its sums equal the whole
-    chunk's bit for bit (see :func:`_chunk_sum` for how a prefix longer
-    than one block is summed along that tree); nothing added after it
-    moves the totals either.
+    * n q^L / p, the mean's tail, below 2^-55 sum_{k < L} q^k;
+    * n q^L / p (2L - 1 + 2q / p), the weighted tail, below
+      2^-55 sum_{1 <= k < L} (2k - 1) q^k.
+
+    S(k) = 1 - (1 - q^k)^n lies between q^k and n q^k, so the prefix's
+    sums hold the sums on the right, and every term past L, in this
+    chunk, later chunks or the analytic tail, adds up to less than the
+    left.  Each of those pieces joins a partial sum that holds the prefix,
+    and half an ulp of x exceeds 2^-54 x: the spare factor of 2 covers the
+    rounding of the terms and of the closed forms below, so nothing added
+    after the prefix moves the totals.  numpy sums a chunk pairwise,
+    halving down to runs of 128, so the prefix is a subtree of the chunk's
+    summation tree and its sums equal the whole chunk's bit for bit (see
+    :func:`_chunk_sum` for how a prefix longer than one block is summed
+    along that tree).
     """
-    need = (math.log(n / p) + 70.0 * math.log(2.0)) / -math.log1p(-p)
+    log_q = math.log1p(-p)
+    q = 1.0 - p
     length = 128
-    while length <= need and length < _CHUNK:
+    while length < _CHUNK:
+        power = math.exp(length * log_q)  # q^L
+        held = -math.expm1(length * log_q) / p  # sum_{k < L} q^k
+        # sum_{1 <= k < L} (2k - 1) q^k = q sum_{j < M} (2j + 1) q^j, M = L - 1
+        m = length - 1
+        shorter = -math.expm1(m * log_q) / p
+        held_weighted = q * (2.0 * (q * shorter - m * math.exp(m * log_q)) / p + shorter)
+        dropped = n * power / p
+        if (dropped < 2.0**-55 * held
+                and dropped * (2 * length - 1 + 2.0 * q / p) < 2.0**-55 * held_weighted):
+            break
         length *= 2
     return length
+
+
+_BLOCK_INDICES = None
+
+
+def _block_indices():
+    """``(k, 2k - 1)`` for k = 0 .. ``_BLOCK`` - 1 as read-only float64
+    arrays, built on first use, as numpy is."""
+    global _BLOCK_INDICES
+    if _BLOCK_INDICES is None:
+        ks = np.arange(_BLOCK, dtype=np.float64)
+        weights = 2.0 * ks - 1.0
+        ks.flags.writeable = weights.flags.writeable = False
+        _BLOCK_INDICES = ks, weights
+    return _BLOCK_INDICES
 
 
 def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, float, float]:
@@ -370,33 +422,40 @@ def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, fl
     ``size`` up to one chunk: the sum of S(k), the sum of (2k - 1) S(k)
     over the k >= 1 among them, and the last term's q^k and S(k).
 
-    The terms are evaluated in blocks of at most ``_BLOCK``, in buffers
-    allocated once per call, each summed by numpy's ``add.reduce``, which
-    sums ``size`` terms pairwise, halving them down to runs of 128: every
-    block is a subtree of that tree, and adding the block sums in pairs,
-    ((s0 + s1) + (s2 + s3)) + ..., retraces the tree above the blocks, bit
-    for bit.  The blocks hold -S(k), whose sums negate exactly, and
-    ``0.0 - s`` keeps a zero sum at +0.0.
+    The terms are evaluated in blocks of at most ``_BLOCK``, each summed by
+    numpy's ``add.reduce``, which sums ``size`` terms pairwise, halving
+    them down to runs of 128: every block is a subtree of that tree, and
+    adding the block sums in pairs, ((s0 + s1) + (s2 + s3)) + ..., retraces
+    the tree above the blocks, bit for bit.  The block at k = 0 reads k and
+    2k - 1 from the read-only arrays of :func:`_block_indices`; any other
+    block adds its first k, or twice that, to them in ``x``.  Only the
+    ``x`` and ``terms`` buffers are allocated per call, and every ufunc
+    writes into them.  The blocks hold -S(k), whose sums negate exactly,
+    and ``0.0 - s`` keeps a zero sum at +0.0.
     """
     step = min(size, _BLOCK)
-    ks = np.arange(k0, k0 + step, dtype=np.float64)
-    x, terms, weights = np.empty(step), np.empty(step), np.empty(step)  # out= of every ufunc
+    ks, weights = (indices[:step] for indices in _block_indices())
+    x, terms = np.empty(step), np.empty(step)  # out= of every ufunc
     sums = []
     with np.errstate(divide="ignore"):  # log1p(-1) at k = 0
         for start in range(k0, k0 + size, step):
-            if start > k0:
-                ks += step
-            np.exp(np.multiply(ks, -lam, x), x)  # q^k
+            if start:
+                np.multiply(np.add(ks, start, x), -lam, x)
+            else:
+                np.multiply(ks, -lam, x)
+            np.exp(x, x)  # q^k
             np.log1p(np.negative(x, terms), terms)
             np.expm1(np.multiply(terms, n, terms), terms)  # -S(k)
-            total, last = float(np.add.reduce(terms)), float(terms[-1])
-            if start == 0:
+            total, last, power = float(np.add.reduce(terms)), float(terms[-1]), float(x[-1])
+            if start:
+                block_weights = np.add(weights, 2 * start, x)  # 2k - 1
+            else:
+                block_weights = weights
                 terms[0] = 0.0  # k = 0 is no term of the weighted series
-            np.subtract(np.add(ks, ks, weights), 1.0, weights)  # 2k - 1
-            sums.append((total, float(np.add.reduce(np.multiply(terms, weights, terms)))))
+            sums.append((total, float(np.add.reduce(np.multiply(terms, block_weights, terms)))))
     while len(sums) > 1:
         sums = [(a + c, b + d) for (a, b), (c, d) in zip(sums[::2], sums[1::2])]
-    return 0.0 - sums[0][0], 0.0 - sums[0][1], float(x[-1]), 0.0 - last
+    return 0.0 - sums[0][0], 0.0 - sums[0][1], power, 0.0 - last
 
 
 def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
@@ -406,9 +465,9 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
     # close to 1.  Both series are summed explicitly until the summand is
     # negligible, then completed with analytic tails.  Only the first chunk's
     # leading terms are evaluated (see _first_chunk_length); past a prefix
-    # shorter than a chunk nothing moves the totals, so the stopping test
-    # may read the prefix's last term.  Every chunk or prefix is summed in
-    # blocks along numpy's own pairwise tree (see _chunk_sum), as one array.
+    # shorter than a chunk nothing moves the totals, whatever ``tol``, so
+    # the sums stop there.  Every chunk or prefix is summed in blocks along
+    # numpy's own pairwise tree (see _chunk_sum), as one array.
     lam = -math.log1p(-p)
     total = spread = 0.0
     k0 = 0
@@ -418,9 +477,9 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
         total += chunk_total
         spread += chunk_spread
         k0 += _CHUNK
-        size = _CHUNK
-        if summand <= tol * total and n * x <= 0.25:
+        if size < _CHUNK or (summand <= tol * total and n * x <= 0.25):
             break  # converged
+        size = _CHUNK
         if k0 > _MAX_EXPLICIT_TERMS:
             if n * x <= 0.25:
                 break  # analytic tail still valid, just short of the tol stop
@@ -512,7 +571,7 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
     if p == 0.0:
         raise NonTerminatingProcess("divergent expectation: success probability is zero")
     p = _require_success_prob(p)
-    n = _check_links(n)
+    n = _positive_int(n, "link count")
     tol = _check_tol(tol)
     return _attempts_moments(p, n, tol)[0]
 

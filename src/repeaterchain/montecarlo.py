@@ -46,8 +46,8 @@ from .model import (
     ChannelParams,
     HardwareParams,
     _attempts_moments,
-    _check_links,
     _NumpyOnFirstUse,
+    _positive_int,
     _require_success_prob,
     _time_terms,
     ec_prob,
@@ -213,7 +213,8 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
 def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
     """Attempt number at which the slowest of ``n`` links succeeds:
     the maximum of ``n`` inverse-CDF geometric draws."""
-    return int(_sample_chain_rounds(_require_success_prob(p), _check_links(n), 1, rng)[0])
+    p = _require_success_prob(p)
+    return int(_sample_chain_rounds(p, _positive_int(n, "link count"), 1, rng)[0])
 
 
 def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -337,7 +338,7 @@ def simulate(cfg: TrialConfig) -> TrialStats:
             "non-terminating process: entanglement creation never succeeds"
         )
     p = _require_success_prob(p)
-    n = _check_links(cfg.chain.link_count)
+    n = cfg.chain.link_count
     clock, _, t_cc, _, round_success = _time_terms(
         cfg.hw, cfg.chain.total_length, cfg.chain.link_length, n, cfg.ch, 0.0)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:

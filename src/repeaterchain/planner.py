@@ -40,6 +40,7 @@ from .model import (
     _check_tol,
     _metrics_from_moments,
     _multimode_prob,
+    _positive_int,
     _round_success,
     _round_time,
     _single_mode_prob,
@@ -78,8 +79,8 @@ _SPECULATIVE_LEVELS = 4
 def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) -> float:
     """Mean time in seconds until one photon from a ``source_rate`` Hz
     source survives ``L`` km of fiber: 10^(attenuation * L / 10) / rate."""
-    _check_finite(L, "distance")
-    _check_finite(source_rate, "source_rate")
+    L = _check_finite(L, "distance")
+    source_rate = _check_finite(source_rate, "source_rate")
     if L < 0.0:
         raise ConfigError(f"distance must be >= 0, got {L}")
     if source_rate <= 0.0:
@@ -343,15 +344,7 @@ def _link_count_limit(total_length: float, n_max) -> int:
     # The n_max a scan at ``total_length`` searches up to, as an int.
     if n_max is None:
         return _default_n_max(total_length)
-    try:
-        limit = int(n_max)
-    except (TypeError, ValueError, OverflowError):
-        limit = None
-    if isinstance(n_max, bool) or limit != n_max:
-        raise ConfigError(f"n_max must be an integer, got {n_max!r}")
-    if limit < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    return limit
+    return _positive_int(n_max, "n_max")
 
 
 def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max: int | None,
@@ -360,7 +353,7 @@ def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max:
               ) -> OptimizationResult:
     # optimize_link_count; without ``runner_up`` the scan stops at the
     # winner and ``runner_up_ratio`` is nan.
-    _check_finite(total_length, "total_length")
+    total_length = _check_finite(total_length, "total_length")
     n_max = _link_count_limit(total_length, n_max)
     best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
                                                              candidates, runner_up)
@@ -437,8 +430,8 @@ def plan_fixed_link(
     bridged with plain fiber; the side with the smaller resulting total
     time wins.
     """
-    _check_finite(total_length, "total_length")
-    _check_finite(link_length, "link_length")
+    total_length = _check_finite(total_length, "total_length")
+    link_length = _check_finite(link_length, "link_length")
     if link_length <= 0.0:
         raise ConfigError(f"link_length must be > 0, got {link_length}")
     if total_length < link_length:
@@ -502,10 +495,9 @@ def crossover_with_direct(
     (see :func:`_scan_link_counts`), so every step, and the distance
     returned, is the same as with the exact scan at every step.
     """
-    lo, hi = bracket
+    lo, hi = (_check_finite(end, "bracket") for end in bracket)
     if not (0.0 < lo < hi):
         raise ConfigError(f"invalid bracket {bracket}")
-    _check_finite(hi, "bracket")
     tol = _check_tol(tol)
     rows: dict[float, tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 

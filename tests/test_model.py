@@ -85,6 +85,58 @@ def test_chain_config_derives_link_length():
         ChainConfig(total_length=math.inf, link_count=1)
 
 
+@pytest.mark.parametrize("length", [1600, np.float32(1600), np.float64(1600), np.int64(1600)])
+@pytest.mark.parametrize("count", [8, 8.0, np.int64(8), np.float64(8.0)])
+def test_chain_config_keeps_python_numbers(length, count):
+    # numpy scalars and whole floats compute as the Python numbers they
+    # equal: a float length, an int count, and the same metrics bit for bit.
+    chain = ChainConfig(total_length=length, link_count=count)
+    assert type(chain.total_length) is float and type(chain.link_count) is int
+    assert chain == ChainConfig(total_length=1600.0, link_count=8)
+    got = metrics(DEFAULT_HW, chain, DEFAULT_CH)
+    assert got == metrics(DEFAULT_HW, ChainConfig(1600.0, 8), DEFAULT_CH)
+    assert all(type(value) is float for value in vars(got).values())
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"total_length": "1600", "link_count": 8},
+    {"total_length": True, "link_count": 8},
+    {"total_length": None, "link_count": 8},
+    {"total_length": 1600.0, "link_count": True},
+    {"total_length": np.float64(1600.0), "link_count": np.True_},
+    {"total_length": np.True_, "link_count": 8},
+    {"total_length": 1600.0, "link_count": 2.5},
+    {"total_length": 1600.0, "link_count": "8"},
+    {"total_length": 1600.0, "link_count": np.float64(2.5)},
+])
+def test_chain_config_rejects_what_is_no_number(kwargs):
+    with pytest.raises(ConfigError):
+        ChainConfig(**kwargs)
+
+
+def test_parameter_fields_keep_python_numbers():
+    hw = HardwareParams(detector_eff=np.float64(0.9), mode_count=np.int64(100))
+    assert hw == DEFAULT_HW and type(hw.detector_eff) is float and type(hw.mode_count) is int
+    assert type(HardwareParams(mode_count=100.0).mode_count) is int
+    ch = ChannelParams(attenuation=np.float64(0.2), signal_speed=200_000)
+    assert ch == DEFAULT_CH and type(ch.attenuation) is type(ch.signal_speed) is float
+    for kwargs in ({"mode_count": True}, {"mode_count": 2.5}, {"mode_count": "100"}):
+        with pytest.raises(ConfigError, match="mode_count must be an integer"):
+            HardwareParams(**kwargs)
+    for kwargs in ({"attenuation": "0.2"}, {"signal_speed": False}):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            ChannelParams(**kwargs)
+
+
+def test_link_counts_are_positive_ints():
+    assert model._positive_int(np.int64(3), "n") == 3 and type(model._positive_int(3.0, "n")) is int
+    assert expected_max_attempts(0.1, 3.0) == expected_max_attempts(0.1, np.int64(3)) == (
+        expected_max_attempts(0.1, 3))
+    for n in (True, np.True_, 2.5, "3", None, math.nan, math.inf, 0, -1):
+        with pytest.raises(ConfigError, match="link count must be"):
+            expected_max_attempts(0.1, n)
+
+
 # ---------------------------------------------------------------- EC probability
 
 def test_single_mode_zero_loss_limit():
@@ -303,6 +355,8 @@ def test_sized_first_chunk_sum_equals_full_chunk_sum():
     grid = [(float(10 ** rng.uniform(-3.2, 0.0)), int(rng.integers(1, 129)))
             for _ in range(120)]
     grid += [(0.999, 1), (0.5, 128), (1e-5, 3)]  # shortest prefix; several chunks
+    readme = ec_prob(DEFAULT_HW, ChainConfig(1600.0, 8), DEFAULT_CH)
+    grid += [(readme, 8)]  # the README chain: 16384 of the first chunk's terms
     for n in (1, 7, 128):
         length = 128
         while length < model._CHUNK:
@@ -320,6 +374,20 @@ def test_sized_first_chunk_sum_equals_full_chunk_sum():
     for p, n in ((0.01, 5), (0.3, 1), (2e-3, 128)):
         assert model._survival_moments(p, n, 1e-300) == full_chunk_survival_moments(
             p, n, 1e-300), (p, n)
+
+
+def test_series_stops_at_a_prefix_shorter_than_a_chunk(monkeypatch):
+    # Nothing past such a prefix moves the sums, whatever tol asks: at
+    # 1e-30 the prefix's last term is above tol * total, and summing on
+    # would evaluate a whole chunk that adds nothing.
+    p = ec_prob(DEFAULT_HW, ChainConfig(1600.0, 8), DEFAULT_CH)
+    sizes = []
+    chunk_sum = model._chunk_sum
+    monkeypatch.setattr(model, "_chunk_sum", lambda *args: sizes.append(args[3]) or chunk_sum(*args))
+    for tol in (DEFAULT_TOL, 1e-30, 1e-300):
+        sizes.clear()
+        assert model._survival_moments(p, 8, tol) == full_chunk_survival_moments(p, 8, tol)
+        assert sizes == [16384], tol
 
 
 def allocating_chunk_sum(lam: float, n: int, k0: int, size: int):
@@ -364,22 +432,47 @@ def test_chunk_sum_equals_the_allocating_formula():
     assert zero_chunks >= 8
 
 
+def test_block_indices_are_read_only():
+    ks, weights = model._block_indices()
+    assert ks.size == weights.size == model._BLOCK
+    assert ks[-1] == model._BLOCK - 1 and weights[0] == -1.0
+    for indices in (ks, weights):
+        with pytest.raises(ValueError):
+            indices[0] = 1.0
+        with pytest.raises(ValueError):
+            indices += 1.0
+    assert model._block_indices()[0] is ks
+
+
+def first_chunk_bounds_hold(p: float, n: int, length: int) -> bool:
+    """Whether both tails past ``length`` terms stay below 2^-55 of what
+    the prefix holds at least, with the prefix's sums taken term by term."""
+    q = 1.0 - p
+    ks = np.arange(float(length))
+    powers = q**ks
+    held = float(powers.sum())  # sum_{k < L} q^k <= sum_{k < L} S(k)
+    held_weighted = float(((2.0 * ks[1:] - 1.0) * powers[1:]).sum())
+    dropped = n * q**length / p  # >= sum_{k >= L} S(k)
+    dropped_weighted = dropped * (2.0 * length - 1.0 + 2.0 * q / p)
+    return dropped < 2.0**-55 * held and dropped_weighted < 2.0**-55 * held_weighted
+
+
 def test_first_chunk_length_bounds_the_dropped_terms():
-    for p in (1e-4, 1.3e-3, 0.01, 0.2, 0.5, 0.9, 0.999):
-        for n in (1, 5, 128):
-            length = model._first_chunk_length(p, n)
+    # The dropped terms stay below 2^-55 of the prefix's own sums, under
+    # half their ulp with a factor 2 to spare, and half the length would
+    # not do.  A larger p never needs a longer prefix.
+    rng = np.random.default_rng(17)
+    ps = sorted({1e-4, 1.3e-3, 0.01, 0.2, 0.5, 0.9, 0.999,
+                 *(float(p) for p in 10 ** rng.uniform(-4.5, -1e-3, 60))})
+    for n in (1, 5, 8, 128):
+        lengths = [model._first_chunk_length(p, n) for p in ps]
+        assert lengths == sorted(lengths, reverse=True), n
+        for p, length in zip(ps, lengths):
             assert length in {1 << j for j in range(7, 17)}
-            q = 1.0 - p
-            dropped = n * q**length / p
-            assert length == model._CHUNK or dropped < 2.0**-70
-            assert length == 128 or n * q ** (length // 2) / p >= 2.0**-70
-            # The weighted terms (2k - 1) S(k) past the prefix stay below
-            # 2^-54 of the prefix's weighted sum, under half its ulp; that
-            # sum holds at least (2k - 1) q^k for each 1 <= k < length.
-            ks = np.arange(1.0, length)
-            held = float(((2.0 * ks - 1.0) * q**ks).sum())
-            dropped_weighted = dropped * (2.0 * length - 1.0 + 2.0 * q / p)
-            assert length == model._CHUNK or dropped_weighted < 2.0**-54 * held, (p, n)
+            assert length == model._CHUNK or first_chunk_bounds_hold(p, n, length), (p, n)
+            assert length == 128 or not first_chunk_bounds_hold(p, n, length // 2), (p, n)
+    readme = ec_prob(DEFAULT_HW, ChainConfig(1600.0, 8), DEFAULT_CH)
+    assert model._first_chunk_length(readme, 8) == 16384  # 2^-70 of 1 asked for 32768
 
 
 def test_numpy_sums_a_chunk_along_the_block_tree():

@@ -72,6 +72,16 @@ def test_direct_transmission_validation_and_overflow():
         direct_transmission_time(100.0, CH, math.inf)
 
 
+def test_direct_transmission_takes_real_numbers_as_floats():
+    expected = direct_transmission_time(500.0, CH, 1e10)
+    for L, rate in ((500, 10**10), (np.float32(500), np.int64(10**10)), (np.float64(500), 1e10)):
+        got = direct_transmission_time(L, CH, rate)
+        assert got == expected and type(got) is float
+    for L in ("500", True):
+        with pytest.raises(ConfigError, match="distance must be a real number"):
+            direct_transmission_time(L, CH, 1e10)
+
+
 # ---------------------------------------------------------------- link-count optimization
 
 def test_optimize_reference_point_1600km():
@@ -505,6 +515,27 @@ def test_integer_n_max_of_any_kind_scans_as_an_int():
     for n_max in (np.int64(64), 64.0):
         result = optimize_link_count(HW, 1600.0, CH, n_max)
         assert result == expected and type(result.scanned_range[1]) is int
+
+
+@pytest.mark.parametrize("L", [1600, np.float32(1600), np.float64(1600), np.int64(1600)])
+def test_real_distances_plan_as_python_floats(L):
+    # np.float32 once carried float32 arithmetic into ec_prob and the times.
+    result = optimize_link_count(HW, L, CH)
+    assert result == optimize_link_count(HW, 1600.0, CH)
+    assert all(type(value) is float for value in vars(result.metrics).values())
+    plan = plan_fixed_link(HW, L, CH, np.float32(125.0))
+    assert plan == plan_fixed_link(HW, 1600.0, CH, 125.0)
+    assert type(plan.link_length) is type(plan.extension) is float
+    assert all(type(value) is float for value in vars(plan.metrics).values())
+    with pytest.raises(ConfigError, match="total_length must be a real number"):
+        optimize_link_count(HW, str(L), CH)
+
+
+def test_crossover_bracket_of_numpy_scalars_bisects_as_floats():
+    bracket = (np.float32(10.0), np.int64(10_000))
+    assert crossover_with_direct(HW, CH, 1e10, bracket=bracket) == 488.34197998046875
+    with pytest.raises(ConfigError, match="bracket must be a real number"):
+        crossover_with_direct(HW, CH, 1e10, bracket=("10", 10_000.0))
 
 
 def test_reach_is_one_test_when_n_max_is_reachable(monkeypatch):

@@ -91,9 +91,10 @@ _BLOCK = 1 << 13
 
 
 def _check_prob(value: float, name: str) -> float:
+    value = _check_finite(value, name)
     if not (0.0 <= value <= 1.0):
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
+    return value
 
 
 def _is_bool(value) -> bool:
@@ -119,17 +120,18 @@ def _check_finite(value: float, name: str) -> float:
     return number
 
 
-def _positive_int(value: int, name: str) -> int:
-    """``value`` as an ``int`` of at least 1.  ints, numpy integers and
-    integral floats pass; ``bool`` and anything else is no count."""
+def _positive_int(value: int, name: str, least: int = 1) -> int:
+    """``value`` as an ``int`` of at least ``least``.  ints, numpy integers
+    and integral floats pass; ``bool`` and anything else is no count."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or _is_bool(value) or number != value:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if number < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value}")
+    if number < least:
+        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
     return number
 
 

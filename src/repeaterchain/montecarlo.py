@@ -19,23 +19,28 @@ those of one ``SeedSequence`` per trial.
 Each trial draws its chain rounds' uniforms with ``Generator.random``
 straight into one scratch buffer of doubles per run (2**13 of them,
 grown only for a trial that needs more).  Once the next trial would not
-fit, one kernel turns the buffer into attempt counts: each round's
-largest draw, then one logarithm per round, written into a second
-reusable buffer.  Each trial's attempt sum over its failed rounds is
-numpy's sum of its own contiguous slice, as one draw per trial would
-give: beyond 2**53 partial sums round, so summing in another order
-changes the bits.
+fit, the buffer is settled in whole-array passes.  One kernel turns it
+into attempt counts: each round's largest draw, then one logarithm per
+round, written into a second reusable buffer.  Attempt counts are
+integer-valued doubles, so while the buffer's counts sum below 2**53
+every partial sum is exact in any order, and one ``np.add.reduceat``
+gives each trial's total.  At 2**53 and above partial sums round: each
+trial's failed rounds are then numpy's sum of its own slice, as one
+draw per trial would give.
 
-Rounds whose failure count is large are aggregated through a
-moment-matched normal draw for the summed attempt count instead of being
-replayed one by one; the first two moments (and hence every estimator
-mean) are unchanged, but desk-scale runs stay desk-scale even when the
-expected number of rounds per success reaches tens of millions.
+A trial with more than 4096 failed rounds draws one standard normal z
+in their place: their summed attempt count is ``failed*mean +
+sqrt(failed*var)*z`` with one round's moments, rounded and at least
+``failed``, as ``Generator.normal`` computes from the same words.  The
+first two moments (and hence every estimator mean) are unchanged, but
+desk-scale runs stay desk-scale even when the expected number of rounds
+per success reaches tens of millions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -100,14 +105,16 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name in ("trials", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, numbers.Integral):  # no float, even 10.0
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > _MAX_TRIALS:
-            raise ConfigError(f"trials must be <= 2**32, got {self.trials}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        trials = _positive_int(self.trials, "trials")
+        if trials > _MAX_TRIALS:
+            raise ConfigError(f"trials must be <= 2**32, got {trials}")
+        seed = _positive_int(self.seed, "seed", least=0)
+        if seed >= 2**64:
+            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -248,19 +255,6 @@ def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) ->
     return np.maximum(out, 1.0, out=out)
 
 
-def _aggregate_failed_attempts(
-    failed: int, rng: np.random.Generator, mean_k: float, var_k: float
-) -> float:
-    """Total attempt count across ``failed`` discarded rounds, drawn from a
-    normal with the summed rounds' mean and variance."""
-    if var_k == 0.0:
-        return float(failed) * mean_k
-    total = rng.normal(failed * mean_k, math.sqrt(failed * var_k))
-    if not math.isfinite(total):
-        raise BeyondRepresentable("simulated attempt count beyond representable")
-    return max(round(total), float(failed))
-
-
 def _buffered_trials(
     cfg: TrialConfig, p: float, n: int, log_q_round: float | None
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
@@ -273,22 +267,31 @@ def _buffered_trials(
     draws = np.empty(_DRAW_BLOCK)
     attempts = np.empty(_DRAW_BLOCK // n)
     first = pos = 0
-    # Per buffered trial: rounds played, the end of its rounds in the
-    # buffer, and its failed-round sum if that was aggregated.
-    played: list[tuple[int, int, float | None]] = []
+    # Per buffered trial: rounds played and the start of its rounds in the
+    # buffer; per aggregated trial: its place, failed rounds and normal draw.
+    rounds, starts, aggregated = [], [], []
 
     def settled(stop: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
         k = _round_attempts(draws[:pos], n, log_q, attempts[:pos // n])
-        rounds, ends, failed_sums = zip(*played)
-        recorded = k[np.array(ends) - 1]
-        # The failed-round sum is numpy's sum of the trial's own slice, as
-        # one draw per trial gives: beyond 2**53 partial sums round.
-        total = recorded.copy()
-        for i, (begin, end, failed_sum) in enumerate(zip((0, *ends), ends, failed_sums)):
-            if failed_sum is not None:
-                total[i] += failed_sum
-            elif end - begin > 1:
-                total[i] += k[begin:end - 1].sum()
+        ends = np.array(starts[1:] + [k.size])
+        recorded = k[ends - 1]
+        if k.sum() < 2.0**53:  # every partial sum exact, in any order
+            total = np.add.reduceat(k, starts)
+        else:  # numpy's sum of each trial's own slice, as one draw per trial gives
+            total = recorded.copy()
+            for i, (begin, end) in enumerate(zip(starts, ends.tolist())):
+                if end - begin > 1:
+                    total[i] += k[begin:end - 1].sum()
+        if aggregated:  # their failed rounds' totals, from matched normals
+            index, failed, z = map(np.array, zip(*aggregated))
+            mean_k, var_k = moments
+            sums = failed * mean_k
+            if var_k != 0.0:  # else no normal was drawn
+                sums += np.sqrt(failed * var_k) * z
+                if not np.isfinite(sums).all():
+                    raise BeyondRepresentable("simulated attempt count beyond representable")
+                sums = np.maximum(np.rint(sums), failed)
+            total[index] += sums
         return slice(first, stop), np.array(rounds, dtype=np.int64), recorded, total
 
     for j, rng in _trial_streams(cfg.seed, cfg.trials):
@@ -298,14 +301,16 @@ def _buffered_trials(
             u = 1.0 - rng.random()
             r = max(math.ceil(math.log(u) / log_q_round), 1)
         if r > _MAX_ROUNDS_PER_SUCCESS:
+            if pos:  # an earlier trial's unrepresentable total is raised first
+                settled(j)
             raise SimulationAbort(
                 f"simulation aborted: trial {j} needed {r} rounds for one success"
             )
-        replayed, failed_sum = r, None
+        replayed, z = r, None
         if r - 1 > _EXACT_ROUND_LIMIT:
             if moments is None:
                 moments = _attempts_moments(p, n, DEFAULT_TOL)
-            replayed, failed_sum = 1, _aggregate_failed_attempts(r - 1, rng, *moments)
+            replayed, z = 1, rng.standard_normal() if moments[1] else 0.0
         # The replayed failed rounds and the recorded one are consecutive
         # in the stream: one draw covers them all.
         size = replayed * n
@@ -313,13 +318,16 @@ def _buffered_trials(
             if pos:
                 yield settled(j)
                 first, pos = j, 0
-                played.clear()
+                rounds, starts, aggregated = [], [], []
             if size > draws.size:  # to the most any trial replays: once per run
                 draws = np.empty((_EXACT_ROUND_LIMIT + 1) * n)
                 attempts = np.empty(_EXACT_ROUND_LIMIT + 1)
         rng.random(out=draws[pos:pos + size])
+        if z is not None:
+            aggregated.append((len(rounds), r - 1, z))
+        rounds.append(r)
+        starts.append(pos // n)
         pos += size
-        played.append((r, pos // n, failed_sum))
     yield settled(cfg.trials)
 
 

@@ -583,22 +583,24 @@ class SweepSpec:
             raise ConfigError(
                 f"swept_parameter must be one of {_SWEEPABLE}, got {self.swept_parameter!r}"
             )
-        grid = tuple(float(v) for v in self.grid)
+        grid = tuple(_check_finite(v, self.swept_parameter) for v in self.grid)
         if not grid:
             raise ConfigError("sweep grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         swept_length = self.swept_parameter == "total_length"
-        if not swept_length and self.total_length is None:
-            raise ConfigError("total_length is required when it is not the swept parameter")
+        if not swept_length:
+            if self.total_length is None:
+                raise ConfigError("total_length is required when it is not the swept parameter")
+            object.__setattr__(self, "total_length",
+                               _check_finite(self.total_length, "total_length"))
         for length in grid if swept_length else (self.total_length,):
-            _check_finite(length, "total_length")
             if length <= 0.0:
                 raise ConfigError(f"total_length must be > 0, got {length}")
-        if self.swept_parameter == "mode_count" and not all(
-                math.isfinite(v) and int(v) == v for v in grid):
-            raise ConfigError("mode_count grid values must be integers")
+        if self.swept_parameter == "mode_count":
+            for count in grid:
+                _positive_int(count, "mode_count")
 
 
 @dataclass(frozen=True)

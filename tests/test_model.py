@@ -61,6 +61,15 @@ def test_hardware_params_rejects_out_of_range(kwargs):
         HardwareParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["detector_eff", "memory_eff", "emission_prob"])
+def test_hardware_probabilities_are_real_numbers(name):
+    for value in ("0.9", True, np.True_, None, math.inf):
+        with pytest.raises(ConfigError, match=name):
+            HardwareParams(**{name: value})
+    value = getattr(HardwareParams(**{name: np.float32(0.5)}), name)
+    assert type(value) is float and value == 0.5
+
+
 def test_channel_params_rejects_out_of_range():
     with pytest.raises(ConfigError):
         ChannelParams(attenuation=-0.1)

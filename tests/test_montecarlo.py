@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repeaterchain.errors import ConfigError, NonTerminatingProcess, SimulationAbort
+from repeaterchain.errors import (
+    BeyondRepresentable,
+    ConfigError,
+    NonTerminatingProcess,
+    SimulationAbort,
+)
 from repeaterchain.model import (
+    DEFAULT_TOL,
     ChainConfig,
     ChannelParams,
     HardwareParams,
+    _attempts_moments,
     _round_success,
     combined_attempt_dist,
     ec_prob,
@@ -43,6 +50,18 @@ CH = ChannelParams()
 def test_trial_config_validation():
     chain = ChainConfig(total_length=500.0, link_count=4)
     for trials, seed in [(0, 1), (10, -1), (10, 2**64), (10.0, 1), (10.5, 1), (10, 1.5)]:
+        with pytest.raises(ConfigError):
+            TrialConfig(hw=HW, chain=chain, ch=CH, trials=trials, seed=seed)
+
+
+def test_trial_config_takes_numpy_integers():
+    chain = ChainConfig(total_length=500.0, link_count=4)
+    cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=np.int64(50), seed=np.uint64(7))
+    assert type(cfg.trials) is int and type(cfg.seed) is int
+    assert simulate(cfg) == simulate(TrialConfig(hw=HW, chain=chain, ch=CH, trials=50, seed=7))
+    TrialConfig(hw=HW, chain=chain, ch=CH, trials=1, seed=np.int32(0))
+    for trials, seed in [(True, 1), (np.True_, 1), (10, False), (10, np.False_),
+                         (np.float64(10.0), 1), (10, "1"), (np.int64(0), 1), (10, np.int64(-1))]:
         with pytest.raises(ConfigError):
             TrialConfig(hw=HW, chain=chain, ch=CH, trials=trials, seed=seed)
 
@@ -266,6 +285,80 @@ def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     assert max(rounds for rounds, _ in expected) > 8  # past numpy's sequential sums
     assert min(total for _, total in expected) > 2.0**53
     assert totals.tolist() == [total for _, total in expected]
+
+
+def _replayed_trial(rng, n, log_q, log_q_round):
+    # One trial as the sampler plays it without aggregation: its rounds,
+    # recorded attempt count and attempt count over all rounds.
+    rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
+    k = np.maximum(np.ceil(np.log(1.0 - rng.random((rounds, n))) / log_q), 1.0).max(axis=1)
+    return rounds, k[-1], k[:-1].sum() + k[-1]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("block", [1, 64, _DRAW_BLOCK],
+                         ids=["one-round", "middle", "default"])
+def test_buffered_totals_below_2_53_match_one_trial_replays(n, block, monkeypatch):
+    # Below 2**53 a buffer's attempt counts sum exactly in any order, so the
+    # whole buffer settles in one reduceat: each trial's total must still
+    # be its own failed rounds plus its recorded round.
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
+    chain = ChainConfig(total_length=500.0, link_count=n)
+    cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=300, seed=5)
+    p = ec_prob(HW, chain, CH)
+    log_q_round = math.log1p(-_round_success(HW, n)[1])
+    got = np.empty((3, cfg.trials))
+    for span, *columns in _buffered_trials(cfg, p, n, log_q_round):
+        got[:, span] = columns
+    expected = np.array([_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p), log_q_round)
+                         for j in range(cfg.trials)]).T
+    assert expected[0].max() - 1 <= _EXACT_ROUND_LIMIT  # every failed round replayed
+    assert expected[0].max() > 1  # some failed rounds to sum
+    assert expected[2].sum() < 2.0**53  # so every buffer takes the reduceat path
+    assert got.tolist() == expected.tolist()
+
+
+def test_aggregated_totals_match_numpy_normal():
+    # An aggregated trial draws one standard normal for its failed rounds;
+    # Generator.normal(loc, scale) must read the same words and give the
+    # same total, rounded and floored at one attempt per failed round.
+    n = 8
+    chain = ChainConfig(total_length=500.0, link_count=n)
+    cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=60, seed=3)
+    p = ec_prob(HW, chain, CH)
+    log_q_round = math.log1p(-_round_success(HW, n)[1])
+    mean_k, var_k = _attempts_moments(p, n, DEFAULT_TOL)
+    got = np.empty((3, cfg.trials))
+    for span, *columns in _buffered_trials(cfg, p, n, log_q_round):
+        got[:, span] = columns
+    expected, aggregated = [], 0
+    for j in range(cfg.trials):
+        rng = _trial_rng(cfg.seed, j)
+        rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
+        failed = rounds - 1
+        if failed <= _EXACT_ROUND_LIMIT:
+            expected.append(_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p),
+                                            log_q_round))
+            continue
+        aggregated += 1
+        failed_sum = max(round(rng.normal(failed * mean_k, math.sqrt(failed * var_k))), failed)
+        k = np.maximum(np.ceil(np.log(1.0 - rng.random(n)) / math.log1p(-p)), 1.0).max()
+        expected.append((rounds, k, k + failed_sum))
+    assert 0 < aggregated < cfg.trials
+    assert got.tolist() == np.array(expected).T.tolist()
+
+
+def test_simulate_raises_an_unrepresentable_total_before_a_later_abort():
+    # Trial 0 aggregates a failed-round sum whose variance overflows; trial
+    # 1 needs more than 10**9 rounds.  The earlier trial's error comes first.
+    hw = HardwareParams(detector_eff=1.0, memory_eff=1.0, emission_prob=1.0, mode_count=1000)
+    cfg = TrialConfig(hw=hw, chain=ChainConfig(total_length=3000.0, link_count=30),
+                      ch=ChannelParams(attenuation=30.7), trials=2, seed=14)
+    with pytest.raises(BeyondRepresentable, match="attempt count"):
+        simulate(cfg)
+    with pytest.raises(SimulationAbort, match="trial 1 needed"):
+        simulate(dataclasses.replace(cfg, hw=dataclasses.replace(hw, memory_eff=0.999),
+                                     ch=CH))
 
 
 def test_simulate_memory_stays_within_buffers():

@@ -767,6 +767,29 @@ def test_sweep_spec_validation():
                   total_length=500.0)
 
 
+@pytest.mark.parametrize("swept, grid", [
+    ("total_length", ("800", "1600")),
+    ("total_length", "800"),
+    ("emission_prob", (0.3, math.nan)),
+    ("mode_count", (True, 2)),
+    ("mode_count", (np.True_, 2)),
+    ("mode_count", (0.0, 2.0)),
+    ("mode_count", (10.0, math.inf)),
+])
+def test_sweep_spec_rejects_grid_values_that_are_no_numbers(swept, grid):
+    # Checked as the swept field itself is, before any point runs.
+    with pytest.raises(ConfigError, match=swept):
+        SweepSpec(swept_parameter=swept, grid=grid, hw=HW, ch=CH,
+                  total_length=None if swept == "total_length" else 1000.0)
+
+
+def test_sweep_spec_holds_floats():
+    spec = SweepSpec("mode_count", (np.int64(10), 20), HW, CH, total_length=np.float32(1000))
+    assert spec.grid == (10.0, 20.0) and all(type(v) is float for v in spec.grid)
+    record, = run_sweep(dataclasses.replace(spec, grid=(10.0,)))
+    assert type(record.total_length) is float and record.total_length == 1000.0
+
+
 @pytest.mark.parametrize("swept, grid, fixed", [
     ("emission_prob", (0.5,), -5.0),
     ("mode_count", (10.0,), 0.0),

@@ -39,7 +39,7 @@ from .model import (
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
-    _check_tol,
+    _arg,
     metrics,
 )
 
@@ -249,7 +249,7 @@ def _resolve(merged: dict[str, object]) -> RunConfig:
     hw = HardwareParams(detector_eff=merged["eta_d"], memory_eff=merged["eta_m"],
                         emission_prob=merged["rho"], mode_count=merged["m"])
     ch = ChannelParams(attenuation=merged["alpha"], signal_speed=merged["c"])
-    tol = _check_tol(merged["tol"])
+    tol = _arg("tol", merged["tol"])
 
     scenario = merged["scenario"]
     for key in SCENARIOS[scenario].required:

@@ -22,6 +22,10 @@ Import rule of the package: numpy is imported on the first numeric call
 that needs it (see :class:`_NumpyOnFirstUse`).  Parsing, validation and
 the checks that reject a configuration before any moments do not load it.
 
+Every public function and parameter class of the package converts each
+argument once by its kind in :data:`_KINDS`: what it may be, which
+Python type it keeps and which error it raises otherwise.
+
 Units are km, seconds, and dB/km throughout; probabilities are
 dimensionless.  All functions are pure and all returned objects immutable,
 so values can be shared freely across threads.
@@ -30,7 +34,10 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     BeyondRepresentable,
@@ -85,60 +92,13 @@ _MAX_DIST_TERMS = 1 << 25
 
 _CHUNK = 1 << 16
 
+# (r/2)^(n-1) <= 2^-(n-1) rounds to 0 from here on, so no round succeeds:
+# the link-count scan and the closed form stop below it.
+_UNDERFLOW_LINKS = 1076
+
 # Survival terms evaluated at once: 64 KiB per float64 buffer, under glibc's
 # 128 KiB mmap threshold and well inside L2.
 _BLOCK = 1 << 13
-
-
-def _check_prob(value: float, name: str) -> float:
-    value = _check_finite(value, name)
-    if not (0.0 <= value <= 1.0):
-        raise ConfigError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _is_bool(value) -> bool:
-    # Python's or numpy's: neither is taken for the number 0 or 1.
-    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
-
-
-def _check_finite(value: float, name: str) -> float:
-    """``value`` as a Python float, so that numpy scalars and ints compute
-    as floats do.  ``str`` and ``bool`` are no real numbers here.  Range
-    comparisons are false for NaN and let infinities through; an int
-    beyond the float range cannot enter the float arithmetic either."""
-    if isinstance(value, str) or _is_bool(value):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return number
-
-
-def _positive_int(value: int, name: str, least: int = 1) -> int:
-    """``value`` as an ``int`` of at least ``least``.  ints, numpy integers
-    and integral floats pass; ``bool`` and anything else is no count."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or _is_bool(value) or number != value:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if number < least:
-        bound = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ConfigError(f"{name} must be {bound}, got {value}")
-    return number
-
-
-def _check_tol(tol: float) -> float:
-    if not (0.0 < tol < 1.0):
-        raise ConfigError(f"tol must be in (0, 1), got {tol}")
-    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -149,12 +109,7 @@ class ChannelParams:
     signal_speed: float = 2.0e5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "attenuation", _check_finite(self.attenuation, "attenuation"))
-        object.__setattr__(self, "signal_speed", _check_finite(self.signal_speed, "signal_speed"))
-        if self.attenuation < 0.0:
-            raise ConfigError(f"attenuation must be >= 0, got {self.attenuation}")
-        if self.signal_speed <= 0.0:
-            raise ConfigError(f"signal_speed must be > 0, got {self.signal_speed}")
+        _set_fields(self, attenuation="non-negative real", signal_speed="positive real")
 
 
 @dataclass(frozen=True)
@@ -168,11 +123,8 @@ class HardwareParams:
     mode_count: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("detector_eff", "memory_eff", "emission_prob"):
-            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
-        mode_count = _positive_int(self.mode_count, "mode_count")
-        _check_finite(mode_count, "mode_count")  # it scales a float
-        object.__setattr__(self, "mode_count", mode_count)
+        _set_fields(self, detector_eff="probability", memory_eff="probability",
+                    emission_prob="probability", mode_count="count")
 
 
 @dataclass(frozen=True)
@@ -184,17 +136,122 @@ class ChainConfig:
     link_count: int
 
     def __post_init__(self) -> None:
-        total_length = _check_finite(self.total_length, "total_length")
-        if total_length <= 0.0:
-            raise ConfigError(f"total_length must be > 0, got {self.total_length}")
-        link_count = _positive_int(self.link_count, "link_count")
-        _check_finite(link_count, "link_count")  # it divides a float
-        object.__setattr__(self, "total_length", total_length)
-        object.__setattr__(self, "link_count", link_count)
+        _set_fields(self, total_length="positive real", link_count="count")
 
     @property
     def link_length(self) -> float:
         return self.total_length / self.link_count
+
+
+# ---------------------------------------------------------------- arguments
+
+def _bound(text: str, test):
+    # A range check that fails with "<name> must be <text>, got <value>".
+    return test, ConfigError, f"{{name}} must be {text}, got {{value}}"
+
+
+_FLOAT_MAX = sys.float_info.max
+_FINITE = _bound("finite", math.isfinite)
+
+#: The argument kinds of the library API.  Every public function and
+#: parameter class converts each argument once, through :func:`_arg`, by
+#: its kind here, and the helpers behind them trust what they are given.
+#: A kind is ``(accepts, checks)``.  ``float`` accepts any real number but
+#: a ``str`` or a bool (Python's or numpy's) and keeps a ``float``; ``int``
+#: accepts an int, a numpy integer or a whole float such as ``2.0``, and
+#: ``operator.index`` an int or a numpy integer only, not even ``10.0``,
+#: and both keep an ``int``; a class, or a ``(module, class name)`` pair,
+#: accepts an instance of that class and keeps it.  Anything else is a
+#: :class:`ConfigError`.  ``checks`` are ``(test, error, message)`` on the
+#: kept value, in order: the first test that fails raises its error, whose
+#: message names the argument and the value as given.
+_KINDS = {
+    "real": (float, (_FINITE,)),
+    "non-negative real": (float, (_FINITE, _bound(">= 0", lambda x: x >= 0.0))),
+    "positive real": (float, (_FINITE, _bound("> 0", lambda x: x > 0.0))),
+    "probability": (float, (_FINITE, _bound("in [0, 1]", lambda x: 0.0 <= x <= 1.0))),
+    # Zero is a process that never ends rather than a value out of range.
+    "success probability": (float, (
+        (lambda x: x != 0.0, NonTerminatingProcess, "non-terminating process: {name} is zero"),
+        _bound("in (0, 1]", lambda x: 0.0 < x <= 1.0))),
+    "tol": (float, (_bound("in (0, 1)", lambda x: 0.0 < x < 1.0),)),
+    # Counts scale and divide floats, so they stay within the float range.
+    "count": (int, (_bound("a positive integer", lambda n: n >= 1),
+                    _bound("finite", lambda n: n <= _FLOAT_MAX))),
+    # A scan stops at 1075 links whatever its limit, so the limit may be any int.
+    "n_max": (int, (_bound("a positive integer", lambda n: n >= 1),)),
+    # A trial index is one 32-bit spawn word (see montecarlo._philox_keys).
+    "trials": (operator.index, (_bound("a positive integer", lambda n: n >= 1),
+                                _bound("<= 2**32", lambda n: n <= 2**32))),
+    "seed": (operator.index, (_bound("an integer >= 0", lambda n: n >= 0),
+                              _bound("a 64-bit unsigned integer", lambda n: n < 2**64))),
+    "hw": (HardwareParams, ()),
+    "ch": (ChannelParams, ()),
+    "chain": (ChainConfig, ()),
+    # Classes of the modules that import this one, by module and name.
+    "cfg": ((f"{__package__}.montecarlo", "TrialConfig"), ()),
+    "spec": ((f"{__package__}.planner", "SweepSpec"), ()),
+    "rng": (("numpy.random", "Generator"), ()),
+}
+
+
+def _arg(kind: str, value, name: str | None = None):
+    """``value`` as its kind in :data:`_KINDS` keeps it, or that kind's
+    error; ``name``, by default the kind's own, names it in messages."""
+    accepts, checks = _KINDS[kind]
+    kept = value if type(value) is accepts else _convert(accepts, value, name or kind)
+    for test, error, message in checks:
+        if not test(kept):
+            raise error(message.format(name=name or kind, value=value))
+    return kept
+
+
+def _convert(accepts, value, name: str):
+    # The rest of _arg's type test: ``value`` as ``accepts`` keeps it, or
+    # a ConfigError for a value of another type.
+    if accepts in (float, int, operator.index):
+        kept = None
+        # Neither a str nor a bool, Python's or numpy's, is taken for a number.
+        if not (isinstance(value, (str, bool)) or getattr(value, "dtype", None) == bool):
+            try:
+                kept = accepts(value)
+            except OverflowError:  # an int past the float range is no finite real
+                kept = math.inf if accepts is float else None
+            except (TypeError, ValueError):
+                pass
+            else:
+                if accepts is int and kept != value:  # a fractional float
+                    kept = None
+        if kept is None:
+            expected = "a real number" if accepts is float else "an integer"
+            raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        return kept
+    if isinstance(accepts, tuple):  # an instance implies that its module is loaded
+        path, accepts = ".".join(accepts), getattr(sys.modules.get(accepts[0]), accepts[1], None)
+    else:
+        path = f"{accepts.__module__}.{accepts.__qualname__}"
+    if accepts is None or not isinstance(value, accepts):
+        raise ConfigError(f"{name} must be a {path}, got {value!r}")
+    return value
+
+
+def _args(kind: str, values, name: str) -> tuple:
+    """Each of ``values`` converted by :func:`_arg`."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    return tuple(_arg(kind, value, name) for value in items)
+
+
+#: A count as an ``int``: the ``"count"`` kind of :data:`_KINDS`.
+_positive_int = partial(_arg, "count")
+
+
+def _set_fields(obj, **kinds: str) -> None:
+    # Each named field of a frozen parameter class, converted by its kind.
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, _arg(kind, getattr(obj, name), name))
 
 
 @dataclass(frozen=True)
@@ -251,13 +308,6 @@ class RepeaterMetrics:
     mem_time_avg: float
     mem_time_std: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p_es <= 1.0):
-            raise ModelError(f"p_es must be in (0, 1], got {self.p_es}")
-        for name in ("t_ec", "t_cc", "t_tot", "mem_time_avg", "mem_time_std"):
-            if getattr(self, name) < 0.0:
-                raise ModelError(f"{name} must be >= 0")
-
 
 def ec_prob_single_mode(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
     """Per-attempt success probability of the midpoint Bell-state measurement
@@ -267,6 +317,7 @@ def ec_prob_single_mode(hw: HardwareParams, chain: ChainConfig, ch: ChannelParam
     exponent uses half the per-link distance; the 1/2 prefactor is the
     linear-optics BSM ceiling.  The result is in [0, 1/2].
     """
+    hw, chain, ch = _arg("hw", hw), _arg("chain", chain), _arg("ch", ch)
     return _single_mode_prob(hw, chain.total_length, chain.link_count, ch)
 
 
@@ -274,6 +325,11 @@ def ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
     """Per-attempt EC probability with ``mode_count`` parallel modes:
     the chance that at least one mode yields a successful BSM."""
     return _multimode_prob(hw, ec_prob_single_mode(hw, chain, ch))
+
+
+def _ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
+    # ec_prob of arguments already converted.
+    return _multimode_prob(hw, _single_mode_prob(hw, chain.total_length, chain.link_count, ch))
 
 
 def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
@@ -291,19 +347,18 @@ def _multimode_prob(hw: HardwareParams, p1):
     return -xp.expm1(hw.mode_count * xp.log1p(-p1))
 
 
-def _require_success_prob(p: float) -> float:
-    if p == 0.0:
-        raise NonTerminatingProcess("non-terminating process: success probability is zero")
-    if not (0.0 < p <= 1.0):
-        raise ConfigError(f"success probability must be in (0, 1], got {p}")
-    return float(p)
+def _success_args(p, n, tol=DEFAULT_TOL) -> tuple[float, int, float]:
+    # The success probability, link count and tol of a public function.
+    return _arg("success probability", p), _arg("count", n, "link count"), _arg("tol", tol)
 
 
-def _combined_dist_length(p: float, n: int, tol: float) -> int:
-    # Smallest K with 1 - (1 - q^K)^n <= tol.
+def _combined_dist_length(p: float, n: int, tol: float) -> int | float:
+    # Smallest K with 1 - (1 - q^K)^n <= tol, or inf past the float range.
     log_q = math.log1p(-p)
     threshold = -math.expm1(math.log1p(-tol) / n)  # about tol / n
-    return max(1, math.ceil(math.log(threshold) / log_q))
+    # Where tol / n underflows to 0, its log is the difference of logs.
+    terms = (math.log(threshold) if threshold else math.log(tol) - math.log(n)) / log_q
+    return max(1, math.ceil(terms)) if terms < math.inf else terms
 
 
 def combined_attempt_dist(p: float, n: int, tol: float = DEFAULT_TOL) -> AttemptDistribution:
@@ -313,9 +368,7 @@ def combined_attempt_dist(p: float, n: int, tol: float = DEFAULT_TOL) -> Attempt
     Powers are taken through log1p/expm1 so the result stays accurate for
     small ``p`` and large ``n``.
     """
-    p = _require_success_prob(p)
-    n = _positive_int(n, "link count")
-    tol = _check_tol(tol)
+    p, n, tol = _success_args(p, n, tol)
     if p == 1.0:
         return AttemptDistribution(probs=np.array([1.0]), tail_mass=0.0)
     length = _combined_dist_length(p, n, tol)
@@ -326,7 +379,7 @@ def combined_attempt_dist(p: float, n: int, tol: float = DEFAULT_TOL) -> Attempt
         )
     log_q = math.log1p(-p)
     ks = np.arange(length + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) at k = 0; huge n * log
         cdf = np.exp(n * np.log1p(-np.exp(ks * log_q)))
     probs = np.diff(cdf)
     np.maximum(probs, 0.0, out=probs)  # guard 1-ulp inversions of the CDF
@@ -439,7 +492,7 @@ def _chunk_sum(lam: float, n: int, k0: int, size: int) -> tuple[float, float, fl
     ks, weights = (indices[:step] for indices in _block_indices())
     x, terms = np.empty(step), np.empty(step)  # out= of every ufunc
     sums = []
-    with np.errstate(divide="ignore"):  # log1p(-1) at k = 0
+    with np.errstate(divide="ignore", over="ignore"):  # log1p(-1) at k = 0; huge n * log
         for start in range(k0, k0 + size, step):
             if start:
                 np.multiply(np.add(ks, start, x), -lam, x)
@@ -492,6 +545,11 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
 
 
 def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
+    # No round of that many links succeeds, and the cost grows as n^2.
+    if n >= _UNDERFLOW_LINKS:
+        raise ModelError(
+            f"closed-form attempt moments take at most {_UNDERFLOW_LINKS - 1} links, got {n}"
+        )
     # Inclusion-exclusion closed forms for the mean and variance of the
     # maximum of n geometric variables.  The alternating binomial sums
     # cancel ~n bits, 1 - p must stay distinguishable from 1, and the
@@ -568,14 +626,13 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
 
     Evaluated through the survival-function sum; configurations whose
     series would be impractically long fall back to the closed form taken
-    at boosted precision.  Equals ``1 / p`` for a single link.
+    at boosted precision, which takes at most 1075 links.  Equals ``1 / p``
+    for a single link.
     """
-    if p == 0.0:
-        raise NonTerminatingProcess("divergent expectation: success probability is zero")
-    p = _require_success_prob(p)
-    n = _positive_int(n, "link count")
-    tol = _check_tol(tol)
-    return _attempts_moments(p, n, tol)[0]
+    mean = _attempts_moments(*_success_args(p, n, tol))[0]
+    if mean == math.inf:
+        raise BeyondRepresentable("expected attempt count beyond representable")
+    return mean
 
 
 def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
@@ -648,8 +705,8 @@ def metrics(
     total time underflows to 0 or overflows, or the memory-time spread
     overflows.
     """
-    tol = _check_tol(tol)
-    p = ec_prob(hw, chain, ch)
+    tol = _arg("tol", tol)
+    p = ec_prob(hw, chain, ch)  # converts the rest
     if p == 0.0:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"

@@ -40,22 +40,22 @@ per success reaches tens of millions.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import BeyondRepresentable, ConfigError, NonTerminatingProcess, SimulationAbort
+from .errors import BeyondRepresentable, NonTerminatingProcess, SimulationAbort
 from .model import (
     DEFAULT_TOL,
     ChainConfig,
     ChannelParams,
     HardwareParams,
+    _arg,
     _attempts_moments,
+    _ec_prob,
     _NumpyOnFirstUse,
-    _positive_int,
-    _require_success_prob,
+    _set_fields,
+    _success_args,
     _time_terms,
-    ec_prob,
 )
 
 # numpy loads on the first draw: a run rejected up front never pays for it.
@@ -70,10 +70,6 @@ _EXACT_ROUND_LIMIT = 4096
 # Abort once a single success is expected (or observed) to need more
 # rounds than this.
 _MAX_ROUNDS_PER_SUCCESS = 10**9
-
-# At most this many trials per run, so a trial index is one 32-bit spawn
-# word (the only case _philox_keys handles).
-_MAX_TRIALS = 2**32
 
 # Trials whose Philox keys are derived together.
 _KEY_BLOCK = 1024
@@ -103,18 +99,7 @@ class TrialConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):  # no float, even 10.0
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        trials = _positive_int(self.trials, "trials")
-        if trials > _MAX_TRIALS:
-            raise ConfigError(f"trials must be <= 2**32, got {trials}")
-        seed = _positive_int(self.seed, "seed", least=0)
-        if seed >= 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
+        _set_fields(self, hw="hw", chain="chain", ch="ch", trials="trials", seed="seed")
 
 
 @dataclass(frozen=True)
@@ -220,12 +205,17 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
 def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
     """Attempt number at which the slowest of ``n`` links succeeds:
     the maximum of ``n`` inverse-CDF geometric draws."""
-    p = _require_success_prob(p)
-    return int(_sample_chain_rounds(p, _positive_int(n, "link count"), 1, rng)[0])
+    p, n, _ = _success_args(p, n)
+    rng = _arg("rng", rng)
+    with np.errstate(over="ignore"):  # past the float range for p near 0: checked here
+        k = float(_sample_chain_rounds(p, n, 1, rng)[0])
+    if k == math.inf:
+        raise BeyondRepresentable("simulated attempt count beyond representable")
+    return int(k)
 
 
 def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    # The callers check p in (0, 1] and n >= 1.
+    # The callers convert p in (0, 1] and n >= 1.
     if p == 1.0:
         return np.ones(size, dtype=np.float64)
     try:
@@ -340,12 +330,12 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     do not fit in memory; raises :class:`BeyondRepresentable` when a
     statistic overflows double precision or t_cc = L / c underflows to 0.
     """
-    p = ec_prob(cfg.hw, cfg.chain, cfg.ch)
+    cfg = _arg("cfg", cfg)
+    p = _ec_prob(cfg.hw, cfg.chain, cfg.ch)
     if p == 0.0:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    p = _require_success_prob(p)
     n = cfg.chain.link_count
     clock, _, t_cc, _, round_success = _time_terms(
         cfg.hw, cfg.chain.total_length, cfg.chain.link_length, n, cfg.ch, 0.0)

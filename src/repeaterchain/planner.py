@@ -28,25 +28,26 @@ from .errors import (
     UnreachableConfiguration,
 )
 from .model import (
+    _UNDERFLOW_LINKS,
     DEFAULT_TOL,
     ChainConfig,
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
+    _arg,
+    _args,
     _attempts_mean_bounds,
     _attempts_moments,
     _chain_times,
-    _check_finite,
-    _check_tol,
+    _ec_prob,
     _metrics_from_moments,
     _multimode_prob,
-    _positive_int,
     _round_success,
     _round_time,
+    _set_fields,
     _single_mode_prob,
     _time_terms,
     _total_time,
-    ec_prob,
     metrics,
 )
 
@@ -66,10 +67,10 @@ __all__ = [
 # so the scan never needs finer splits than this.
 _MIN_USEFUL_LINK_KM = 25.0
 _MAX_SCAN_LINKS = 128
-# (r/2)^(n-1) <= 2^-(n-1) rounds to 0 from here on, so no round succeeds.
-_UNDERFLOW_LINKS = 1076
 
-_SWEEPABLE = ("total_length", "mode_count", "emission_prob")
+# Swept field -> the kind of its grid values.
+_SWEEPABLE = {"total_length": "positive real", "mode_count": "count",
+              "emission_prob": "probability"}
 
 # Bisection levels whose midpoints one crossover candidate pass covers:
 # 3, 4 and 5 took 0.80, 0.76 and 1.15 ms for the default crossover.
@@ -79,12 +80,8 @@ _SPECULATIVE_LEVELS = 4
 def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) -> float:
     """Mean time in seconds until one photon from a ``source_rate`` Hz
     source survives ``L`` km of fiber: 10^(attenuation * L / 10) / rate."""
-    L = _check_finite(L, "distance")
-    source_rate = _check_finite(source_rate, "source_rate")
-    if L < 0.0:
-        raise ConfigError(f"distance must be >= 0, got {L}")
-    if source_rate <= 0.0:
-        raise ConfigError(f"source_rate must be > 0, got {source_rate}")
+    L, ch = _arg("non-negative real", L, "distance"), _arg("ch", ch)
+    source_rate = _arg("positive real", source_rate, "source_rate")
     try:
         t = 10.0 ** (ch.attenuation * L / 10.0) / source_rate
     except OverflowError:
@@ -196,9 +193,6 @@ def _link_candidates(
     instead, and left out only when the scalar p is 0 or the lower-bound
     time overflows (then the total time does as well).
     """
-    for _, total_length, _ in rows:
-        if total_length <= 0.0:
-            raise ConfigError(f"total_length must be > 0, got {total_length}")
     widths = [_reachable_link_counts(hw, L, ch, n_max) for hw, L, n_max in rows]
     ns = np.arange(1.0, max(widths) + 1.0)
     # One row keeps its distance a float and its arrays 1-D, as cheap as
@@ -244,7 +238,7 @@ def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelP
     # The total times at the mean bounds from the scalar p, or None when n
     # is infeasible: p is 0 or the lower-bound time overflows.
     chain = ChainConfig(total_length=total_length, link_count=n)
-    p = ec_prob(hw, chain, ch)
+    p = _ec_prob(hw, chain, ch)
     if p == 0.0:
         return None
     lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
@@ -290,7 +284,6 @@ def _scan_link_counts(
     runner-up instead: no link count left could place first or second.
     Either way the result equals that of evaluating every link count.
     """
-    tol = _check_tol(tol)
     if candidates is None:
         candidates = _link_candidates([(hw, total_length, n_max)], ch)[0]
     lower, ns, _ = candidates
@@ -301,7 +294,7 @@ def _scan_link_counts(
             break
         n = int(n)
         chain = ChainConfig(total_length=total_length, link_count=n)
-        p = ec_prob(hw, chain, ch)
+        p = _ec_prob(hw, chain, ch)
         moments = _attempts_moments(p, n, tol)
         try:
             t = _chain_times(hw, chain, ch, moments[0])[-1]
@@ -337,23 +330,24 @@ def optimize_link_count(
     :class:`BeyondRepresentable` when the best total time underflows to 0,
     where no two link counts can be told apart.
     """
-    return _optimize(hw, total_length, ch, n_max, tol, runner_up=True)
+    hw, ch = _arg("hw", hw), _arg("ch", ch)
+    total_length = _arg("positive real", total_length, "total_length")
+    return _optimize(hw, total_length, ch, n_max, _arg("tol", tol), runner_up=True)
 
 
 def _link_count_limit(total_length: float, n_max) -> int:
     # The n_max a scan at ``total_length`` searches up to, as an int.
     if n_max is None:
         return _default_n_max(total_length)
-    return _positive_int(n_max, "n_max")
+    return _arg("n_max", n_max)
 
 
 def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max: int | None,
               tol: float, runner_up: bool = False,
               candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
               ) -> OptimizationResult:
-    # optimize_link_count; without ``runner_up`` the scan stops at the
-    # winner and ``runner_up_ratio`` is nan.
-    total_length = _check_finite(total_length, "total_length")
+    # optimize_link_count of converted arguments but ``n_max``; without
+    # ``runner_up`` the scan stops at the winner and ``runner_up_ratio`` is nan.
     n_max = _link_count_limit(total_length, n_max)
     best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
                                                              candidates, runner_up)
@@ -386,12 +380,6 @@ class FixedLinkPlan:
     extension: float
     side: str
     metrics: RepeaterMetrics
-
-    def __post_init__(self) -> None:
-        if self.side not in ("below", "above"):
-            raise ConfigError(f"side must be 'below' or 'above', got {self.side!r}")
-        if abs(self.extension) >= self.link_length:
-            raise ModelError("fiber extension is longer than one link")
 
 
 def _extended_metrics(
@@ -430,10 +418,9 @@ def plan_fixed_link(
     bridged with plain fiber; the side with the smaller resulting total
     time wins.
     """
-    total_length = _check_finite(total_length, "total_length")
-    link_length = _check_finite(link_length, "link_length")
-    if link_length <= 0.0:
-        raise ConfigError(f"link_length must be > 0, got {link_length}")
+    hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
+    total_length = _arg("real", total_length, "total_length")
+    link_length = _arg("positive real", link_length, "link_length")
     if total_length < link_length:
         raise ConfigError(
             f"total_length {total_length} km is shorter than one link ({link_length} km)"
@@ -495,10 +482,12 @@ def crossover_with_direct(
     (see :func:`_scan_link_counts`), so every step, and the distance
     returned, is the same as with the exact scan at every step.
     """
-    lo, hi = (_check_finite(end, "bracket") for end in bracket)
-    if not (0.0 < lo < hi):
+    hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
+    source_rate = _arg("positive real", source_rate, "source_rate")
+    ends = _args("positive real", bracket, "bracket")
+    if len(ends) != 2 or not ends[0] < ends[1]:
         raise ConfigError(f"invalid bracket {bracket}")
-    tol = _check_tol(tol)
+    lo, hi = ends
     rows: dict[float, tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
     def build(distances: list[float]) -> None:
@@ -510,7 +499,7 @@ def crossover_with_direct(
         n_max, candidates = rows[L]
         try:
             direct = direct_transmission_time(L, ch, source_rate)
-        except (ConfigError, ModelError):
+        except BeyondRepresentable:
             _scan_link_counts(hw, L, ch, n_max, tol, candidates)  # its error comes first
             raise
         lower, _, upper = candidates
@@ -566,7 +555,8 @@ class SweepSpec:
     distance, fixed or swept, must be finite and above 0 km.  With
     ``fixed_link_length`` set, each point is planned at that link length
     instead of optimizing the link count.  A ``source_rate`` adds the
-    direct-transmission baseline time to every record.
+    direct-transmission baseline time to every record.  Each point checks
+    and records ``fixed_link_length`` and ``n_max`` as it uses them.
     """
 
     swept_parameter: str
@@ -579,28 +569,25 @@ class SweepSpec:
     source_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.swept_parameter not in _SWEEPABLE:
+        swept = self.swept_parameter
+        if not (isinstance(swept, str) and swept in _SWEEPABLE):
             raise ConfigError(
-                f"swept_parameter must be one of {_SWEEPABLE}, got {self.swept_parameter!r}"
-            )
-        grid = tuple(_check_finite(v, self.swept_parameter) for v in self.grid)
+                f"swept_parameter must be one of {tuple(_SWEEPABLE)}, got {swept!r}")
+        grid = _args("real", self.grid, swept)
         if not grid:
             raise ConfigError("sweep grid must not be empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        swept_length = self.swept_parameter == "total_length"
-        if not swept_length:
+        if swept != "total_length":
             if self.total_length is None:
                 raise ConfigError("total_length is required when it is not the swept parameter")
-            object.__setattr__(self, "total_length",
-                               _check_finite(self.total_length, "total_length"))
-        for length in grid if swept_length else (self.total_length,):
-            if length <= 0.0:
-                raise ConfigError(f"total_length must be > 0, got {length}")
-        if self.swept_parameter == "mode_count":
-            for count in grid:
-                _positive_int(count, "mode_count")
+            _set_fields(self, total_length="positive real")
+        for value in grid:  # each value as the swept field takes it, kept a float
+            _arg(_SWEEPABLE[swept], value, swept)
+        _set_fields(self, hw="hw", ch="ch")
+        if self.source_rate is not None:
+            _set_fields(self, source_rate="positive real")
 
 
 @dataclass(frozen=True)
@@ -675,6 +662,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRecord]:
     link-count candidates of every point in one pass first (see
     :func:`_link_candidates`), unless its ``n_max`` is invalid, which each
     point then records."""
+    spec, tol = _arg("spec", spec), _arg("tol", tol)
     points = [(value, *_sweep_inputs(spec, value)) for value in spec.grid]
     candidates = [None] * len(points)
     if spec.fixed_link_length is None:

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeaterchain import model
-from repeaterchain.errors import ConfigError, NonTerminatingProcess, UnreachableConfiguration
+from repeaterchain.errors import (
+    ConfigError,
+    ModelError,
+    NonTerminatingProcess,
+    UnreachableConfiguration,
+)
 from repeaterchain.model import (
     DEFAULT_TOL,
     AttemptDistribution,
@@ -581,6 +586,17 @@ def test_decimal_closed_form_equals_mp_oracle():
     mismatched = [(p, n) for p, n in grid
                   if _closed_form_moments(p, n) != mp_closed_form_moments(p, n)]
     assert mismatched == []
+
+
+def test_closed_form_takes_at_most_1075_links():
+    # No round of 1076 links succeeds, and the closed form's cost grows as
+    # n^2: 20000 links once ran for minutes and 2^63 overflowed decimal's
+    # precision.  The series keeps any n.
+    assert expected_max_attempts(1e-9, 1075) == pytest.approx(7.557756646352442e9, rel=1e-12)
+    for p, n in ((1e-9, 1076), (1e-9, 20000), (1e-9, 2**63), (5e-324, 2**63)):
+        with pytest.raises(ModelError, match="at most 1075 links"):
+            expected_max_attempts(p, n)
+    assert expected_max_attempts(0.5, 2**63) == pytest.approx(64.33, abs=0.005)
 
 
 # ---------------------------------------------------------------- chain metrics

@@ -37,7 +37,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     BeyondRepresentable,
@@ -242,10 +241,6 @@ def _args(kind: str, values, name: str) -> tuple:
     except TypeError:
         raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}") from None
     return tuple(_arg(kind, value, name) for value in items)
-
-
-#: A count as an ``int``: the ``"count"`` kind of :data:`_KINDS`.
-_positive_int = partial(_arg, "count")
 
 
 def _set_fields(obj, **kinds: str) -> None:

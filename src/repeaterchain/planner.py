@@ -72,10 +72,6 @@ _MAX_SCAN_LINKS = 128
 _SWEEPABLE = {"total_length": "positive real", "mode_count": "count",
               "emission_prob": "probability"}
 
-# Bisection levels whose midpoints one crossover candidate pass covers:
-# 3, 4 and 5 took 0.80, 0.76 and 1.15 ms for the default crossover.
-_SPECULATIVE_LEVELS = 4
-
 
 def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) -> float:
     """Mean time in seconds until one photon from a ``source_rate`` Hz
@@ -104,14 +100,14 @@ class OptimizationResult:
     bound above the best time so far.  Either way the winner equals that of
     evaluating every link count in the range.  The bounds come from one
     numpy pass over every link count of every point the caller reads (a
-    sweep's grid, or several bisection steps of the crossover), whose
-    2^-30 margin also covers the few ulps by which numpy's transcendentals
+    sweep's grid, or the one distance of a crossover step), whose 2^-30
+    margin also covers the few ulps by which numpy's transcendentals
     differ from ``math``'s (see :func:`_link_candidates`), and the winner's
     series is summed once, in the scan, for both the scan and ``metrics``.
     The mean also has an upper bound, 1 + H_n / lambda, which the crossover
-    search uses with the lower one to decide signs without a series.  ``runner_up_ratio`` is the
-    second-best total time over the best one (infinite when only a single
-    link count was feasible).
+    search uses with the lower one to decide signs without a series.
+    ``runner_up_ratio`` is the second-best total time over the best one
+    (infinite when only a single link count was feasible).
     """
 
     best_n: int
@@ -163,8 +159,9 @@ def _link_candidates(
     """``(lower, n, upper)`` float arrays for each row ``(hw, total_length,
     n_max)``, over the link counts in 1..n_max that may be feasible, in
     increasing n: ``lower`` and ``upper`` bracket each link count's total
-    time as :func:`metrics` computes it.  Callers pass every point they
-    will read, and a single distance is the one-row case.
+    time as :func:`metrics` computes it.  A sweep passes its whole grid;
+    the link-count scan and each crossover step pass the one distance
+    they read.
 
     One numpy pass over a (row x n) array computes, for every n up to the
     last one whose round time with t_ec = 0 is representable in any row
@@ -467,20 +464,21 @@ def crossover_with_direct(
     take equally long, found by bisection to within 1 km.
 
     The bisection only reads the sign of the optimized chain's time minus
-    the direct time at each distance.  The link-count candidates come from
-    one numpy pass over the bracket's ends, then one pass over every
-    midpoint of the next few bisection levels (see
-    :func:`_link_candidates`; the bounds' 2^-30 margin keeps their times on
-    the right side of the scalar times).  Those midpoints are computed as
-    the bisection computes them, so every distance it visits has its row.
-    Their times at the two-sided bounds on the mean attempt count often
-    settle a step's sign without summing a series: the chain is faster when
-    the smallest upper-bound time is below the direct time, and slower when
-    the smallest lower-bound time is above it while some upper-bound time
-    is finite.  Only when the bounds straddle the direct time does the
-    exact link-count scan run, on the same row and only up to the winner
-    (see :func:`_scan_link_counts`), so every step, and the distance
-    returned, is the same as with the exact scan at every step.
+    the direct time at each distance, and bounds on the mean attempt count
+    often settle it without summing a series (their 2^-30 margin keeps
+    their times on the right side of the exact times).  Each step first
+    tries the link count with the smallest upper-bound time in the last
+    row read: when :func:`_scalar_bounds` puts its upper-bound time below
+    the direct time, the chain is faster.  Only a link count from a row
+    already read is tried: its rounds can succeed at any distance, so
+    where no round can, the scan's error still comes first.  Otherwise the
+    step builds its own one-row :func:`_link_candidates`: the chain is
+    faster when the smallest upper-bound time is below the direct time,
+    and slower when the smallest lower-bound time is above it while some
+    upper-bound time is finite.  Only when the bounds straddle the direct
+    time does the exact link-count scan run, on that row and only up to
+    the winner (see :func:`_scan_link_counts`), so every step, and the
+    distance returned, is the same as with the exact scan at every step.
     """
     hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
     source_rate = _arg("positive real", source_rate, "source_rate")
@@ -488,30 +486,32 @@ def crossover_with_direct(
     if len(ends) != 2 or not ends[0] < ends[1]:
         raise ConfigError(f"invalid bracket {bracket}")
     lo, hi = ends
-    rows: dict[float, tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-    def build(distances: list[float]) -> None:
-        limits = [_default_n_max(L) for L in distances]
-        candidates = _link_candidates([(hw, L, n_max) for L, n_max in zip(distances, limits)], ch)
-        rows.update(zip(distances, zip(limits, candidates)))
+    favourite = 0  # the link count with the smallest upper-bound time in the last row
 
     def gap(L: float) -> float:
-        n_max, candidates = rows[L]
+        nonlocal favourite
+        n_max = _default_n_max(L)
         try:
             direct = direct_transmission_time(L, ch, source_rate)
         except BeyondRepresentable:
-            _scan_link_counts(hw, L, ch, n_max, tol, candidates)  # its error comes first
+            _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
             raise
-        lower, _, upper = candidates
-        if lower.size:  # else the scan raises
-            fastest = upper.min()
-            if fastest < direct:
+        if 0 < favourite <= n_max:
+            harmonic = math.fsum(1.0 / k for k in range(1, favourite + 1))
+            bounds = _scalar_bounds(hw, L, favourite, ch, harmonic)
+            if bounds is not None and bounds[1] < direct:
                 return -1.0
-            if fastest < math.inf and lower.min() > direct:
+        candidates = _link_candidates([(hw, L, n_max)], ch)[0]
+        lower, ns, upper = candidates
+        if lower.size:  # else the scan raises
+            i = int(upper.argmin())
+            favourite = int(ns[i])
+            if upper[i] < direct:
+                return -1.0
+            if upper[i] < math.inf and lower.min() > direct:
                 return 1.0
         return _scan_link_counts(hw, L, ch, n_max, tol, candidates)[1] - direct
 
-    build([lo, hi])
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:
         return lo
@@ -523,9 +523,6 @@ def crossover_with_direct(
         )
     while hi - lo > 1.0:
         mid = 0.5 * (lo + hi)
-        if mid not in rows:
-            rows.clear()
-            build(_midpoints(lo, hi, _SPECULATIVE_LEVELS))
         g_mid = gap(mid)
         if g_mid == 0.0:
             return mid
@@ -534,15 +531,6 @@ def crossover_with_direct(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    # The midpoints the bisection of [lo, hi] may visit in its next
-    # ``levels`` steps: one for every interval wider than 1 km.
-    if levels == 0 or hi - lo <= 1.0:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def test_parameter_fields_keep_python_numbers():
 
 
 def test_link_counts_are_positive_ints():
-    assert model._positive_int(np.int64(3), "n") == 3 and type(model._positive_int(3.0, "n")) is int
+    assert model._arg("count", np.int64(3), "n") == 3 and type(model._arg("count", 3.0, "n")) is int
     assert expected_max_attempts(0.1, 3.0) == expected_max_attempts(0.1, np.int64(3)) == (
         expected_max_attempts(0.1, 3))
     for n in (True, np.True_, 2.5, "3", None, math.nan, math.inf, 0, -1):

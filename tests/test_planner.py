@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,25 +457,25 @@ def test_metrics_path_builds_no_distribution(monkeypatch):
     plan_fixed_link(HW, 1600.0, CH, 125.0)
 
 
-def test_crossover_builds_the_candidates_of_several_steps_at_once(monkeypatch):
-    # Each pass covers the midpoints of the next bisection levels, computed
-    # as the bisection computes them: it visits the reference's distances,
-    # and each exact scan runs on a row a pass built.
-    built, steps, scans, reference_steps = {}, [], [], []
-    builds = 0
+def test_crossover_builds_one_row_only_for_steps_its_favourite_leaves_open(monkeypatch):
+    # Each step first tries the last row's favourite link count by its
+    # scalar bounds, and builds a one-row pass only when that leaves the
+    # sign open: it visits the reference's distances, each exact scan runs
+    # on the row built at its own distance, and fewer rows than steps are
+    # built.
+    built, steps, scans = [], [], []
     link_candidates = planner._link_candidates
     direct_time = planner.direct_transmission_time
     scan = planner._scan_link_counts
 
     def build(rows, ch):
-        nonlocal builds
-        builds += 1
+        assert len(rows) == 1
         candidates = link_candidates(rows, ch)
-        built.update((L, row) for (_, L, _), row in zip(rows, candidates))
+        built.append((rows[0][1], candidates[0]))
         return candidates
 
     def exact_scan(hw, L, ch, n_max, tol, candidates=None, *rest):
-        assert candidates is not None and candidates is built[L]
+        assert L == built[-1][0] and candidates is built[-1][1]
         scans.append(L)
         return scan(hw, L, ch, n_max, tol, candidates, *rest)
 
@@ -482,21 +483,39 @@ def test_crossover_builds_the_candidates_of_several_steps_at_once(monkeypatch):
     monkeypatch.setattr(planner, "_scan_link_counts", exact_scan)
     monkeypatch.setattr(planner, "direct_transmission_time",
                         lambda L, *rest: steps.append(L) or direct_time(L, *rest))
-    assert crossover_with_direct(HW, CH, 1e10) == 488.34197998046875
-    assert builds <= 5
-    assert set(steps) <= set(built)
-    assert 0 < len(scans) < len(steps)  # the bounds settle most steps
+    pinned = {1e9: 423.09967041015625, 1e10: 488.34197998046875, 1e11: 554.8037719726562}
+    visits = {}
+    for rate, km in pinned.items():
+        del built[:], steps[:], scans[:]
+        assert crossover_with_direct(HW, CH, rate) == km
+        assert 0 < len(scans) < len(built) < len(steps)
+        visits[rate] = list(steps)
     monkeypatch.undo()
-    assert reference_crossover(HW, CH, 1e10, visited=reference_steps) == 488.34197998046875
-    assert steps == reference_steps and len(steps) == 16
+    for rate, km in pinned.items():
+        reference_steps = []
+        assert reference_crossover(HW, CH, rate, visited=reference_steps) == km
+        assert visits[rate] == reference_steps
+    assert len(visits[1e10]) == 16
+    crossover_with_direct(HW, CH, 1e10)  # any one-off allocations
+    tracemalloc.start()
+    try:
+        crossover_with_direct(HW, CH, 1e10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_crossover_reaches_the_scan_error_of_a_row_without_link_counts():
-    # No emission: no link count is feasible at any distance, and the exact
+    # No emission, or a memory so lossy that every round's success
+    # underflows: no link count is feasible at any distance, and the exact
     # scan's error must come out of the first step rather than a reduction
-    # over an empty row.
+    # over an empty row or a link count no row offered.
     with pytest.raises(UnreachableConfiguration):
         crossover_with_direct(HardwareParams(emission_prob=0.0), CH, 1e10)
+    with pytest.raises(UnreachableConfiguration) as raised:
+        crossover_with_direct(HardwareParams(memory_eff=1e-200), CH, 1e10)
+    assert str(raised.value) == "no feasible link count in [1, 1] for L = 10.0 km"
 
 
 @pytest.mark.parametrize("n_max", [2.5, True, float("nan"), float("inf"), "8", np.float64(2.5)])
@@ -643,9 +662,9 @@ def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0
     return 0.5 * (lo + hi)
 
 
-def crossover_outcome(search, hw, ch, source_rate):
+def crossover_outcome(search, hw, ch, source_rate, bracket=(10.0, 1.0e4)):
     try:
-        return search(hw, ch, source_rate)
+        return search(hw, ch, source_rate, bracket=bracket)
     except (ConfigError, ModelError) as exc:
         return type(exc), str(exc)
 
@@ -673,6 +692,37 @@ def test_crossover_matches_reference_bisection():
         assert crossover_with_direct(HW, CH, rate) == reference_crossover(HW, CH, rate) == km
 
 
+def test_crossover_matches_reference_bisection_on_hostile_hardware():
+    # Lossy memories and dead detectors, where no round may succeed, fibers
+    # from lossless to 1 dB/km, extreme signal speeds, source rates and
+    # brackets: the outcome, the km's bits, the error class and its message
+    # all match the bisection with the exact scan at every step.
+    rng = np.random.default_rng(22)
+    outcomes = set()
+    for _ in range(150):
+        hw = HardwareParams(
+            detector_eff=0.0 if rng.random() < 0.05 else float(rng.uniform(0.3, 1.0)),
+            memory_eff=float(10.0 ** rng.uniform(-200.0, 0.0) if rng.random() < 0.1
+                             else rng.uniform(0.3, 1.0)),
+            emission_prob=float(rng.uniform(0.3, 1.0)),
+            mode_count=int(rng.integers(1, 1001)),
+        )
+        ch = ChannelParams(attenuation=float(rng.uniform(0.0, 1.0)),
+                           signal_speed=float(10.0 ** rng.uniform(2.0, 9.0)))
+        rate = float(10.0 ** rng.uniform(-5.0, 30.0))
+        bracket = (10.0, 1.0e4)
+        if rng.random() < 0.3:
+            bracket = tuple(sorted(float(10.0 ** x) for x in rng.uniform(-3.0, 6.0, 2)))
+        expected = crossover_outcome(reference_crossover, hw, ch, rate, bracket)
+        found = crossover_outcome(crossover_with_direct, hw, ch, rate, bracket)
+        if isinstance(expected, float):
+            assert isinstance(found, float) and found.hex() == expected.hex()
+        else:
+            assert found == expected
+        outcomes.add(expected[0] if isinstance(expected, tuple) else float)
+    assert outcomes == {float, NoCrossoverInRange, UnreachableConfiguration, BeyondRepresentable}
+
+
 def test_crossover_reference_window():
     km = crossover_with_direct(HW, CH, 1e10)
     assert 400.0 <= km <= 550.0
@@ -694,8 +744,8 @@ def test_crossover_with_unbeatable_baseline_moves_out():
 
 
 def test_crossover_rejects_bad_bracket():
-    # Both ends are built in one candidate pass, so an infinite far end is
-    # rejected up front instead of overflowing the default n_max.
+    # An infinite far end is rejected up front instead of overflowing the
+    # default n_max.
     for bracket in ((100.0, 10.0), (10.0, math.inf), (10.0, 10**400)):
         with pytest.raises(ConfigError):
             crossover_with_direct(HW, CH, 1e10, bracket=bracket)

@@ -158,7 +158,7 @@ def _parse_value(key: str, raw: str, where: str):
 
 def _read_config_file(path: str) -> dict[str, object]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is no part of a key
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -322,9 +322,10 @@ def ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
     return _multimode_prob(hw, ec_prob_single_mode(hw, chain, ch))
 
 
-def _ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
-    # ec_prob of arguments already converted.
-    return _multimode_prob(hw, _single_mode_prob(hw, chain.total_length, chain.link_count, ch))
+def _ec_prob(hw: HardwareParams, total_length: float, link_count: int,
+             ch: ChannelParams) -> float:
+    # ec_prob of converted arguments, for ``link_count`` links over ``total_length`` km.
+    return _multimode_prob(hw, _single_mode_prob(hw, total_length, link_count, ch))
 
 
 def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
@@ -657,32 +658,30 @@ def _total_time(t_ec: float, t_cc: float, success: float) -> float:
     return t_tot
 
 
-def _time_terms(hw: HardwareParams, total_length, link_length, link_count,
-                ch: ChannelParams, mean_attempts):
-    """``(clock, t_ec, t_cc, p_es, success)`` of a chain of ``link_count``
-    links of ``link_length`` km over ``total_length`` km whose slowest link
-    needs ``mean_attempts`` attempts on average; the total time is
-    ``_round_time(t_ec, t_cc, success)``.
+def _time_terms(hw: HardwareParams, total_length, link_count, ch: ChannelParams,
+                mean_attempts):
+    """``(clock, t_ec, t_cc, p_es, success)`` of ``link_count`` links over
+    ``total_length`` km whose slowest link needs ``mean_attempts`` attempts
+    on average; ``clock`` is one link's length over the signal speed, and
+    the total time is ``_round_time(t_ec, t_cc, success)``.
 
     Elementwise: ``hw``'s fields, lengths, counts and means may be arrays.  The
     only home of the time formulas: :func:`metrics`, the link-count scan
     and the sampler all go through it, so their times agree bit for bit.
     """
-    clock = link_length / ch.signal_speed
+    clock = total_length / link_count / ch.signal_speed
     p_es, success = _round_success(hw, link_count)
     return clock, clock * mean_attempts, total_length / ch.signal_speed, p_es, success
 
 
-def _chain_times(
-    hw: HardwareParams,
-    chain: ChainConfig,
-    ch: ChannelParams,
-    mean_attempts: float,
-) -> tuple[float, float, float, float, float]:
-    """``(clock, t_ec, t_cc, p_es, t_tot)`` of a chain whose slowest link
-    needs ``mean_attempts`` attempts on average (see :func:`_time_terms`)."""
-    clock, t_ec, t_cc, p_es, success = _time_terms(
-        hw, chain.total_length, chain.link_length, chain.link_count, ch, mean_attempts)
+def _chain_times(hw: HardwareParams, total_length: float, link_count: int, ch: ChannelParams,
+                 mean_attempts: float) -> tuple[float, float, float, float, float]:
+    """``(clock, t_ec, t_cc, p_es, t_tot)`` of ``link_count`` links over
+    ``total_length`` km whose slowest link needs ``mean_attempts`` attempts
+    on average (see :func:`_time_terms`); at ``mean_attempts = 0`` its
+    errors tell whether any round can succeed with a representable time."""
+    clock, t_ec, t_cc, p_es, success = _time_terms(hw, total_length, link_count, ch,
+                                                   mean_attempts)
     return clock, t_ec, t_cc, p_es, _total_time(t_ec, t_cc, success)
 
 
@@ -706,26 +705,22 @@ def metrics(
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
+    total_length, n = chain.total_length, chain.link_count
     # A round that never succeeds raises here, before the moments: their
     # closed form costs n terms at more than n bits.
-    _chain_times(hw, chain, ch, 0.0)
-    return _metrics_from_moments(hw, chain, ch, p, *_attempts_moments(p, chain.link_count, tol))
+    _chain_times(hw, total_length, n, ch, 0.0)
+    return _metrics_from_moments(hw, total_length, n, ch, p, *_attempts_moments(p, n, tol))
 
 
-def _metrics_from_moments(
-    hw: HardwareParams,
-    chain: ChainConfig,
-    ch: ChannelParams,
-    p: float,
-    mean: float,
-    variance: float,
-) -> RepeaterMetrics:
-    """The metrics of a chain whose EC probability ``p`` and attempt-count
-    moments are already known: :func:`metrics` computes both moments, the
-    link-count optimizer reuses the mean its scan summed.  Raises
-    :class:`BeyondRepresentable` when t_cc = L / c underflows to 0, so
-    that every time would print as 0."""
-    clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, chain, ch, mean)
+def _metrics_from_moments(hw: HardwareParams, total_length: float, link_count: int,
+                          ch: ChannelParams, p: float, mean: float, variance: float,
+                          ) -> RepeaterMetrics:
+    """The metrics of ``link_count`` links over ``total_length`` km whose EC
+    probability ``p`` and attempt-count moments are already known:
+    :func:`metrics` computes both moments, the link-count optimizer reuses
+    those its scan summed.  Raises :class:`BeyondRepresentable` when
+    t_cc = L / c underflows to 0, so that every time would print as 0."""
+    clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, total_length, link_count, ch, mean)
     if t_tot == 0.0:
         raise BeyondRepresentable("total distribution time below representable")
     mem_time_std = clock * math.sqrt(variance)

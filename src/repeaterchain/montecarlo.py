@@ -331,14 +331,13 @@ def simulate(cfg: TrialConfig) -> TrialStats:
     statistic overflows double precision or t_cc = L / c underflows to 0.
     """
     cfg = _arg("cfg", cfg)
-    p = _ec_prob(cfg.hw, cfg.chain, cfg.ch)
+    total_length, n = cfg.chain.total_length, cfg.chain.link_count
+    p = _ec_prob(cfg.hw, total_length, n, cfg.ch)
     if p == 0.0:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    n = cfg.chain.link_count
-    clock, _, t_cc, _, round_success = _time_terms(
-        cfg.hw, cfg.chain.total_length, cfg.chain.link_length, n, cfg.ch, 0.0)
+    clock, _, t_cc, _, round_success = _time_terms(cfg.hw, total_length, n, cfg.ch, 0.0)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:
         raise SimulationAbort(
             f"simulation aborted: expected rounds per success exceeds {_MAX_ROUNDS_PER_SUCCESS:.0e}"

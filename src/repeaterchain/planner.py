@@ -116,25 +116,21 @@ class OptimizationResult:
     runner_up_ratio: float
 
 
-def _default_n_max(total_length: float) -> int:
-    return min(_MAX_SCAN_LINKS, max(1, math.ceil(total_length / _MIN_USEFUL_LINK_KM)))
-
-
 def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelParams,
                            n_max: int) -> int:
     """The largest n <= n_max for which a round with t_ec = 0, which takes
     t_cc / (p_es r), has a representable time, or 0.
 
     That time never falls as n grows: p_es = (r/2)^(n-1) at least halves
-    with every link, so the scalar test below is monotone in n.  n_max
+    with every link, so the test, the one :func:`metrics` makes before the
+    moments (``_chain_times`` at a mean of 0), is monotone in n.  n_max
     itself is tested first, and only when it is unreachable does a
     bisection find the same n as testing n = 1, 2, ... in turn.  Since
     (r/2)^(n-1) <= 2^-(n-1), p_es underflows to 0 by n = 1076.
     """
     def reachable(n: int) -> bool:
-        _, t_ec, t_cc, _, success = _time_terms(hw, total_length, total_length / n, n, ch, 0.0)
         try:
-            _total_time(t_ec, t_cc, success)
+            _chain_times(hw, total_length, n, ch, 0.0)
         except (UnreachableConfiguration, BeyondRepresentable):
             return False
         return True
@@ -171,8 +167,8 @@ def _link_candidates(
     (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
     times at those bounds (:func:`~repeaterchain.model._time_terms`), with
     the distances and any differing hardware as columns; the time formulas
-    are monotone in the mean.  No ``ChainConfig``, scalar ``ec_prob`` or
-    ``_chain_times`` is needed for that.
+    are monotone in the mean.  No scalar ``ec_prob`` or ``_chain_times``
+    is needed for that.
 
     numpy's transcendentals may differ from ``math``'s by a few ulps, so an
     array p stands for the scalar p within a few dozen ulps, far less than
@@ -206,7 +202,7 @@ def _link_candidates(
         p1 = _single_mode_prob(columns, lengths, ns, ch)
         harmonic = np.cumsum(1.0 / ns)
         means = np.array(_attempts_mean_bounds(_multimode_prob(columns, p1), harmonic))
-        clock, t_ec, t_cc, _, success = _time_terms(columns, lengths, lengths / ns, ns, ch, means)
+        clock, t_ec, t_cc, _, success = _time_terms(columns, lengths, ns, ch, means)
         lower, upper = _round_time(t_ec, t_cc, success)
     normal = sys.float_info.min
     vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
@@ -234,17 +230,16 @@ def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelP
                    harmonic: float) -> tuple[float, float] | None:
     # The total times at the mean bounds from the scalar p, or None when n
     # is infeasible: p is 0 or the lower-bound time overflows.
-    chain = ChainConfig(total_length=total_length, link_count=n)
-    p = _ec_prob(hw, chain, ch)
+    p = _ec_prob(hw, total_length, n, ch)
     if p == 0.0:
         return None
     lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
     try:
-        lower = _chain_times(hw, chain, ch, lower_mean)[-1]
+        lower = _chain_times(hw, total_length, n, ch, lower_mean)[-1]
     except BeyondRepresentable:
         return None
     try:
-        return lower, _chain_times(hw, chain, ch, upper_mean)[-1]
+        return lower, _chain_times(hw, total_length, n, ch, upper_mean)[-1]
     except BeyondRepresentable:
         return lower, math.inf
 
@@ -271,12 +266,12 @@ def _scan_link_counts(
     (``candidates``, the caller's row when it built its points in one
     pass), sorted here; those come from numpy arrays, and their margin
     keeps them below the scalar times.  Only the link counts evaluated get
-    a ``ChainConfig``, the scalar ``ec_prob`` and a series, which gives
-    both moments.  The scan stops at the first
-    lower bound above the best time so far: no link count left could beat
-    or tie the winner, and a bound equal to it is still evaluated, so ties
-    still go to fewer links.  With ``runner_up``, which only
-    :func:`optimize_link_count` sets because it reports
+    the scalar ``ec_prob`` and a series, which gives both moments, each
+    from the chain's two numbers ``(total_length, n)``.  The scan stops at
+    the first lower bound above the best time so far: no link count left
+    could beat or tie the winner, and a bound equal to it is still
+    evaluated, so ties still go to fewer links.  With ``runner_up``, which
+    only :func:`optimize_link_count` sets because it reports
     ``runner_up_ratio``, the scan stops at the first lower bound above the
     runner-up instead: no link count left could place first or second.
     Either way the result equals that of evaluating every link count.
@@ -290,11 +285,10 @@ def _scan_link_counts(
         if bound > (second_t if runner_up else best_t):
             break
         n = int(n)
-        chain = ChainConfig(total_length=total_length, link_count=n)
-        p = _ec_prob(hw, chain, ch)
+        p = _ec_prob(hw, total_length, n, ch)
         moments = _attempts_moments(p, n, tol)
         try:
-            t = _chain_times(hw, chain, ch, moments[0])[-1]
+            t = _chain_times(hw, total_length, n, ch, moments[0])[-1]
         except BeyondRepresentable:
             continue
         if (t, n) < (best_t, best_n):
@@ -335,7 +329,7 @@ def optimize_link_count(
 def _link_count_limit(total_length: float, n_max) -> int:
     # The n_max a scan at ``total_length`` searches up to, as an int.
     if n_max is None:
-        return _default_n_max(total_length)
+        return min(_MAX_SCAN_LINKS, max(1, math.ceil(total_length / _MIN_USEFUL_LINK_KM)))
     return _arg("n_max", n_max)
 
 
@@ -348,9 +342,8 @@ def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max:
     n_max = _link_count_limit(total_length, n_max)
     best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
                                                              candidates, runner_up)
-    chain = ChainConfig(total_length=total_length, link_count=best_n)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
-    best_metrics = _metrics_from_moments(hw, chain, ch, p, *moments)
+    best_metrics = _metrics_from_moments(hw, total_length, best_n, ch, p, *moments)
     return OptimizationResult(
         best_n=best_n,
         metrics=best_metrics,
@@ -413,7 +406,8 @@ def plan_fixed_link(
     When the target distance is not a multiple of ``link_length``, both
     flanking node counts are evaluated and the residual distance is
     bridged with plain fiber; the side with the smaller resulting total
-    time wins.
+    time wins.  A node count whose span is past the float range is no
+    candidate.
     """
     hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
     total_length = _arg("real", total_length, "total_length")
@@ -433,6 +427,10 @@ def plan_fixed_link(
         candidates = [int(nearest)]
     else:
         candidates = [int(math.floor(ratio)), int(math.floor(ratio)) + 1]
+    # A node count whose span overflows is no plan.  The floor of a ratio
+    # that is no whole number never overflows; a snapped count can, when the
+    # ratio rounded up to it, and then the count below takes its place.
+    candidates = [n for n in candidates if n * link_length < math.inf] or [int(nearest) - 1]
     best: FixedLinkPlan | None = None
     for n in candidates:
         span = n * link_length
@@ -490,7 +488,7 @@ def crossover_with_direct(
 
     def gap(L: float) -> float:
         nonlocal favourite
-        n_max = _default_n_max(L)
+        n_max = _link_count_limit(L, None)
         try:
             direct = direct_transmission_time(L, ch, source_rate)
         except BeyondRepresentable:
@@ -618,30 +616,13 @@ def _sweep_point(spec: SweepSpec, value: float, hw: HardwareParams, total_length
     try:
         if spec.fixed_link_length is not None:
             plan = plan_fixed_link(hw, total_length, spec.ch, spec.fixed_link_length, tol)
-            return SweepRecord(
-                value=value,
-                metrics=plan.metrics,
-                total_length=total_length,
-                best_n=plan.node_count,
-                plan=plan,
-                direct_time=direct,
-            )
-        result = _optimize(hw, total_length, spec.ch, spec.n_max, tol, candidates=candidates)
-        return SweepRecord(
-            value=value,
-            metrics=result.metrics,
-            total_length=total_length,
-            best_n=result.best_n,
-            direct_time=direct,
-        )
+            found = dict(metrics=plan.metrics, best_n=plan.node_count, plan=plan)
+        else:
+            result = _optimize(hw, total_length, spec.ch, spec.n_max, tol, candidates=candidates)
+            found = dict(metrics=result.metrics, best_n=result.best_n)
     except (ModelError, ConfigError) as exc:
-        return SweepRecord(
-            value=value,
-            metrics=None,
-            total_length=total_length,
-            direct_time=direct,
-            error=str(exc),
-        )
+        found = dict(metrics=None, error=str(exc))
+    return SweepRecord(value=value, total_length=total_length, direct_time=direct, **found)
 
 
 def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRecord]:

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +106,17 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, fmt):
         assert err.startswith(f"error: {message}")
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # Windows editors start a UTF-8 file with U+FEFF, which is no part of its first key.
+    text = "L = 1600\nn = 8\nm = 50\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert (parse_config(["eval", "--config", str(marked)])
+            == parse_config(["eval", "--config", str(plain)]))
+
+
 def test_config_file_scenario_conflict(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("scenario = eval\nL = 100\nn = 1\n")
@@ -191,6 +204,47 @@ def test_fixed_link_defaults_to_125km_links(capsys):
     record = json.loads(out)["record"]
     assert record["L0_km"] == 125.0
     assert record["mem_avg_s"] == pytest.approx(0.0265, rel=0.08)
+
+
+@pytest.mark.parametrize("argv, node_count", [
+    (["--L", "1.5e308", "--L0", "1e308", "--alpha", "0"], 1),
+    (["--L", "1.7976931348623157e308", "--L0", "8.988465674761003e+307", "--alpha", "0"], 1),
+])
+def test_fixed_link_plans_below_a_span_that_overflows(capsys, argv, node_count):
+    code, out, err = run_cli(capsys, "fixed-link", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)["record"]
+    assert (record["n"], record["side"]) == (node_count, "below")
+    assert math.isfinite(record["t_tot_s"]) and record["extension_km"] > 0.0
+
+
+def test_fixed_link_whose_one_plan_never_succeeds_exits_3(capsys):
+    code, out, err = run_cli(capsys, "fixed-link", "--L", "1.7976931348623157e308",
+                             "--L0", "8.988465674761003e+307", "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["code"] == "non_terminating_process"
+
+
+def readme_commands() -> list[str]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [line.split("#", 1)[0].strip() for line in readme.read_text().splitlines()
+            if line.startswith("repeaterchain ")]
+
+
+def test_readme_commands_run(capsys):
+    # Every example command of the README, as written, succeeds and prints
+    # output that its format's reader takes.
+    commands = readme_commands()
+    assert len(commands) == 10
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, command
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "human"
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            assert parse_csv(out), command
 
 
 def test_crossover_csv_schema(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from repeaterchain.errors import (
     ConfigError,
     ModelError,
     NoCrossoverInRange,
+    NonTerminatingProcess,
     UnreachableConfiguration,
 )
 from repeaterchain.model import (
@@ -30,8 +32,8 @@ from repeaterchain.model import (
 )
 from repeaterchain.planner import (
     SweepSpec,
-    _default_n_max,
     _link_candidates,
+    _link_count_limit,
     _scan_link_counts,
     crossover_with_direct,
     direct_transmission_time,
@@ -205,9 +207,10 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
         below_inverse_p += mean < 1.0 / p
         lower, upper = _attempts_mean_bounds(p, harmonic(n))
         assert lower <= mean <= upper
-        t = _chain_times(hw, chain, CH, mean)[-1]
+        L = chain.total_length
+        t = _chain_times(hw, L, n, CH, mean)[-1]
         assert t == metrics(hw, chain, CH).t_tot
-        assert _chain_times(hw, chain, CH, lower)[-1] <= t <= _chain_times(hw, chain, CH, upper)[-1]
+        assert _chain_times(hw, L, n, CH, lower)[-1] <= t <= _chain_times(hw, L, n, CH, upper)[-1]
     assert below_inverse_p > 0
     # Certain success; both sides of the seam; n = 1 down to p = 1e-19,
     # where 1 + 1/lambda and 1/p are less than one ulp apart; n up to 5000
@@ -249,16 +252,15 @@ def test_candidate_times_bracket_the_scalar_times(
 def scalar_time(hw, L, n):
     """The total time of n links over L km as the scan computes it, inf
     when it overflows, None when n is infeasible before any series."""
-    chain = ChainConfig(total_length=L, link_count=n)
-    p = ec_prob(hw, chain, CH)
+    p = ec_prob(hw, ChainConfig(total_length=L, link_count=n), CH)
     try:
-        _chain_times(hw, chain, CH, 0.0)
+        _chain_times(hw, L, n, CH, 0.0)
     except (UnreachableConfiguration, BeyondRepresentable):
         return None
     if p == 0.0:
         return None
     try:
-        return _chain_times(hw, chain, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
+        return _chain_times(hw, L, n, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
     except BeyondRepresentable:
         return math.inf
 
@@ -561,10 +563,9 @@ def test_reach_is_one_test_when_n_max_is_reachable(monkeypatch):
     # The round time with t_ec = 0 never falls with n: a reachable n_max
     # needs no bisection, and an unreachable one still finds the last n.
     tested = []
-    time_terms = planner._time_terms
-    monkeypatch.setattr(planner, "_time_terms",
-                        lambda hw, L, link, n, *rest: tested.append(n) or time_terms(
-                            hw, L, link, n, *rest))
+    chain_times = planner._chain_times
+    monkeypatch.setattr(planner, "_chain_times",
+                        lambda hw, L, n, *rest: tested.append(n) or chain_times(hw, L, n, *rest))
     assert planner._reachable_link_counts(HW, 1600.0, CH, 64) == 64 and tested == [64]
     last = planner._reachable_link_counts(HW, 1600.0, CH, 5000)
     assert 64 < last < 1075
@@ -627,6 +628,57 @@ def test_fixed_link_rejects_too_short_target():
         plan_fixed_link(HW, 100.0, CH, 0.0)
 
 
+LOSSLESS = ChannelParams(attenuation=0.0)
+
+
+@pytest.mark.parametrize("L, L0, node_count", [
+    (1.5e308, 1e308, 1),  # of 1 and 2 nodes, only 1 spans a finite distance
+    (sys.float_info.max, 8.988465674761003e307, 1),  # the ratio snaps to 2, which overflows
+    (sys.float_info.max, 5.992310449541053e307, 2),  # the ratio is 3.0, whose span overflows
+])
+def test_fixed_link_skips_node_counts_whose_span_overflows(L, L0, node_count):
+    # Every input is finite and so is the plan below the target; a node
+    # count whose span is past the float range is no candidate.
+    plan = plan_fixed_link(HW, L, LOSSLESS, L0)
+    assert (plan.node_count, plan.side) == (node_count, "below")
+    assert plan.node_span == node_count * L0 and plan.extension == L - plan.node_span
+    base = metrics(HW, ChainConfig(total_length=plan.node_span, link_count=node_count), LOSSLESS)
+    assert plan.metrics.t_ec == base.t_ec and math.isfinite(plan.metrics.t_tot)
+
+
+def test_fixed_link_near_the_float_maximum_plans_or_raises_model_errors():
+    plan = plan_fixed_link(HW, 1.5e308, LOSSLESS, 1e308)
+    assert plan.extension == 5e307
+    assert plan.metrics.t_tot == pytest.approx(1.905197378448407e303, rel=1e-12)
+    # At the default loss the one-node plan's links never succeed.
+    with pytest.raises(NonTerminatingProcess):
+        plan_fixed_link(HW, sys.float_info.max, CH, 8.988465674761003e307)
+    spec = SweepSpec(swept_parameter="total_length", grid=(1e308, 1.5e308), hw=HW,
+                     ch=LOSSLESS, fixed_link_length=1e308)
+    assert [(r.error, r.best_n) for r in run_sweep(spec)] == [(None, 1), (None, 1)]
+
+
+def test_only_plan_fixed_link_builds_chain_configs(monkeypatch):
+    # Behind the public functions a chain is its (total_length, link_count):
+    # the scan, its bounds and the optimizer build no ChainConfig, and
+    # plan_fixed_link builds one per candidate node count, for metrics.
+    built = []
+    post_init = ChainConfig.__post_init__
+    monkeypatch.setattr(ChainConfig, "__post_init__",
+                        lambda chain: built.append(chain) or post_init(chain))
+
+    def builds(call):
+        del built[:]
+        call()
+        return len(built)
+
+    spec = SweepSpec(swept_parameter="total_length", grid=(400.0, 800.0, 1600.0), hw=HW, ch=CH)
+    assert builds(lambda: optimize_link_count(HW, 1600.0, CH)) == 0
+    assert builds(lambda: crossover_with_direct(HW, CH)) == 0
+    assert builds(lambda: run_sweep(spec)) == 0
+    assert builds(lambda: plan_fixed_link(HW, 1600.0, CH, 125.0)) == 2
+
+
 # ---------------------------------------------------------------- crossover search
 
 def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0e4),
@@ -638,7 +690,7 @@ def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0
     def gap(L):
         if visited is not None:
             visited.append(L)
-        repeater = _scan_link_counts(hw, L, ch, _default_n_max(L), tol)[1]
+        repeater = _scan_link_counts(hw, L, ch, _link_count_limit(L, None), tol)[1]
         return repeater - direct_transmission_time(L, ch, source_rate)
 
     g_lo, g_hi = gap(lo), gap(hi)

@@ -700,32 +700,51 @@ def metrics(
     overflows.
     """
     tol = _arg("tol", tol)
-    p = ec_prob(hw, chain, ch)  # converts the rest
+    hw, chain, ch = _arg("hw", hw), _arg("chain", chain), _arg("ch", ch)
+    return _metrics(hw, chain.total_length, chain.link_count, ch, tol)
+
+
+def _metrics(hw: HardwareParams, total_length: float, link_count: int, ch: ChannelParams,
+             tol: float, extension: float = 0.0) -> RepeaterMetrics:
+    # metrics of converted arguments, for ``link_count`` links over
+    # ``total_length`` km followed by ``extension`` km of plain fiber.
+    p = _ec_prob(hw, total_length, link_count, ch)
     if p == 0.0:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    total_length, n = chain.total_length, chain.link_count
     # A round that never succeeds raises here, before the moments: their
     # closed form costs n terms at more than n bits.
-    _chain_times(hw, total_length, n, ch, 0.0)
-    return _metrics_from_moments(hw, total_length, n, ch, p, *_attempts_moments(p, n, tol))
+    _chain_times(hw, total_length, link_count, ch, 0.0)
+    moments = _attempts_moments(p, link_count, tol)
+    return _metrics_from_moments(hw, total_length, link_count, ch, p, *moments, extension)
 
 
 def _metrics_from_moments(hw: HardwareParams, total_length: float, link_count: int,
                           ch: ChannelParams, p: float, mean: float, variance: float,
-                          ) -> RepeaterMetrics:
+                          extension: float = 0.0) -> RepeaterMetrics:
     """The metrics of ``link_count`` links over ``total_length`` km whose EC
     probability ``p`` and attempt-count moments are already known:
     :func:`metrics` computes both moments, the link-count optimizer reuses
     those its scan summed.  Raises :class:`BeyondRepresentable` when
-    t_cc = L / c underflows to 0, so that every time would print as 0."""
-    clock, t_ec, t_cc, p_es, t_tot = _chain_times(hw, total_length, link_count, ch, mean)
+    t_cc = L / c underflows to 0, so that every time would print as 0.
+
+    ``extension`` km of plain fiber past the chain, checked after the
+    chain itself, add their propagation delay to the controller
+    signalling and to the storage span, and one photon has to survive
+    them, which scales the round's success probability by the fiber's
+    transmission."""
+    clock, t_ec, t_cc, p_es, success = _time_terms(hw, total_length, link_count, ch, mean)
+    t_tot = _total_time(t_ec, t_cc, success)
     if t_tot == 0.0:
         raise BeyondRepresentable("total distribution time below representable")
     mem_time_std = clock * math.sqrt(variance)
     if not math.isfinite(mem_time_std):
         raise BeyondRepresentable("memory time spread beyond representable")
+    if extension:
+        t_cc += extension / ch.signal_speed
+        transmission = 10.0 ** (-ch.attenuation * extension / 10.0)
+        t_tot = _total_time(t_ec, t_cc, success * transmission)
     return RepeaterMetrics(
         ec_prob=p,
         expected_attempts=mean,

@@ -28,9 +28,7 @@ from .errors import (
     UnreachableConfiguration,
 )
 from .model import (
-    _UNDERFLOW_LINKS,
     DEFAULT_TOL,
-    ChainConfig,
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
@@ -40,15 +38,13 @@ from .model import (
     _attempts_moments,
     _chain_times,
     _ec_prob,
+    _metrics,
     _metrics_from_moments,
     _multimode_prob,
-    _round_success,
     _round_time,
     _set_fields,
     _single_mode_prob,
     _time_terms,
-    _total_time,
-    metrics,
 )
 
 __all__ = [
@@ -116,38 +112,6 @@ class OptimizationResult:
     runner_up_ratio: float
 
 
-def _reachable_link_counts(hw: HardwareParams, total_length: float, ch: ChannelParams,
-                           n_max: int) -> int:
-    """The largest n <= n_max for which a round with t_ec = 0, which takes
-    t_cc / (p_es r), has a representable time, or 0.
-
-    That time never falls as n grows: p_es = (r/2)^(n-1) at least halves
-    with every link, so the test, the one :func:`metrics` makes before the
-    moments (``_chain_times`` at a mean of 0), is monotone in n.  n_max
-    itself is tested first, and only when it is unreachable does a
-    bisection find the same n as testing n = 1, 2, ... in turn.  Since
-    (r/2)^(n-1) <= 2^-(n-1), p_es underflows to 0 by n = 1076.
-    """
-    def reachable(n: int) -> bool:
-        try:
-            _chain_times(hw, total_length, n, ch, 0.0)
-        except (UnreachableConfiguration, BeyondRepresentable):
-            return False
-        return True
-
-    hi = min(n_max, _UNDERFLOW_LINKS - 1)
-    if reachable(hi):
-        return hi
-    lo, hi = 0, hi - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if reachable(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _link_candidates(
     rows: list[tuple[HardwareParams, float, int]],
     ch: ChannelParams,
@@ -159,10 +123,11 @@ def _link_candidates(
     the link-count scan and each crossover step pass the one distance
     they read.
 
-    One numpy pass over a (row x n) array computes, for every n up to the
-    last one whose round time with t_ec = 0 is representable in any row
-    (see :func:`_reachable_link_counts`; no later link count of that row is
-    feasible), the EC probability p, H_n (a ``cumsum``, which adds in the
+    A row's width is n_max or, when smaller, a bound from its hardware
+    alone: p_es = (r/2)^(n-1) rounds to 0 once (n - 1) log2(2/r) passes
+    1075, and no round of a later link count can succeed.  One numpy pass
+    over a (row x n) array computes, for every n up to the widest row's
+    width, the EC probability p, H_n (a ``cumsum``, which adds in the
     order of a running sum), the bounds on the mean attempt count
     (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
     times at those bounds (:func:`~repeaterchain.model._time_terms`), with
@@ -185,8 +150,19 @@ def _link_candidates(
     whose lower-bound time is not finite, is checked the scalar way
     instead, and left out only when the scalar p is 0 or the lower-bound
     time overflows (then the total time does as well).
+
+    The scalar pass ends the row at the first link count whose round
+    cannot succeed with a representable time: the test :func:`metrics`
+    makes before the moments, ``_chain_times`` at a mean of 0.  That time
+    never falls as n grows, so no later count is feasible either.  Every
+    count the arrays vouch for passes that test, since its round success
+    is normal and its lower-bound time, at least the time at a mean of 0,
+    is finite; so all of them come before the row's end.
     """
-    widths = [_reachable_link_counts(hw, L, ch, n_max) for hw, L, n_max in rows]
+    widths = []
+    for hw, _, n_max in rows:
+        half = 0.5 * (hw.memory_eff * hw.detector_eff) ** 2  # r/2, as _round_success has it
+        widths.append(min(n_max, 2 + int(1075 / -math.log2(half)) if half else 1))
     ns = np.arange(1.0, max(widths) + 1.0)
     # One row keeps its distance a float and its arrays 1-D, as cheap as
     # a scalar build; more rows take it as a column.
@@ -217,11 +193,16 @@ def _link_candidates(
         if not whole:
             keep = vouched[r, :width]
             for i in np.nonzero(~keep)[0].tolist():
+                try:
+                    _chain_times(hw, total_length, i + 1, ch, 0.0)
+                except (UnreachableConfiguration, BeyondRepresentable):
+                    keep = keep[:i]  # the row ends here
+                    break
                 bounds = _scalar_bounds(hw, total_length, i + 1, ch, float(harmonic[i]))
                 if bounds is not None:
                     keep[i] = True
                     row[0][i], row[2][i] = bounds
-            row = tuple(values[keep] for values in row)
+            row = tuple(values[:keep.size][keep] for values in row)
         out.append(row)
     return out
 
@@ -372,28 +353,6 @@ class FixedLinkPlan:
     metrics: RepeaterMetrics
 
 
-def _extended_metrics(
-    ch: ChannelParams,
-    base: RepeaterMetrics,
-    success: float,
-    extension_km: float,
-) -> RepeaterMetrics:
-    # The extension adds propagation delay to the controller signalling and
-    # to the storage span, and one photon has to survive the extra fiber,
-    # which scales the base chain's round success probability ``success``
-    # by the fiber's transmission.
-    extra = extension_km / ch.signal_speed
-    transmission = 10.0 ** (-ch.attenuation * extension_km / 10.0)
-    t_cc = base.t_cc + extra
-    t_tot = _total_time(base.t_ec, t_cc, success * transmission)
-    return replace(
-        base,
-        t_cc=t_cc,
-        t_tot=t_tot,
-        mem_time_avg=base.t_ec + t_cc,
-    )
-
-
 def plan_fixed_link(
     hw: HardwareParams,
     total_length: float,
@@ -407,7 +366,8 @@ def plan_fixed_link(
     flanking node counts are evaluated and the residual distance is
     bridged with plain fiber; the side with the smaller resulting total
     time wins.  A node count whose span is past the float range is no
-    candidate.
+    candidate; with no candidate left, no round can succeed either, and
+    it raises :class:`UnreachableConfiguration`.
     """
     hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
     total_length = _arg("real", total_length, "total_length")
@@ -417,33 +377,33 @@ def plan_fixed_link(
             f"total_length {total_length} km is shorter than one link ({link_length} km)"
         )
     ratio = total_length / link_length
-    if not math.isfinite(ratio):
-        # More links than a float can count: (r/2)^(n-1) underflows long before.
+    if math.isfinite(ratio):
+        nearest = round(ratio)
+        if abs(ratio - nearest) < 1e-9 and nearest >= 1:
+            candidates = [nearest]
+        else:
+            candidates = [math.floor(ratio), math.floor(ratio) + 1]
+        # A node count whose span overflows is no plan.  The floor of a ratio
+        # that is no whole number never overflows; a snapped count can, when the
+        # ratio rounded up to it, and then the count below takes its place.
+        candidates = [n for n in candidates if n * link_length < math.inf] or [nearest - 1]
+    if not (math.isfinite(ratio) and candidates[0] * link_length < math.inf):
+        # More links than a float can count or span: (r/2)^(n-1) underflows
+        # long before.
         raise UnreachableConfiguration(
             "unreachable configuration: end-to-end success probability underflows"
         )
-    nearest = round(ratio)
-    if abs(ratio - nearest) < 1e-9 and nearest >= 1:
-        candidates = [int(nearest)]
-    else:
-        candidates = [int(math.floor(ratio)), int(math.floor(ratio)) + 1]
-    # A node count whose span overflows is no plan.  The floor of a ratio
-    # that is no whole number never overflows; a snapped count can, when the
-    # ratio rounded up to it, and then the count below takes its place.
-    candidates = [n for n in candidates if n * link_length < math.inf] or [int(nearest) - 1]
     best: FixedLinkPlan | None = None
     for n in candidates:
         span = n * link_length
         extension = total_length - span
-        base = metrics(hw, ChainConfig(total_length=span, link_count=n), ch, tol)
-        adjusted = _extended_metrics(ch, base, _round_success(hw, n)[1], abs(extension))
         plan = FixedLinkPlan(
             link_length=link_length,
             node_count=n,
             node_span=span,
             extension=extension,
             side="below" if extension >= 0.0 else "above",
-            metrics=adjusted,
+            metrics=_metrics(hw, span, n, ch, tol, abs(extension)),
         )
         if best is None or plan.metrics.t_tot < best.metrics.t_tot:
             best = plan

@@ -469,10 +469,15 @@ UNDERFLOW = "unreachable configuration: end-to-end success probability underflow
 @pytest.mark.parametrize("argv", [
     ["fixed-link", "--L", "1600", "--L0", "5e-324"],
     ["fixed-link", "--L", "1e300", "--L0", "1e-300"],
+    # The ratio snaps to 27104560595068764 links; that count and the one
+    # below span more than a float holds, lossy or not.
+    ["fixed-link", "--L", "1.7976931348623157e308", "--L0", "6.632437845863389e+291"],
+    ["fixed-link", "--L", "1.7976931348623157e308", "--L0", "6.632437845863389e+291",
+     "--alpha", "0"],
 ])
 def test_fixed_link_with_more_links_than_a_float_counts(capsys, argv):
-    # L / L0 overflows; a finite but huge ratio already underflows the
-    # round success, and so does this one.
+    # L / L0 overflows, or the spans of its node counts do; a finite but
+    # huge ratio already underflows the round success, and so does this one.
     assert run_cli(capsys, *argv) == (3, "", f"error: {UNDERFLOW}\n")
     code, out, err = run_cli(capsys, *argv, "--format", "json")
     assert (code, err) == (3, "")

@@ -41,3 +41,25 @@ def test_pyproject_lists_numpy_as_the_only_runtime_dependency():
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0) for spec in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports, wherever, and never reads as a name.
+    ``from __future__`` features are no names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return [name for name in imported if name not in read]
+
+
+def test_package_modules_use_every_name_they_import():
+    # A private helper whose last caller went keeps no import alive.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert {path.name: unused_imports(path) for path in modules} == {
+        path.name: [] for path in modules}

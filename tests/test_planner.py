@@ -371,6 +371,9 @@ GRID_ROWS = st.tuples(
                (HW, 1e300, 10**400), (HW, 5e-324, 5000)], shared=False)  # scalar fallback
 @example(rows=[(HW, 25000.0, 128), (HW, 200.0, 8), (HW, 1600.0, 5000)], shared=True)
 @example(rows=[(HardwareParams(memory_eff=0.0), 100.0, 5), (HW, 200.0, 5)], shared=True)  # no n
+@example(rows=[(HardwareParams(detector_eff=1.0, memory_eff=1.0), 5e-324, 10**400),
+               (HardwareParams(detector_eff=1.0, memory_eff=1.0), 1.0, 5000)],
+         shared=True)  # r = 1: the widest rows any hardware gives
 def test_grid_rows_keep_the_link_counts_of_one_row_builds(rows, shared):
     # One pass over many rows broadcasts the hardware fields and distances;
     # every row must keep the link counts its own one-row pass keeps, and
@@ -559,19 +562,41 @@ def test_crossover_bracket_of_numpy_scalars_bisects_as_floats():
         crossover_with_direct(HW, CH, 1e10, bracket=("10", 10_000.0))
 
 
-def test_reach_is_one_test_when_n_max_is_reachable(monkeypatch):
-    # The round time with t_ec = 0 never falls with n: a reachable n_max
-    # needs no bisection, and an unreachable one still finds the last n.
+def last_reachable_link_count(hw, L):
+    """The largest n whose round, with t_ec = 0, succeeds in a representable
+    time, found by testing every n up to 1100, or 0."""
+    last = 0
+    for n in range(1, 1101):
+        try:
+            _chain_times(hw, L, n, CH, 0.0)
+        except (UnreachableConfiguration, BeyondRepresentable):
+            continue
+        last = n
+    return last
+
+
+PERFECT_RETRIEVAL = HardwareParams(detector_eff=1.0, memory_eff=1.0)  # r = 1
+
+
+def test_a_row_ends_at_its_last_reachable_link_count(monkeypatch):
+    # A row's width comes from its hardware alone, and the scalar pass ends
+    # it at the first link count whose round cannot succeed; a row whose
+    # counts the arrays all vouch for tests none of them.
     tested = []
     chain_times = planner._chain_times
     monkeypatch.setattr(planner, "_chain_times",
                         lambda hw, L, n, *rest: tested.append(n) or chain_times(hw, L, n, *rest))
-    assert planner._reachable_link_counts(HW, 1600.0, CH, 64) == 64 and tested == [64]
-    last = planner._reachable_link_counts(HW, 1600.0, CH, 5000)
-    assert 64 < last < 1075
-    tested.clear()
-    assert planner._reachable_link_counts(HW, 1600.0, CH, last) == last and tested == [last]
-    assert planner._reachable_link_counts(HW, 1600.0, CH, last + 1) == last
+    assert _link_candidates([(HW, 1600.0, 64)], CH)[0][1].tolist() == list(range(1, 65))
+    assert tested == []
+    for hw, L, last in [
+        (PERFECT_RETRIEVAL, 5e-324, 1075),  # t_cc = 0: p_es = 2^-1074 is the end
+        (PERFECT_RETRIEVAL, 1.0, 1042),  # t_cc / p_es overflows first
+        (HW, 1600.0, 641),
+        (HardwareParams(memory_eff=0.0), 1600.0, 0),  # no round ever succeeds
+    ]:
+        assert last_reachable_link_count(hw, L) == last
+        row = _link_candidates([(hw, L, 5000)], CH)[0][1]
+        assert (int(row[-1]) if row.size else 0) == last, (hw, L)
 
 
 def test_optimize_all_links_unreachable():
@@ -656,12 +681,17 @@ def test_fixed_link_near_the_float_maximum_plans_or_raises_model_errors():
     spec = SweepSpec(swept_parameter="total_length", grid=(1e308, 1.5e308), hw=HW,
                      ch=LOSSLESS, fixed_link_length=1e308)
     assert [(r.error, r.best_n) for r in run_sweep(spec)] == [(None, 1), (None, 1)]
+    # The ratio snaps to 27104560595068764 links, and the spans of that
+    # count and the one below both overflow: more links than a float spans.
+    for ch in (CH, LOSSLESS):
+        with pytest.raises(UnreachableConfiguration, match="success probability underflows"):
+            plan_fixed_link(HW, sys.float_info.max, ch, 6.632437845863389e+291)
 
 
-def test_only_plan_fixed_link_builds_chain_configs(monkeypatch):
+def test_planner_builds_no_chain_configs(monkeypatch):
     # Behind the public functions a chain is its (total_length, link_count):
-    # the scan, its bounds and the optimizer build no ChainConfig, and
-    # plan_fixed_link builds one per candidate node count, for metrics.
+    # the scan, its bounds, the optimizer and the fixed-link plan build no
+    # ChainConfig.
     built = []
     post_init = ChainConfig.__post_init__
     monkeypatch.setattr(ChainConfig, "__post_init__",
@@ -676,7 +706,62 @@ def test_only_plan_fixed_link_builds_chain_configs(monkeypatch):
     assert builds(lambda: optimize_link_count(HW, 1600.0, CH)) == 0
     assert builds(lambda: crossover_with_direct(HW, CH)) == 0
     assert builds(lambda: run_sweep(spec)) == 0
-    assert builds(lambda: plan_fixed_link(HW, 1600.0, CH, 125.0)) == 2
+    assert builds(lambda: plan_fixed_link(HW, 1600.0, CH, 125.0)) == 0
+    fixed = dataclasses.replace(spec, fixed_link_length=125.0)
+    assert builds(lambda: run_sweep(fixed)) == 0
+
+
+def reference_fixed_link(hw, L, ch, L0):
+    """plan_fixed_link as ``metrics`` of each flanking node count's chain,
+    whose result then takes the extension's delay and loss."""
+    ratio = L / L0
+    nearest = round(ratio)
+    if abs(ratio - nearest) < 1e-9 and nearest >= 1:
+        counts = [nearest]
+    else:
+        counts = [math.floor(ratio), math.floor(ratio) + 1]
+    best = None
+    for n in counts:
+        span = n * L0
+        extension = L - span
+        base = metrics(hw, ChainConfig(total_length=span, link_count=n), ch)
+        km = abs(extension)
+        t_cc = base.t_cc + km / ch.signal_speed
+        retrieval = (hw.memory_eff * hw.detector_eff) ** 2
+        success = base.p_es * retrieval * 10.0 ** (-ch.attenuation * km / 10.0)
+        if success == 0.0:
+            raise UnreachableConfiguration(
+                "unreachable configuration: end-to-end success probability underflows")
+        t_tot = (base.t_ec + t_cc) / success
+        if not math.isfinite(t_tot):
+            raise BeyondRepresentable("total distribution time beyond representable")
+        plan = planner.FixedLinkPlan(
+            link_length=L0, node_count=n, node_span=span, extension=extension,
+            side="below" if extension >= 0.0 else "above",
+            metrics=dataclasses.replace(base, t_cc=t_cc, t_tot=t_tot,
+                                        mem_time_avg=base.t_ec + t_cc))
+        if best is None or plan.metrics.t_tot < best.metrics.t_tot:
+            best = plan
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hw=SCAN_HARDWARE,
+    ch=st.sampled_from([CH, LOSSLESS]),
+    L0=st.floats(min_value=1.0, max_value=500.0),
+    links=st.integers(min_value=1, max_value=40),
+    past=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+)
+@example(hw=HW, ch=CH, L0=125.0, links=12, past=0.0)  # an exact multiple
+@example(hw=HW, ch=CH, L0=125.0, links=12, past=0.8)  # the chain above the target wins
+@example(hw=HW, ch=CH, L0=125.0, links=12, past=0.2)  # the chain below the target wins
+def test_fixed_link_metrics_equal_the_base_chain_extended(hw, ch, L0, links, past):
+    # The plan's metrics, errors included, equal bit for bit those of the
+    # base chain's metrics with the extension's delay and loss added after.
+    L = L0 * (links + past)
+    assert outcome(lambda: plan_fixed_link(hw, L, ch, L0)) == outcome(
+        lambda: reference_fixed_link(hw, L, ch, L0))
 
 
 # ---------------------------------------------------------------- crossover search

@@ -19,14 +19,15 @@ those of one ``SeedSequence`` per trial.
 Each trial draws its chain rounds' uniforms with ``Generator.random``
 straight into one scratch buffer of doubles per run (2**13 of them,
 grown only for a trial that needs more).  Once the next trial would not
-fit, the buffer is settled in whole-array passes.  One kernel turns it
-into attempt counts: each round's largest draw, then one logarithm per
-round, written into a second reusable buffer.  Attempt counts are
-integer-valued doubles, so while the buffer's counts sum below 2**53
-every partial sum is exact in any order, and one ``np.add.reduceat``
-gives each trial's total.  At 2**53 and above partial sums round: each
-trial's failed rounds are then numpy's sum of its own slice, as one
-draw per trial would give.
+fit, the buffer is settled in whole-array passes, straight into the
+run's per-trial arrays of rounds played, recorded and total attempt
+counts.  One kernel turns the buffer into attempt counts: each round's
+largest draw, then one logarithm per round, written into a second
+reusable buffer.  Attempt counts are integer-valued doubles, so while
+the buffer's counts sum below 2**53 every partial sum is exact in any
+order, and one ``np.add.reduceat`` gives each trial's total.  At 2**53
+and above partial sums round: each trial's failed rounds are then
+numpy's sum of its own slice, as one draw per trial would give.
 
 A trial with more than 4096 failed rounds draws one standard normal z
 in their place: their summed attempt count is ``failed*mean +
@@ -245,31 +246,30 @@ def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) ->
     return np.maximum(out, 1.0, out=out)
 
 
-def _buffered_trials(
-    cfg: TrialConfig, p: float, n: int, log_q_round: float | None
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Play the trials; per filled buffer, yield the span of trials it holds
-    and, per trial, the rounds played, the attempt count of the recorded
-    round and the attempt count over all rounds."""
+def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
+                 rounds: np.ndarray, recorded: np.ndarray, total: np.ndarray) -> None:
+    """Play the trials into ``rounds`` (rounds played), ``recorded`` (the
+    recorded round's attempt count) and ``total`` (attempts over all rounds)."""
     # At p = 1 every ln(1 - u) / -inf is 0: each round takes one attempt.
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     moments = None  # of one chain round's attempt count, once a trial aggregates
     draws = np.empty(_DRAW_BLOCK)
     attempts = np.empty(_DRAW_BLOCK // n)
     first = pos = 0
-    # Per buffered trial: rounds played and the start of its rounds in the
-    # buffer; per aggregated trial: its place, failed rounds and normal draw.
-    rounds, starts, aggregated = [], [], []
+    # Per buffered trial: the start of its rounds in the buffer; per
+    # aggregated trial: its index, failed rounds and normal draw.
+    starts, aggregated = [], []
 
-    def settled(stop: int) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+    def settle() -> None:
         k = _round_attempts(draws[:pos], n, log_q, attempts[:pos // n])
         ends = np.array(starts[1:] + [k.size])
-        recorded = k[ends - 1]
+        span = slice(first, first + len(starts))
+        np.take(k, ends - 1, out=recorded[span])
         if k.sum() < 2.0**53:  # every partial sum exact, in any order
-            total = np.add.reduceat(k, starts)
+            np.add.reduceat(k, starts, out=total[span])
         else:  # numpy's sum of each trial's own slice, as one draw per trial gives
-            total = recorded.copy()
-            for i, (begin, end) in enumerate(zip(starts, ends.tolist())):
+            total[span] = recorded[span]
+            for i, (begin, end) in enumerate(zip(starts, ends.tolist()), first):
                 if end - begin > 1:
                     total[i] += k[begin:end - 1].sum()
         if aggregated:  # their failed rounds' totals, from matched normals
@@ -282,7 +282,6 @@ def _buffered_trials(
                     raise BeyondRepresentable("simulated attempt count beyond representable")
                 sums = np.maximum(np.rint(sums), failed)
             total[index] += sums
-        return slice(first, stop), np.array(rounds, dtype=np.int64), recorded, total
 
     for j, rng in _trial_streams(cfg.seed, cfg.trials):
         if log_q_round is None:
@@ -292,7 +291,7 @@ def _buffered_trials(
             r = max(math.ceil(math.log(u) / log_q_round), 1)
         if r > _MAX_ROUNDS_PER_SUCCESS:
             if pos:  # an earlier trial's unrepresentable total is raised first
-                settled(j)
+                settle()
             raise SimulationAbort(
                 f"simulation aborted: trial {j} needed {r} rounds for one success"
             )
@@ -306,19 +305,18 @@ def _buffered_trials(
         size = replayed * n
         if pos + size > draws.size:
             if pos:
-                yield settled(j)
-                first, pos = j, 0
-                rounds, starts, aggregated = [], [], []
+                settle()
+                first, pos, starts, aggregated = j, 0, [], []
             if size > draws.size:  # to the most any trial replays: once per run
                 draws = np.empty((_EXACT_ROUND_LIMIT + 1) * n)
                 attempts = np.empty(_EXACT_ROUND_LIMIT + 1)
         rng.random(out=draws[pos:pos + size])
         if z is not None:
-            aggregated.append((len(rounds), r - 1, z))
-        rounds.append(r)
+            aggregated.append((j, r - 1, z))
+        rounds[j] = r
         starts.append(pos // n)
         pos += size
-    yield settled(cfg.trials)
+    settle()
 
 
 def simulate(cfg: TrialConfig) -> TrialStats:
@@ -347,19 +345,17 @@ def simulate(cfg: TrialConfig) -> TrialStats:
         raise BeyondRepresentable("total distribution time below representable")
 
     try:
-        k_success = np.empty(cfg.trials, dtype=np.float64)
-        elapsed = np.empty(cfg.trials, dtype=np.float64)
+        rounds = np.empty(cfg.trials, dtype=np.int64)
+        k_success, total = np.empty(cfg.trials), np.empty(cfg.trials)
     except MemoryError:
         raise SimulationAbort(
             f"simulation aborted: {cfg.trials} trials do not fit in memory"
         ) from None
-    rounds_total = 0
     # Attempt counts of very lossy links may overflow: checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for span, rounds, recorded, attempts in _buffered_trials(cfg, p, n, log_q_round):
-            k_success[span] = recorded
-            elapsed[span] = clock * attempts + rounds * t_cc
-            rounds_total += int(rounds.sum())
+        _play_trials(cfg, p, n, log_q_round, rounds, k_success, total)
+        elapsed = clock * total + rounds * t_cc
+        rounds_total = int(rounds.sum())
         mem_times = clock * k_success + t_cc  # storage span of each recorded round
         ddof = 1 if cfg.trials > 1 else 0
         sqrt_n = math.sqrt(cfg.trials)
@@ -380,5 +376,5 @@ def simulate(cfg: TrialConfig) -> TrialStats:
         rounds_total=rounds_total,
         **estimates,
         es_success_rate=cfg.trials / rounds_total,
-        attempt_histogram={int(k): int(c) for k, c in zip(ks, counts)},
+        attempt_histogram=dict(zip(map(int, ks.tolist()), counts.tolist())),
     )

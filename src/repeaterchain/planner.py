@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -73,7 +74,11 @@ def direct_transmission_time(L: float, ch: ChannelParams, source_rate: float) ->
     """Mean time in seconds until one photon from a ``source_rate`` Hz
     source survives ``L`` km of fiber: 10^(attenuation * L / 10) / rate."""
     L, ch = _arg("non-negative real", L, "distance"), _arg("ch", ch)
-    source_rate = _arg("positive real", source_rate, "source_rate")
+    return _direct_time(L, ch, _arg("positive real", source_rate, "source_rate"))
+
+
+def _direct_time(L: float, ch: ChannelParams, source_rate: float) -> float:
+    # direct_transmission_time of converted arguments.
     try:
         t = 10.0 ** (ch.attenuation * L / 10.0) / source_rate
     except OverflowError:
@@ -450,7 +455,7 @@ def crossover_with_direct(
         nonlocal favourite
         n_max = _link_count_limit(L, None)
         try:
-            direct = direct_transmission_time(L, ch, source_rate)
+            direct = _direct_time(L, ch, source_rate)
         except BeyondRepresentable:
             _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
             raise
@@ -563,10 +568,8 @@ def _sweep_inputs(spec: SweepSpec, value: float) -> tuple[HardwareParams, float,
             hw = replace(hw, emission_prob=value)
     direct = None
     if spec.source_rate is not None:
-        try:
-            direct = direct_transmission_time(total_length, spec.ch, spec.source_rate)
-        except BeyondRepresentable:
-            direct = None  # baseline overflows long before the chain does
+        with suppress(BeyondRepresentable):  # baseline overflows long before the chain does
+            direct = _direct_time(total_length, spec.ch, spec.source_rate)
     return hw, total_length, direct
 
 

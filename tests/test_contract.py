@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repeaterchain
+from repeaterchain import model, montecarlo, planner
 from repeaterchain import (
     DEFAULT_TOL,
     ChainConfig,
@@ -242,3 +243,32 @@ def test_a_bad_tol_fails_the_sweep_once(tol):
     # Not every point's record: the tolerance belongs to the whole call.
     with pytest.raises(ConfigError, match="^tol must be"):
         run_sweep(SPEC, tol)
+
+
+DISTANCE_SPEC = SweepSpec("total_length", (400.0, 800.0, 1200.0, 1600.0), HW, CH,
+                          source_rate=1e10)
+
+
+@pytest.mark.parametrize("call,conversions", [
+    (lambda: crossover_with_direct(HW, CH, 1e10), 6),
+    (lambda: optimize_link_count(HW, 1600.0, CH), 4),
+    (lambda: plan_fixed_link(HW, 1600.0, CH, 125.0), 5),
+    (lambda: direct_transmission_time(500.0, CH, 1e10), 3),
+    (lambda: metrics(HW, CHAIN, CH), 4),
+    (lambda: simulate(CFG), 1),
+    (lambda: run_sweep(DISTANCE_SPEC), 2),
+], ids=["crossover_with_direct", "optimize_link_count", "plan_fixed_link",
+        "direct_transmission_time", "metrics", "simulate", "run_sweep"])
+def test_a_public_call_converts_each_argument_once(call, conversions, monkeypatch):
+    # Arguments are converted at the boundary; the helpers behind it trust
+    # them, however many distances a crossover bisects or a sweep visits.
+    # (A sweep over m or rho, or at a fixed link length, re-checks some
+    # fields per point by design, so it is left out.)
+    counted = []
+    for module in (model, planner, montecarlo):
+        def convert(*args, _arg=module._arg):
+            counted.append(args)
+            return _arg(*args)
+        monkeypatch.setattr(module, "_arg", convert)
+    call()
+    assert len(counted) == conversions, counted

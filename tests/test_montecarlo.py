@@ -34,8 +34,8 @@ from repeaterchain.montecarlo import (
     _EXACT_ROUND_LIMIT,
     _KEY_BLOCK,
     TrialConfig,
-    _buffered_trials,
     _philox_keys,
+    _play_trials,
     _sample_chain_rounds,
     _trial_rng,
     _trial_streams,
@@ -273,9 +273,7 @@ def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     cfg = TrialConfig(hw=hw, chain=chain, ch=CH, trials=400, seed=0)
     p = ec_prob(hw, chain, CH)
     log_q_round = math.log1p(-_round_success(hw, 1)[1])
-    totals = np.empty(cfg.trials)
-    for span, _, _, attempts in _buffered_trials(cfg, p, 1, log_q_round):
-        totals[span] = attempts
+    totals = _played(cfg, p, 1, log_q_round)[2]
     expected = []
     for j in range(cfg.trials):
         rng = _trial_rng(cfg.seed, j)
@@ -285,6 +283,16 @@ def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     assert max(rounds for rounds, _ in expected) > 8  # past numpy's sequential sums
     assert min(total for _, total in expected) > 2.0**53
     assert totals.tolist() == [total for _, total in expected]
+
+
+def _played(cfg, p, n, log_q_round):
+    # Each trial's rounds played, recorded attempt count and total attempt
+    # count, as _play_trials writes them into simulate's per-run arrays;
+    # a slot it leaves unwritten reads -1 or nan.
+    rounds = np.full(cfg.trials, -1, dtype=np.int64)
+    recorded, total = np.full(cfg.trials, math.nan), np.full(cfg.trials, math.nan)
+    _play_trials(cfg, p, n, log_q_round, rounds, recorded, total)
+    return np.array([rounds, recorded, total])
 
 
 def _replayed_trial(rng, n, log_q, log_q_round):
@@ -307,9 +315,7 @@ def test_buffered_totals_below_2_53_match_one_trial_replays(n, block, monkeypatc
     cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=300, seed=5)
     p = ec_prob(HW, chain, CH)
     log_q_round = math.log1p(-_round_success(HW, n)[1])
-    got = np.empty((3, cfg.trials))
-    for span, *columns in _buffered_trials(cfg, p, n, log_q_round):
-        got[:, span] = columns
+    got = _played(cfg, p, n, log_q_round)
     expected = np.array([_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p), log_q_round)
                          for j in range(cfg.trials)]).T
     assert expected[0].max() - 1 <= _EXACT_ROUND_LIMIT  # every failed round replayed
@@ -322,16 +328,16 @@ def test_aggregated_totals_match_numpy_normal():
     # An aggregated trial draws one standard normal for its failed rounds;
     # Generator.normal(loc, scale) must read the same words and give the
     # same total, rounded and floored at one attempt per failed round.
+    # The trials run past one key block, so the play loop's uniform and
+    # normal draws are checked on both sides of its edge.
     n = 8
     chain = ChainConfig(total_length=500.0, link_count=n)
-    cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=60, seed=3)
+    cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=_KEY_BLOCK + 76, seed=3)
     p = ec_prob(HW, chain, CH)
     log_q_round = math.log1p(-_round_success(HW, n)[1])
     mean_k, var_k = _attempts_moments(p, n, DEFAULT_TOL)
-    got = np.empty((3, cfg.trials))
-    for span, *columns in _buffered_trials(cfg, p, n, log_q_round):
-        got[:, span] = columns
-    expected, aggregated = [], 0
+    got = _played(cfg, p, n, log_q_round)
+    expected, aggregated = [], []
     for j in range(cfg.trials):
         rng = _trial_rng(cfg.seed, j)
         rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
@@ -340,11 +346,12 @@ def test_aggregated_totals_match_numpy_normal():
             expected.append(_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p),
                                             log_q_round))
             continue
-        aggregated += 1
+        aggregated.append(j)
         failed_sum = max(round(rng.normal(failed * mean_k, math.sqrt(failed * var_k))), failed)
         k = np.maximum(np.ceil(np.log(1.0 - rng.random(n)) / math.log1p(-p)), 1.0).max()
         expected.append((rounds, k, k + failed_sum))
-    assert 0 < aggregated < cfg.trials
+    assert 0 < len(aggregated) < cfg.trials
+    assert aggregated[0] < _KEY_BLOCK <= aggregated[-1]
     assert got.tolist() == np.array(expected).T.tolist()
 
 

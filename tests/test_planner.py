@@ -470,7 +470,7 @@ def test_crossover_builds_one_row_only_for_steps_its_favourite_leaves_open(monke
     # built.
     built, steps, scans = [], [], []
     link_candidates = planner._link_candidates
-    direct_time = planner.direct_transmission_time
+    direct_time = planner._direct_time
     scan = planner._scan_link_counts
 
     def build(rows, ch):
@@ -486,7 +486,7 @@ def test_crossover_builds_one_row_only_for_steps_its_favourite_leaves_open(monke
 
     monkeypatch.setattr(planner, "_link_candidates", build)
     monkeypatch.setattr(planner, "_scan_link_counts", exact_scan)
-    monkeypatch.setattr(planner, "direct_transmission_time",
+    monkeypatch.setattr(planner, "_direct_time",
                         lambda L, *rest: steps.append(L) or direct_time(L, *rest))
     pinned = {1e9: 423.09967041015625, 1e10: 488.34197998046875, 1e11: 554.8037719726562}
     visits = {}

@@ -531,9 +531,14 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
         if size < _CHUNK or (summand <= tol * total and n * x <= 0.25):
             break  # converged
         size = _CHUNK
+        # Past _MAX_EXPLICIT_TERMS the summand never fails the tol stop: the
+        # last term's k = k0 - 1 >= 77 * 2^16 - 1 > 1.009 * 5e6, and
+        # _explicit_feasible admitted 5e6 >= (ln max(n, 2) + ln(1/tol)) / lambda,
+        # so x = q^k < tol / max(n, 2) and summand <= n x < tol <= tol * total
+        # (total >= S(0) = 1), with 0.9% of the exponent to spare for
+        # rounding.  Only n x > 0.25, where the analytic tail is not yet
+        # valid, gets here.
         if k0 > _MAX_EXPLICIT_TERMS:
-            if n * x <= 0.25:
-                break  # analytic tail still valid, just short of the tol stop
             return _closed_form_moments(p, n)
     tail, spread_tail = _survival_tail(p, n, k0)
     mean = total + tail
@@ -631,58 +636,43 @@ def expected_max_attempts(p: float, n: int, tol: float = DEFAULT_TOL) -> float:
     return mean
 
 
-def _round_success(hw: HardwareParams, n: int) -> tuple[float, float]:
-    """Swap success probability ``p_es = (r/2)^(n-1)`` of an ``n``-link
-    chain, and ``p_es * r``, the chance that a whole round succeeds once
-    both end memories are read out, with ``r = (eta_m eta_d)^2``;
-    elementwise in ``n`` and the fields of ``hw``."""
+def _round_terms(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
+    """``(clock, t_cc, p_es, success)`` of ``link_count`` links over
+    ``total_length`` km: ``clock`` and ``t_cc`` are one link's length and
+    the whole length over the signal speed, ``p_es = (r/2)^(n-1)`` is the
+    chance that every swap succeeds, and ``success = p_es * r`` that a whole
+    round does once both end memories are read out, with
+    ``r = (eta_m eta_d)^2``.  When the slowest link needs ``mean`` attempts
+    on average, the total time is ``_round_time(clock, t_cc, success, mean)``.
+
+    Elementwise: ``hw``'s fields, lengths and counts may be arrays.  The only
+    home of the round's terms: :func:`metrics`, the link-count scan and the
+    sampler all go through it, so their times agree bit for bit.
+    """
+    clock = total_length / link_count / ch.signal_speed
     retrieval = (hw.memory_eff * hw.detector_eff) ** 2
-    p_es = (0.5 * retrieval) ** (n - 1)
-    return p_es, p_es * retrieval
+    p_es = (0.5 * retrieval) ** (link_count - 1)
+    return clock, total_length / ch.signal_speed, p_es, p_es * retrieval
 
 
-def _round_time(t_ec, t_cc, success):
-    # Every round costs t_ec + t_cc and succeeds with probability
-    # ``success``.  Elementwise and unchecked.
-    return (t_ec + t_cc) / success
+def _round_time(clock, t_cc, success, mean):
+    # Every round costs t_ec + t_cc, with t_ec = clock * mean, and succeeds
+    # with probability ``success``.  Elementwise and unchecked.
+    return (clock * mean + t_cc) / success
 
 
-def _total_time(t_ec: float, t_cc: float, success: float) -> float:
+def _total_time(clock: float, t_cc: float, success: float, mean: float) -> float:
+    """:func:`_round_time` of the terms from :func:`_round_terms`, checked;
+    at ``mean = 0`` its errors tell whether any round can succeed with a
+    representable time."""
     if success == 0.0:
         raise UnreachableConfiguration(
             "unreachable configuration: end-to-end success probability underflows"
         )
-    t_tot = _round_time(t_ec, t_cc, success)
+    t_tot = _round_time(clock, t_cc, success, mean)
     if not math.isfinite(t_tot):
         raise BeyondRepresentable("total distribution time beyond representable")
     return t_tot
-
-
-def _time_terms(hw: HardwareParams, total_length, link_count, ch: ChannelParams,
-                mean_attempts):
-    """``(clock, t_ec, t_cc, p_es, success)`` of ``link_count`` links over
-    ``total_length`` km whose slowest link needs ``mean_attempts`` attempts
-    on average; ``clock`` is one link's length over the signal speed, and
-    the total time is ``_round_time(t_ec, t_cc, success)``.
-
-    Elementwise: ``hw``'s fields, lengths, counts and means may be arrays.  The
-    only home of the time formulas: :func:`metrics`, the link-count scan
-    and the sampler all go through it, so their times agree bit for bit.
-    """
-    clock = total_length / link_count / ch.signal_speed
-    p_es, success = _round_success(hw, link_count)
-    return clock, clock * mean_attempts, total_length / ch.signal_speed, p_es, success
-
-
-def _chain_times(hw: HardwareParams, total_length: float, link_count: int, ch: ChannelParams,
-                 mean_attempts: float) -> tuple[float, float, float, float, float]:
-    """``(clock, t_ec, t_cc, p_es, t_tot)`` of ``link_count`` links over
-    ``total_length`` km whose slowest link needs ``mean_attempts`` attempts
-    on average (see :func:`_time_terms`); at ``mean_attempts = 0`` its
-    errors tell whether any round can succeed with a representable time."""
-    clock, t_ec, t_cc, p_es, success = _time_terms(hw, total_length, link_count, ch,
-                                                   mean_attempts)
-    return clock, t_ec, t_cc, p_es, _total_time(t_ec, t_cc, success)
 
 
 def metrics(
@@ -715,7 +705,8 @@ def _metrics(hw: HardwareParams, total_length: float, link_count: int, ch: Chann
         )
     # A round that never succeeds raises here, before the moments: their
     # closed form costs n terms at more than n bits.
-    _chain_times(hw, total_length, link_count, ch, 0.0)
+    clock, t_cc, _, success = _round_terms(hw, total_length, link_count, ch)
+    _total_time(clock, t_cc, success, 0.0)
     moments = _attempts_moments(p, link_count, tol)
     return _metrics_from_moments(hw, total_length, link_count, ch, p, *moments, extension)
 
@@ -734,8 +725,8 @@ def _metrics_from_moments(hw: HardwareParams, total_length: float, link_count: i
     signalling and to the storage span, and one photon has to survive
     them, which scales the round's success probability by the fiber's
     transmission."""
-    clock, t_ec, t_cc, p_es, success = _time_terms(hw, total_length, link_count, ch, mean)
-    t_tot = _total_time(t_ec, t_cc, success)
+    clock, t_cc, p_es, success = _round_terms(hw, total_length, link_count, ch)
+    t_tot = _total_time(clock, t_cc, success, mean)
     if t_tot == 0.0:
         raise BeyondRepresentable("total distribution time below representable")
     mem_time_std = clock * math.sqrt(variance)
@@ -744,7 +735,8 @@ def _metrics_from_moments(hw: HardwareParams, total_length: float, link_count: i
     if extension:
         t_cc += extension / ch.signal_speed
         transmission = 10.0 ** (-ch.attenuation * extension / 10.0)
-        t_tot = _total_time(t_ec, t_cc, success * transmission)
+        t_tot = _total_time(clock, t_cc, success * transmission, mean)
+    t_ec = clock * mean
     return RepeaterMetrics(
         ec_prob=p,
         expected_attempts=mean,

@@ -12,9 +12,10 @@ give bit-identical statistics regardless of execution order, and the
 trials could be farmed out to parallel workers without changing the
 result.  The key of trial ``j`` is the ``Philox`` key that
 ``SeedSequence(entropy=seed, spawn_key=(j,))`` generates; :func:`simulate`
-derives it for a block of trials at once with SeedSequence's own hashing
-and re-keys a single generator per trial, so the streams are the same as
-those of one ``SeedSequence`` per trial.
+takes the seed's pool from numpy's ``SeedSequence(seed).pool``, mixes in
+the spawn words of a block of trials at once with a port of SeedSequence's
+own hashing, and re-keys a single generator per trial, so the streams are
+the same as those of one ``SeedSequence`` per trial.
 
 Each trial draws its chain rounds' uniforms with ``Generator.random``
 straight into one scratch buffer of doubles per run (2**13 of them,
@@ -54,9 +55,9 @@ from .model import (
     _attempts_moments,
     _ec_prob,
     _NumpyOnFirstUse,
+    _round_terms,
     _set_fields,
     _success_args,
-    _time_terms,
 )
 
 # numpy loads on the first draw: a run rejected up front never pays for it.
@@ -82,10 +83,13 @@ _DRAW_BLOCK = 2**13
 
 # Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MULT_A = 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+# The hash constant once SeedSequence has mixed its 4-word pool, whatever
+# the seed: it starts at 0x43B0D7E5 and is multiplied by _MULT_A 16 times,
+# 4 to fill the pool and 12 to cross-mix it.
+_SPAWN_HASH = 0x43B0D7E5 * pow(_MULT_A, 16, 1 << 32) & _MASK32
 
 
 @dataclass(frozen=True)
@@ -154,23 +158,16 @@ def _philox_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Philox keys of trials ``start .. start+count-1``, shape ``(count, 2)``:
     row ``i`` equals ``SeedSequence(entropy=seed, spawn_key=(start+i,))
     .generate_state(2, np.uint64)`` for a seed below 2**64 and indices below
-    2**32."""
-    # The seed words, zero-padded to the pool, mix the same way for every
-    # trial: do that once.
-    words = [(seed >> shift) & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    pool = []
-    hash_const = _INIT_A
-    for word in words + [0] * (_POOL_SIZE - len(words)):
-        hashed, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(hashed)
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                hashed, hash_const = _hashmix(pool[i_src], hash_const, _MULT_A)
-                pool[i_dst] = _mix(pool[i_dst], hashed)
-    # Mixing in the spawn word, then generate_state, per trial.
+    2**32.
+
+    The seed's words mix into the pool the same way for every trial, so the
+    pool is numpy's own ``SeedSequence(seed).pool``; only mixing in the
+    spawn word, then ``generate_state``, is ported, to run per trial on a
+    whole block of indices at once."""
+    # Python ints: products with the pool words must not wrap at 32 bits.
+    pool = np.random.SeedSequence(seed).pool.tolist()
     index = np.arange(start, start + count, dtype=np.uint64)
-    out_const = _INIT_B
+    hash_const, out_const = _SPAWN_HASH, _INIT_B
     state = []
     for word in pool:
         hashed, hash_const = _hashmix(index, hash_const, _MULT_A)
@@ -335,7 +332,7 @@ def simulate(cfg: TrialConfig) -> TrialStats:
         raise NonTerminatingProcess(
             "non-terminating process: entanglement creation never succeeds"
         )
-    clock, _, t_cc, _, round_success = _time_terms(cfg.hw, total_length, n, cfg.ch, 0.0)
+    clock, t_cc, _, round_success = _round_terms(cfg.hw, total_length, n, cfg.ch)
     if round_success == 0.0 or 1.0 / round_success > _MAX_ROUNDS_PER_SUCCESS:
         raise SimulationAbort(
             f"simulation aborted: expected rounds per success exceeds {_MAX_ROUNDS_PER_SUCCESS:.0e}"

@@ -37,15 +37,16 @@ from .model import (
     _args,
     _attempts_mean_bounds,
     _attempts_moments,
-    _chain_times,
     _ec_prob,
     _metrics,
     _metrics_from_moments,
     _multimode_prob,
+    _round_terms,
     _round_time,
     _set_fields,
     _single_mode_prob,
-    _time_terms,
+    _total_time,
+    _UNDERFLOW_LINKS,
 )
 
 __all__ = [
@@ -130,15 +131,16 @@ def _link_candidates(
 
     A row's width is n_max or, when smaller, a bound from its hardware
     alone: p_es = (r/2)^(n-1) rounds to 0 once (n - 1) log2(2/r) passes
-    1075, and no round of a later link count can succeed.  One numpy pass
-    over a (row x n) array computes, for every n up to the widest row's
-    width, the EC probability p, H_n (a ``cumsum``, which adds in the
-    order of a running sum), the bounds on the mean attempt count
-    (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total
-    times at those bounds (:func:`~repeaterchain.model._time_terms`), with
-    the distances and any differing hardware as columns; the time formulas
-    are monotone in the mean.  No scalar ``ec_prob`` or ``_chain_times``
-    is needed for that.
+    ``_UNDERFLOW_LINKS - 1``, and no round of a later link count can
+    succeed; r/2 is p_es at n = 2.  One numpy pass over a (row x n) array
+    computes, for every n up to the widest row's width, the EC probability
+    p, H_n (a ``cumsum``, which adds in the order of a running sum), the
+    bounds on the mean attempt count
+    (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total times
+    at those bounds (:func:`~repeaterchain.model._round_terms` and
+    ``_round_time``), with the distances and any differing hardware as
+    columns; the time formulas are monotone in the mean.  No scalar
+    ``ec_prob`` or ``_total_time`` is needed for that.
 
     numpy's transcendentals may differ from ``math``'s by a few ulps, so an
     array p stands for the scalar p within a few dozen ulps, far less than
@@ -158,16 +160,17 @@ def _link_candidates(
 
     The scalar pass ends the row at the first link count whose round
     cannot succeed with a representable time: the test :func:`metrics`
-    makes before the moments, ``_chain_times`` at a mean of 0.  That time
+    makes before the moments, ``_total_time`` at a mean of 0.  That time
     never falls as n grows, so no later count is feasible either.  Every
     count the arrays vouch for passes that test, since its round success
     is normal and its lower-bound time, at least the time at a mean of 0,
     is finite; so all of them come before the row's end.
     """
     widths = []
-    for hw, _, n_max in rows:
-        half = 0.5 * (hw.memory_eff * hw.detector_eff) ** 2  # r/2, as _round_success has it
-        widths.append(min(n_max, 2 + int(1075 / -math.log2(half)) if half else 1))
+    for hw, total_length, n_max in rows:
+        half = _round_terms(hw, total_length, 2, ch)[2]  # p_es = r/2 at n = 2
+        last = 2 + int((_UNDERFLOW_LINKS - 1) / -math.log2(half)) if half else 1
+        widths.append(min(n_max, last))
     ns = np.arange(1.0, max(widths) + 1.0)
     # One row keeps its distance a float and its arrays 1-D, as cheap as
     # a scalar build; more rows take it as a column.
@@ -183,8 +186,8 @@ def _link_candidates(
         p1 = _single_mode_prob(columns, lengths, ns, ch)
         harmonic = np.cumsum(1.0 / ns)
         means = np.array(_attempts_mean_bounds(_multimode_prob(columns, p1), harmonic))
-        clock, t_ec, t_cc, _, success = _time_terms(columns, lengths, ns, ch, means)
-        lower, upper = _round_time(t_ec, t_cc, success)
+        clock, t_cc, _, success = _round_terms(columns, lengths, ns, ch)
+        lower, upper = _round_time(clock, t_cc, success, means)
     normal = sys.float_info.min
     vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
     vouched &= np.isfinite(lower)
@@ -198,8 +201,9 @@ def _link_candidates(
         if not whole:
             keep = vouched[r, :width]
             for i in np.nonzero(~keep)[0].tolist():
+                clock_n, t_cc_n, _, success_n = _round_terms(hw, total_length, i + 1, ch)
                 try:
-                    _chain_times(hw, total_length, i + 1, ch, 0.0)
+                    _total_time(clock_n, t_cc_n, success_n, 0.0)
                 except (UnreachableConfiguration, BeyondRepresentable):
                     keep = keep[:i]  # the row ends here
                     break
@@ -220,12 +224,13 @@ def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelP
     if p == 0.0:
         return None
     lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
+    clock, t_cc, _, success = _round_terms(hw, total_length, n, ch)
     try:
-        lower = _chain_times(hw, total_length, n, ch, lower_mean)[-1]
+        lower = _total_time(clock, t_cc, success, lower_mean)
     except BeyondRepresentable:
         return None
     try:
-        return lower, _chain_times(hw, total_length, n, ch, upper_mean)[-1]
+        return lower, _total_time(clock, t_cc, success, upper_mean)
     except BeyondRepresentable:
         return lower, math.inf
 
@@ -246,21 +251,22 @@ def _scan_link_counts(
     and the mean and variance of its attempt count.
 
     Times come from the mean attempt count alone, through the model code
-    :func:`metrics` uses, so ``best_t`` equals ``metrics(...).t_tot`` bit
-    for bit.  Link counts are walked in increasing ``(lower, n)`` order of
-    the lower bounds on their total times from :func:`_link_candidates`
-    (``candidates``, the caller's row when it built its points in one
-    pass), sorted here; those come from numpy arrays, and their margin
-    keeps them below the scalar times.  Only the link counts evaluated get
-    the scalar ``ec_prob`` and a series, which gives both moments, each
-    from the chain's two numbers ``(total_length, n)``.  The scan stops at
-    the first lower bound above the best time so far: no link count left
-    could beat or tie the winner, and a bound equal to it is still
-    evaluated, so ties still go to fewer links.  With ``runner_up``, which
-    only :func:`optimize_link_count` sets because it reports
-    ``runner_up_ratio``, the scan stops at the first lower bound above the
-    runner-up instead: no link count left could place first or second.
-    Either way the result equals that of evaluating every link count.
+    :func:`metrics` uses (``_round_terms`` and ``_total_time``), so
+    ``best_t`` equals ``metrics(...).t_tot`` bit for bit.  Link counts are
+    walked in increasing ``(lower, n)`` order of the lower bounds on their
+    total times from :func:`_link_candidates` (``candidates``, the caller's
+    row when it built its points in one pass), sorted here; those come from
+    numpy arrays, and their margin keeps them below the scalar times.  Only
+    the link counts evaluated get the scalar ``ec_prob`` and a series, which
+    gives both moments, each from the chain's two numbers
+    ``(total_length, n)``.  The scan stops at the first lower bound above
+    the best time so far: no link count left could beat or tie the winner,
+    and a bound equal to it is still evaluated, so ties still go to fewer
+    links.  With ``runner_up``, which only :func:`optimize_link_count` sets
+    because it reports ``runner_up_ratio``, the scan stops at the first
+    lower bound above the runner-up instead: no link count left could place
+    first or second.  Either way the result equals that of evaluating every
+    link count.
     """
     if candidates is None:
         candidates = _link_candidates([(hw, total_length, n_max)], ch)[0]
@@ -273,8 +279,9 @@ def _scan_link_counts(
         n = int(n)
         p = _ec_prob(hw, total_length, n, ch)
         moments = _attempts_moments(p, n, tol)
+        clock, t_cc, _, success = _round_terms(hw, total_length, n, ch)
         try:
-            t = _chain_times(hw, total_length, n, ch, moments[0])[-1]
+            t = _total_time(clock, t_cc, success, moments[0])
         except BeyondRepresentable:
             continue
         if (t, n) < (best_t, best_n):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from repeaterchain.cli import (
     METRIC_COLUMNS,
     PARAMETERS,
     SCENARIOS,
+    execute,
     format_time,
     main,
     parse_config,
@@ -708,6 +710,86 @@ def test_machine_output_does_not_depend_on_blas_threads(src_env):
         assert (result.returncode, result.stderr) == (0, "")
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+# numpy's SIMD dispatch targets that put an AVX-512 host on the AVX2 path.
+OTHER_SIMD_PATH = "X86_V4 AVX512_ICL AVX512_SPR"
+CROSS_PATH_COMMANDS = [
+    ["eval", "--L", "1600", "--n", "8"], ["eval", "--L", "250", "--n", "1"],
+    ["optimize", "--L", "1600"], ["optimize", "--L", "1600", "--n-max", "5000"],
+    ["fixed-link", "--L", "1600", "--L0", "125"], ["fixed-link", "--L", "1650", "--L0", "125"],
+    ["crossover"], ["crossover", "--source-rate", "1e9"], ["crossover", "--source-rate", "1e11"],
+    ["sweep", "--param", "L", "--values", "200,400,600,800,1000,1200,1400,1600"],
+    ["sweep", "--param", "L", "--values", "200,400,600,800,1000,1200,1400,1600", "--L0", "125"],
+    ["sweep", "--param", "m", "--values", "10,20,50,100,200", "--L", "1000"],
+    ["sweep", "--param", "rho", "--values", "0.3,0.5,0.7,0.9", "--L", "1000"],
+    ["simulate", "--L", "500", "--n", "4", "--trials", "1000", "--seed", "42"],
+    ["eval", "--rho", "1.5"], ["simulate", "--L", "2000", "--n", "40"],
+    ["crossover", "--source-rate", "1"], ["eval", "--L", "1600", "--n", "2000"],
+]
+
+
+def assert_within_ulps(here, there, where, key=None):
+    """Equal json documents, but for floats within 2 ulps, or 12 for the
+    memory-time spread; a crossover distance is equal too."""
+    if isinstance(here, float) and isinstance(there, float) and key != "crossover_km":
+        ulps = 12 if key == "mem_std_s" else 2
+        assert abs(here - there) <= ulps * math.ulp(max(abs(here), abs(there))), \
+            (where, key, here, there)
+    elif isinstance(here, dict) and isinstance(there, dict):
+        assert here.keys() == there.keys(), where
+        for name in here:
+            assert_within_ulps(here[name], there[name], where, name)
+    elif isinstance(here, list) and isinstance(there, list):
+        assert len(here) == len(there), (where, key)
+        for a, b in zip(here, there):
+            assert_within_ulps(a, b, where, key)
+    else:
+        assert here == there, (where, key)
+
+
+def test_machine_output_barely_depends_on_the_simd_path(src_env):
+    # numpy picks its transcendental loops by the CPU, and its AVX-512 ones
+    # may return other last bits than its AVX2 ones.  Every decision (exit
+    # code, message, link count, crossover distance) must be the same on
+    # both paths and every float within a few ulps.
+    probe = ("import contextlib, io, json\n"
+             "try:\n"
+             "    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+             "except ImportError:  # numpy < 2\n"
+             "    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+             "from repeaterchain.cli import main\n"
+             "print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))\n"
+             f"for argv in {CROSS_PATH_COMMANDS!r}:\n"
+             "    out = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(out):\n"
+             "        code = main([*argv, '--format', 'json'])\n"
+             "    print(json.dumps([code, json.loads(out.getvalue())]))\n")
+
+    def run(env):
+        # The dispatch targets numpy runs, and each command's exit code and output.
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        active, *outputs = map(json.loads, result.stdout.splitlines())
+        return set(active), outputs
+
+    targets = set(OTHER_SIMD_PATH.split())
+    active, outputs = run(src_env)
+    if not targets <= active:
+        pytest.skip(f"numpy does not dispatch to {OTHER_SIMD_PATH} here")
+    active, switched = run({**src_env, "NPY_DISABLE_CPU_FEATURES": OTHER_SIMD_PATH})
+    assert not targets & active
+    assert len(outputs) == len(switched) == len(CROSS_PATH_COMMANDS)
+    assert {code for code, _ in outputs} == {0, 2, 3, 4}
+    for argv, output, other in zip(CROSS_PATH_COMMANDS, outputs, switched):
+        assert_within_ulps(output, other, argv)
+
+
+def test_execute_rejects_an_unknown_scenario():
+    cfg = dataclasses.replace(parse_config(["eval", "--L", "1600", "--n", "8"]), scenario="bogus")
+    with pytest.raises(ConfigError, match="unknown scenario 'bogus'"):
+        execute(cfg)
 
 
 @pytest.mark.parametrize("argv", [

@@ -264,6 +264,14 @@ def test_attempt_distribution_validates_normalization():
         AttemptDistribution(probs=np.array([0.5, 0.2]), tail_mass=0.0)
 
 
+def test_attempt_distribution_rejects_empty_and_out_of_range_entries():
+    with pytest.raises(ModelError, match="empty attempt distribution"):
+        AttemptDistribution(probs=np.array([]), tail_mass=1.0)
+    # Normalized, but two entries lie outside [0, 1].
+    with pytest.raises(ModelError, match=r"entries outside \[0, 1\]"):
+        AttemptDistribution(probs=np.array([1.5, -0.5]), tail_mass=0.0)
+
+
 # ---------------------------------------------------------------- expected max attempts
 
 def test_expected_attempts_single_link_is_inverse_probability():

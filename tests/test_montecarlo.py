@@ -23,7 +23,7 @@ from repeaterchain.model import (
     ChannelParams,
     HardwareParams,
     _attempts_moments,
-    _round_success,
+    _round_terms,
     combined_attempt_dist,
     ec_prob,
     metrics,
@@ -246,7 +246,7 @@ def test_simulate_replays_a_trial_at_the_aggregation_boundary():
     seed = 22908
     chain = ChainConfig(total_length=500.0, link_count=8)
     p = ec_prob(HW, chain, CH)
-    _, success = _round_success(HW, 8)
+    success = _round_terms(HW, chain.total_length, 8, CH)[3]
     rng = _trial_rng(seed, 0)
     rounds = max(math.ceil(math.log(1.0 - rng.random()) / math.log1p(-success)), 1)
     assert rounds == _EXACT_ROUND_LIMIT + 1
@@ -272,7 +272,7 @@ def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     chain = ChainConfig(total_length=1000.0, link_count=1)
     cfg = TrialConfig(hw=hw, chain=chain, ch=CH, trials=400, seed=0)
     p = ec_prob(hw, chain, CH)
-    log_q_round = math.log1p(-_round_success(hw, 1)[1])
+    log_q_round = math.log1p(-_round_terms(hw, chain.total_length, 1, CH)[3])
     totals = _played(cfg, p, 1, log_q_round)[2]
     expected = []
     for j in range(cfg.trials):
@@ -314,7 +314,7 @@ def test_buffered_totals_below_2_53_match_one_trial_replays(n, block, monkeypatc
     chain = ChainConfig(total_length=500.0, link_count=n)
     cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=300, seed=5)
     p = ec_prob(HW, chain, CH)
-    log_q_round = math.log1p(-_round_success(HW, n)[1])
+    log_q_round = math.log1p(-_round_terms(HW, chain.total_length, n, CH)[3])
     got = _played(cfg, p, n, log_q_round)
     expected = np.array([_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p), log_q_round)
                          for j in range(cfg.trials)]).T
@@ -334,7 +334,7 @@ def test_aggregated_totals_match_numpy_normal():
     chain = ChainConfig(total_length=500.0, link_count=n)
     cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=_KEY_BLOCK + 76, seed=3)
     p = ec_prob(HW, chain, CH)
-    log_q_round = math.log1p(-_round_success(HW, n)[1])
+    log_q_round = math.log1p(-_round_terms(HW, chain.total_length, n, CH)[3])
     mean_k, var_k = _attempts_moments(p, n, DEFAULT_TOL)
     got = _played(cfg, p, n, log_q_round)
     expected, aggregated = [], []
@@ -366,6 +366,17 @@ def test_simulate_raises_an_unrepresentable_total_before_a_later_abort():
     with pytest.raises(SimulationAbort, match="trial 1 needed"):
         simulate(dataclasses.replace(cfg, hw=dataclasses.replace(hw, memory_eff=0.999),
                                      ch=CH))
+
+
+def test_simulate_rejects_statistics_past_the_float_range():
+    # t_cc = L / c is 1e307 s: each round's time is finite, but a trial's
+    # elapsed time over its rounds overflows, as the model's total does.
+    chain = ChainConfig(total_length=500.0, link_count=4)
+    ch = ChannelParams(signal_speed=5e-305)
+    with pytest.raises(BeyondRepresentable, match="total distribution time"):
+        metrics(HW, chain, ch)
+    with pytest.raises(BeyondRepresentable, match="simulated statistics beyond representable"):
+        simulate(TrialConfig(hw=HW, chain=chain, ch=ch, trials=10, seed=0))
 
 
 def test_simulate_memory_stays_within_buffers():

@@ -26,7 +26,8 @@ from repeaterchain.model import (
     HardwareParams,
     _attempts_mean_bounds,
     _attempts_moments,
-    _chain_times,
+    _round_terms,
+    _total_time,
     ec_prob,
     metrics,
 )
@@ -34,6 +35,7 @@ from repeaterchain.planner import (
     SweepSpec,
     _link_candidates,
     _link_count_limit,
+    _scalar_bounds,
     _scan_link_counts,
     crossover_with_direct,
     direct_transmission_time,
@@ -44,6 +46,13 @@ from repeaterchain.planner import (
 
 HW = HardwareParams()
 CH = ChannelParams()
+
+
+def total_time(hw, L, n, mean, ch=CH):
+    """The checked total time of n links over L km whose slowest link
+    needs ``mean`` attempts on average, as metrics and the scan take it."""
+    clock, t_cc, _, success = _round_terms(hw, L, n, ch)
+    return _total_time(clock, t_cc, success, mean)
 
 
 # ---------------------------------------------------------------- direct transmission
@@ -208,9 +217,9 @@ def test_time_lower_bound_never_exceeds_the_computed_time():
         lower, upper = _attempts_mean_bounds(p, harmonic(n))
         assert lower <= mean <= upper
         L = chain.total_length
-        t = _chain_times(hw, L, n, CH, mean)[-1]
+        t = total_time(hw, L, n, mean)
         assert t == metrics(hw, chain, CH).t_tot
-        assert _chain_times(hw, L, n, CH, lower)[-1] <= t <= _chain_times(hw, L, n, CH, upper)[-1]
+        assert total_time(hw, L, n, lower) <= t <= total_time(hw, L, n, upper)
     assert below_inverse_p > 0
     # Certain success; both sides of the seam; n = 1 down to p = 1e-19,
     # where 1 + 1/lambda and 1/p are less than one ulp apart; n up to 5000
@@ -254,13 +263,13 @@ def scalar_time(hw, L, n):
     when it overflows, None when n is infeasible before any series."""
     p = ec_prob(hw, ChainConfig(total_length=L, link_count=n), CH)
     try:
-        _chain_times(hw, L, n, CH, 0.0)
+        total_time(hw, L, n, 0.0)
     except (UnreachableConfiguration, BeyondRepresentable):
         return None
     if p == 0.0:
         return None
     try:
-        return _chain_times(hw, L, n, CH, _attempts_moments(p, n, DEFAULT_TOL)[0])[-1]
+        return total_time(hw, L, n, _attempts_moments(p, n, DEFAULT_TOL)[0])
     except BeyondRepresentable:
         return math.inf
 
@@ -277,7 +286,7 @@ def check_candidate_row(hw, L, n_max, row):
         assert t is not None, n
         assert low <= t <= up, (n, low, t, up)
     # (r/2)^(n-1) <= 2^-(n-1) leaves no round success from n = 1076 on.
-    assert model._round_success(hw, 1076)[1] == 0.0
+    assert _round_terms(hw, L, 1076, CH)[3] == 0.0
     kept = set(ns)
     for n in range(1, min(n_max, 1075) + 1):
         if n not in kept:
@@ -568,7 +577,7 @@ def last_reachable_link_count(hw, L):
     last = 0
     for n in range(1, 1101):
         try:
-            _chain_times(hw, L, n, CH, 0.0)
+            total_time(hw, L, n, 0.0)
         except (UnreachableConfiguration, BeyondRepresentable):
             continue
         last = n
@@ -583,9 +592,14 @@ def test_a_row_ends_at_its_last_reachable_link_count(monkeypatch):
     # it at the first link count whose round cannot succeed; a row whose
     # counts the arrays all vouch for tests none of them.
     tested = []
-    chain_times = planner._chain_times
-    monkeypatch.setattr(planner, "_chain_times",
-                        lambda hw, L, n, *rest: tested.append(n) or chain_times(hw, L, n, *rest))
+    checked_time = planner._total_time
+
+    def probe(clock, t_cc, success, mean):
+        if mean == 0.0:  # a scalar reach test
+            tested.append(clock)
+        return checked_time(clock, t_cc, success, mean)
+
+    monkeypatch.setattr(planner, "_total_time", probe)
     assert _link_candidates([(HW, 1600.0, 64)], CH)[0][1].tolist() == list(range(1, 65))
     assert tested == []
     for hw, L, last in [
@@ -597,6 +611,30 @@ def test_a_row_ends_at_its_last_reachable_link_count(monkeypatch):
         assert last_reachable_link_count(hw, L) == last
         row = _link_candidates([(hw, L, 5000)], CH)[0][1]
         assert (int(row[-1]) if row.size else 0) == last, (hw, L)
+    assert tested  # those rows hold counts the arrays leave to the scalar pass
+
+
+def test_a_link_count_whose_time_just_overflows_is_no_runner_up():
+    # At this signal speed the total time of two links lies just past the
+    # float range, while the time at its lower mean bound, about 11% less,
+    # lies inside it: the scan evaluates n = 2 for the runner-up and skips
+    # its overflow, and n = 2's scalar bounds have an infinite upper time.
+    hw = HardwareParams(detector_eff=1.0, memory_eff=0.9, emission_prob=1.0, mode_count=1)
+    L, p, harmonic = 1e10, 0.5, 1.5  # p is the single-mode ceiling, with no loss
+    unit = ChannelParams(attenuation=0.0, signal_speed=1.0)
+    lower_t = total_time(hw, L, 2, _attempts_mean_bounds(p, harmonic)[0], unit)
+    exact_t = total_time(hw, L, 2, _attempts_moments(p, 2, DEFAULT_TOL)[0], unit)
+    ch = ChannelParams(attenuation=0.0,
+                       signal_speed=math.sqrt(lower_t * exact_t) / sys.float_info.max)
+    chain = ChainConfig(total_length=L, link_count=2)
+    assert ec_prob(hw, chain, ch) == p
+    with pytest.raises(BeyondRepresentable, match="total distribution time"):
+        metrics(hw, chain, ch)
+    lower, upper = _scalar_bounds(hw, L, 2, ch, harmonic)
+    assert lower < math.inf and upper == math.inf
+    result = optimize_link_count(hw, L, ch, n_max=2)
+    assert (result.best_n, result.runner_up_ratio) == (1, math.inf)
+    assert result.metrics == metrics(hw, ChainConfig(total_length=L, link_count=1), ch)
 
 
 def test_optimize_all_links_unreachable():

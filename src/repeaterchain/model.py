@@ -695,37 +695,33 @@ def metrics(
 
 
 def _metrics(hw: HardwareParams, total_length: float, link_count: int, ch: ChannelParams,
-             tol: float, extension: float = 0.0) -> RepeaterMetrics:
-    # metrics of converted arguments, for ``link_count`` links over
-    # ``total_length`` km followed by ``extension`` km of plain fiber.
-    p = _ec_prob(hw, total_length, link_count, ch)
-    if p == 0.0:
-        raise NonTerminatingProcess(
-            "non-terminating process: entanglement creation never succeeds"
-        )
-    # A round that never succeeds raises here, before the moments: their
-    # closed form costs n terms at more than n bits.
-    clock, t_cc, _, success = _round_terms(hw, total_length, link_count, ch)
-    _total_time(clock, t_cc, success, 0.0)
-    moments = _attempts_moments(p, link_count, tol)
-    return _metrics_from_moments(hw, total_length, link_count, ch, p, *moments, extension)
-
-
-def _metrics_from_moments(hw: HardwareParams, total_length: float, link_count: int,
-                          ch: ChannelParams, p: float, mean: float, variance: float,
-                          extension: float = 0.0) -> RepeaterMetrics:
-    """The metrics of ``link_count`` links over ``total_length`` km whose EC
-    probability ``p`` and attempt-count moments are already known:
-    :func:`metrics` computes both moments, the link-count optimizer reuses
-    those its scan summed.  Raises :class:`BeyondRepresentable` when
-    t_cc = L / c underflows to 0, so that every time would print as 0.
+             tol: float, extension: float = 0.0,
+             moments: tuple[float, float] | None = None) -> RepeaterMetrics:
+    """:func:`metrics` of converted arguments, for ``link_count`` links over
+    ``total_length`` km, and the only place a :class:`RepeaterMetrics` is
+    built.  ``moments``, the mean and variance of the attempt count, are
+    summed here unless the caller already has them: the link-count
+    optimizer passes those its scan summed for the winner.  Raises
+    :class:`BeyondRepresentable` when t_cc = L / c underflows to 0, so that
+    every time would print as 0.
 
     ``extension`` km of plain fiber past the chain, checked after the
     chain itself, add their propagation delay to the controller
     signalling and to the storage span, and one photon has to survive
     them, which scales the round's success probability by the fiber's
     transmission."""
+    p = _ec_prob(hw, total_length, link_count, ch)
+    if p == 0.0:
+        raise NonTerminatingProcess(
+            "non-terminating process: entanglement creation never succeeds"
+        )
     clock, t_cc, p_es, success = _round_terms(hw, total_length, link_count, ch)
+    if moments is None:
+        # A round that never succeeds raises here, before the moments: their
+        # closed form costs n terms at more than n bits.
+        _total_time(clock, t_cc, success, 0.0)
+        moments = _attempts_moments(p, link_count, tol)
+    mean, variance = moments
     t_tot = _total_time(clock, t_cc, success, mean)
     if t_tot == 0.0:
         raise BeyondRepresentable("total distribution time below representable")

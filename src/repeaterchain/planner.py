@@ -39,7 +39,6 @@ from .model import (
     _attempts_moments,
     _ec_prob,
     _metrics,
-    _metrics_from_moments,
     _multimode_prob,
     _round_terms,
     _round_time,
@@ -243,12 +242,11 @@ def _scan_link_counts(
     tol: float,
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     runner_up: bool = False,
-) -> tuple[int, float, float, float, tuple[float, float]]:
-    """``(best_n, best_t, second_t, p, moments)`` over link counts
-    1..n_max, ties going to fewer links; ``second_t`` is the smallest total
-    time of every other link count when ``runner_up`` is set and nan
-    otherwise, and ``p`` and ``moments`` are the winner's EC probability
-    and the mean and variance of its attempt count.
+) -> tuple[int, float, float, tuple[float, float]]:
+    """``(best_n, best_t, second_t, moments)`` over link counts 1..n_max,
+    ties going to fewer links; ``second_t`` is the smallest total time of
+    every other link count when ``runner_up`` is set and nan otherwise, and
+    ``moments`` are the mean and variance of the winner's attempt count.
 
     Times come from the mean attempt count alone, through the model code
     :func:`metrics` uses (``_round_terms`` and ``_total_time``), so
@@ -272,7 +270,7 @@ def _scan_link_counts(
         candidates = _link_candidates([(hw, total_length, n_max)], ch)[0]
     lower, ns, _ = candidates
     order = np.lexsort((ns, lower))
-    best_n, best_t, second_t, best_p, best_moments = 0, math.inf, math.inf, 0.0, (0.0, 0.0)
+    best_n, best_t, second_t, best_moments = 0, math.inf, math.inf, (0.0, 0.0)
     for bound, n in zip(lower[order].tolist(), ns[order].tolist()):
         if bound > (second_t if runner_up else best_t):
             break
@@ -286,14 +284,14 @@ def _scan_link_counts(
             continue
         if (t, n) < (best_t, best_n):
             second_t = min(second_t, best_t)
-            best_n, best_t, best_p, best_moments = n, t, p, moments
+            best_n, best_t, best_moments = n, t, moments
         else:
             second_t = min(second_t, t)
     if best_n == 0:
         raise UnreachableConfiguration(
             f"no feasible link count in [1, {n_max}] for L = {total_length} km"
         )
-    return best_n, best_t, second_t if runner_up else math.nan, best_p, best_moments
+    return best_n, best_t, second_t if runner_up else math.nan, best_moments
 
 
 def optimize_link_count(
@@ -333,10 +331,10 @@ def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max:
     # optimize_link_count of converted arguments but ``n_max``; without
     # ``runner_up`` the scan stops at the winner and ``runner_up_ratio`` is nan.
     n_max = _link_count_limit(total_length, n_max)
-    best_n, best_t, second_t, p, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
-                                                             candidates, runner_up)
+    best_n, best_t, second_t, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
+                                                          candidates, runner_up)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
-    best_metrics = _metrics_from_moments(hw, total_length, best_n, ch, p, *moments)
+    best_metrics = _metrics(hw, total_length, best_n, ch, tol, moments=moments)
     return OptimizationResult(
         best_n=best_n,
         metrics=best_metrics,
@@ -405,22 +403,20 @@ def plan_fixed_link(
         raise UnreachableConfiguration(
             "unreachable configuration: end-to-end success probability underflows"
         )
-    best: FixedLinkPlan | None = None
+    plans = []
     for n in candidates:
         span = n * link_length
         extension = total_length - span
-        plan = FixedLinkPlan(
+        plans.append(FixedLinkPlan(
             link_length=link_length,
             node_count=n,
             node_span=span,
             extension=extension,
             side="below" if extension >= 0.0 else "above",
             metrics=_metrics(hw, span, n, ch, tol, abs(extension)),
-        )
-        if best is None or plan.metrics.t_tot < best.metrics.t_tot:
-            best = plan
-    assert best is not None
-    return best
+        ))
+    # The first of equal times wins, so a tie goes to the plan below the target.
+    return min(plans, key=lambda plan: plan.metrics.t_tot)
 
 
 def crossover_with_direct(

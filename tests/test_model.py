@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -675,6 +677,35 @@ def test_metrics_checks_round_success_before_moments(monkeypatch):
     with pytest.raises(UnreachableConfiguration):
         metrics(HardwareParams(emission_prob=1e-6, mode_count=1),
                 ChainConfig(total_length=1600.0, link_count=30000), DEFAULT_CH)
+
+
+def test_metrics_computes_the_round_terms_once(monkeypatch):
+    # The reach check, the total time and the figures all read one set of
+    # round terms.
+    calls = []
+    round_terms = model._round_terms
+    monkeypatch.setattr(model, "_round_terms",
+                        lambda *args: calls.append(args) or round_terms(*args))
+    metrics(DEFAULT_HW, ChainConfig(total_length=1600.0, link_count=8), DEFAULT_CH)
+    assert len(calls) == 1
+
+
+def test_repeater_metrics_are_built_only_by_the_model():
+    # Every RepeaterMetrics of the package, whether from metrics, the
+    # link-count optimizer or a fixed-link plan, comes out of model._metrics
+    # and so passes the same checks.
+    builders = []
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and "RepeaterMetrics" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))]
+        functions = [node for node in ast.walk(tree)  # breadth first: outer before inner
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in calls:
+            owners = [f.name for f in functions if f.lineno <= call.lineno <= f.end_lineno]
+            builders.append((path.name, owners[-1] if owners else None))
+    assert builders == [("model.py", "_metrics")]
 
 
 # ---------------------------------------------------------------- memory time spread

@@ -351,11 +351,11 @@ def test_winner_only_scan_matches_the_runner_up_scan(hw, L, n_max):
     if isinstance(full[0], type):
         assert winner_only == full
         return
-    best_n, best_t, second_t, p, moments = full
+    best_n, best_t, second_t, moments = full
     assert second_t >= best_t
     assert winner_only[:2] == (best_n, best_t)
     assert math.isnan(winner_only[2])
-    assert winner_only[3:] == (p, moments)
+    assert winner_only[3:] == (moments,)
 
 
 # Rows of one candidate pass: any hardware, emission down to 0 (no p at
@@ -454,6 +454,18 @@ def test_scans_sum_only_the_series_their_callers_read(monkeypatch):
     assert [series(lambda: run_sweep(spec)) for spec in figure_sweeps] == [9, 0, 6, 5]
     assert series(lambda: crossover_with_direct(HW, CH, 1e10)) == 2
     evaluated.clear()
+    optimize_link_count(HW, 1600.0, CH)
+    assert evaluated == [8, 9]
+
+
+def test_optimizer_sums_no_series_again_for_the_winner(monkeypatch):
+    # The winner's metrics take the moments its scan summed: neither the
+    # scan nor the model sums a series beyond those of n = 8 and 9.
+    evaluated = []
+    attempts_moments = model._attempts_moments
+    for module in (model, planner):
+        monkeypatch.setattr(module, "_attempts_moments",
+                            lambda p, n, tol: evaluated.append(n) or attempts_moments(p, n, tol))
     optimize_link_count(HW, 1600.0, CH)
     assert evaluated == [8, 9]
 
@@ -896,6 +908,28 @@ def test_crossover_matches_reference_bisection_on_hostile_hardware():
             assert found == expected
         outcomes.add(expected[0] if isinstance(expected, tuple) else float)
     assert outcomes == {float, NoCrossoverInRange, UnreachableConfiguration, BeyondRepresentable}
+
+
+def test_crossover_returns_a_distance_whose_gap_is_exactly_zero():
+    # At a source rate whose direct time equals the exact scan's time at
+    # L, the gap there is 0.0: an end of the bracket or a midpoint at L is
+    # returned as it is.  The scan's time carries the bits of numpy's
+    # transcendentals, which follow the SIMD dispatch, so the rate is found
+    # here rather than pinned, from the first L that has one.
+    def exact_rate(L):
+        t = _scan_link_counts(HW, L, CH, _link_count_limit(L, None), DEFAULT_TOL)[1]
+        rate = 10.0 ** (CH.attenuation * L / 10.0) / t
+        for _ in range(64):
+            direct = direct_transmission_time(L, CH, rate)
+            if direct == t:
+                return rate
+            rate = math.nextafter(rate, math.inf if direct > t else 0.0)
+        return None
+
+    L = next(L for L in (488.0, 489.0, 490.0, 491.0, 492.0, 493.0) if exact_rate(L) is not None)
+    rate = exact_rate(L)
+    for bracket in ((L, 1.0e4), (1.0, L), (L - 8.0, L + 8.0)):  # lo, hi, the first midpoint
+        assert crossover_with_direct(HW, CH, rate, bracket=bracket) == L
 
 
 def test_crossover_reference_window():

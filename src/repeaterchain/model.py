@@ -433,10 +433,20 @@ def _first_chunk_length(p: float, n: int) -> int:
     summation tree and its sums equal the whole chunk's bit for bit (see
     :func:`_chunk_sum` for how a prefix longer than one block is summed
     along that tree).
+
+    The search skips, untested, every power of two up to (1 - 2^-20) L0,
+    with L0 = (55 ln 2 + ln n) / lambda and lambda = -ln q.  At those
+    lengths n q^L >= n^(2^-20) 2^-55 2^(55 * 2^-20) >= 2^-55 (1 + 3.6e-5),
+    while the mean's test asks for n q^L below 2^-55 (1 - q^L): it fails
+    by a relative 3.6e-5, far more than the rounding of lambda, L0 and the
+    test's own terms, which is a few ulps.
     """
     log_q = math.log1p(-p)
     q = 1.0 - p
     length = 128
+    skip = (1.0 - 2.0**-20) * (55.0 * math.log(2.0) + math.log(n)) / -log_q
+    while length < _CHUNK and length <= skip:
+        length *= 2
     while length < _CHUNK:
         power = math.exp(length * log_q)  # q^L
         held = -math.expm1(length * log_q) / p  # sum_{k < L} q^k
@@ -516,9 +526,10 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
     # close to 1.  Both series are summed explicitly until the summand is
     # negligible, then completed with analytic tails.  Only the first chunk's
     # leading terms are evaluated (see _first_chunk_length); past a prefix
-    # shorter than a chunk nothing moves the totals, whatever ``tol``, so
-    # the sums stop there.  Every chunk or prefix is summed in blocks along
-    # numpy's own pairwise tree (see _chunk_sum), as one array.
+    # shorter than a chunk nothing moves the totals, whatever ``tol``, the
+    # analytic tails included, so the sums stop there and take no tail.
+    # Every chunk or prefix is summed in blocks along numpy's own pairwise
+    # tree (see _chunk_sum), as one array.
     lam = -math.log1p(-p)
     total = spread = 0.0
     k0 = 0
@@ -528,8 +539,12 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
         total += chunk_total
         spread += chunk_spread
         k0 += _CHUNK
-        if size < _CHUNK or (summand <= tol * total and n * x <= 0.25):
-            break  # converged
+        if size < _CHUNK:
+            break
+        if summand <= tol * total and n * x <= 0.25:
+            tail, spread_tail = _survival_tail(p, n, k0)
+            total, spread = total + tail, spread + spread_tail
+            break
         size = _CHUNK
         # Past _MAX_EXPLICIT_TERMS the summand never fails the tol stop: the
         # last term's k = k0 - 1 >= 77 * 2^16 - 1 > 1.009 * 5e6, and
@@ -540,9 +555,7 @@ def _survival_moments(p: float, n: int, tol: float) -> tuple[float, float]:
         # valid, gets here.
         if k0 > _MAX_EXPLICIT_TERMS:
             return _closed_form_moments(p, n)
-    tail, spread_tail = _survival_tail(p, n, k0)
-    mean = total + tail
-    return mean, max(spread + spread_tail - (mean - 1.0) ** 2, 0.0)
+    return total, max(spread - (total - 1.0) ** 2, 0.0)
 
 
 def _closed_form_moments(p: float, n: int) -> tuple[float, float]:

@@ -101,8 +101,9 @@ class OptimizationResult:
     bound above the best time so far.  Either way the winner equals that of
     evaluating every link count in the range.  The bounds come from one
     numpy pass over every link count of every point the caller reads (a
-    sweep's grid, or the one distance of a crossover step), whose 2^-30
-    margin also covers the few ulps by which numpy's transcendentals
+    sweep's grid, or the one distance of a scan or crossover step), whose
+    2^-30 margin also covers the rounding of H_n by a running sum, at most
+    about 1077 ulps, and the few ulps by which numpy's transcendentals
     differ from ``math``'s (see :func:`_link_candidates`), and the winner's
     series is summed once, in the scan, for both the scan and ``metrics``.
     The mean also has an upper bound, 1 + H_n / lambda, which the crossover
@@ -115,6 +116,26 @@ class OptimizationResult:
     metrics: RepeaterMetrics
     scanned_range: tuple[int, int]
     runner_up_ratio: float
+
+
+_LINK_TABLE = None
+
+
+def _link_table():
+    """``(n, H_n)`` for n = 1 .. 1077 as read-only float64 arrays, built on
+    first use, as the model's block indices are.  1077 links is the widest
+    candidate row: r/2 <= 1/2, so p_es = (r/2)^(n-1) rounds to 0 past
+    2 + (``_UNDERFLOW_LINKS`` - 1) links on any hardware.  H_n is a
+    ``cumsum`` of 1/n, which adds in the order of a running sum, so a
+    prefix of either array equals the same arrays built to that length bit
+    for bit."""
+    global _LINK_TABLE
+    if _LINK_TABLE is None:
+        ns = np.arange(1.0, _UNDERFLOW_LINKS + 2.0)
+        harmonic = np.cumsum(1.0 / ns)
+        ns.flags.writeable = harmonic.flags.writeable = False
+        _LINK_TABLE = ns, harmonic
+    return _LINK_TABLE
 
 
 def _link_candidates(
@@ -133,13 +154,15 @@ def _link_candidates(
     ``_UNDERFLOW_LINKS - 1``, and no round of a later link count can
     succeed; r/2 is p_es at n = 2.  One numpy pass over a (row x n) array
     computes, for every n up to the widest row's width, the EC probability
-    p, H_n (a ``cumsum``, which adds in the order of a running sum), the
-    bounds on the mean attempt count
+    p, the bounds on the mean attempt count
     (:func:`~repeaterchain.model._attempts_mean_bounds`) and the total times
-    at those bounds (:func:`~repeaterchain.model._round_terms` and
+    at each bound (:func:`~repeaterchain.model._round_terms` and
     ``_round_time``), with the distances and any differing hardware as
-    columns; the time formulas are monotone in the mean.  No scalar
-    ``ec_prob`` or ``_total_time`` is needed for that.
+    columns; the time formulas are monotone in the mean.  n and H_n are
+    prefixes of :func:`_link_table`, built once per process.  No scalar
+    ``ec_prob`` or ``_total_time`` is needed for that, and a single row
+    whose every link count the arrays vouch for is returned as the pass
+    computed it.
 
     numpy's transcendentals may differ from ``math``'s by a few ulps, so an
     array p stands for the scalar p within a few dozen ulps, far less than
@@ -170,7 +193,7 @@ def _link_candidates(
         half = _round_terms(hw, total_length, 2, ch)[2]  # p_es = r/2 at n = 2
         last = 2 + int((_UNDERFLOW_LINKS - 1) / -math.log2(half)) if half else 1
         widths.append(min(n_max, last))
-    ns = np.arange(1.0, max(widths) + 1.0)
+    ns, harmonic = (column[:max(widths)] for column in _link_table())
     # One row keeps its distance a float and its arrays 1-D, as cheap as
     # a scalar build; more rows take it as a column.
     lengths = rows[0][1] if len(rows) == 1 else np.array([L for _, L, _ in rows])[:, None]
@@ -183,13 +206,15 @@ def _link_candidates(
                                   mode_count=modes)
     with np.errstate(all="ignore"):
         p1 = _single_mode_prob(columns, lengths, ns, ch)
-        harmonic = np.cumsum(1.0 / ns)
-        means = np.array(_attempts_mean_bounds(_multimode_prob(columns, p1), harmonic))
+        lower_mean, upper_mean = _attempts_mean_bounds(_multimode_prob(columns, p1), harmonic)
         clock, t_cc, _, success = _round_terms(columns, lengths, ns, ch)
-        lower, upper = _round_time(clock, t_cc, success, means)
+        lower = _round_time(clock, t_cc, success, lower_mean)
+        upper = _round_time(clock, t_cc, success, upper_mean)
     normal = sys.float_info.min
     vouched = (p1 >= 2.0**-1000) & (clock >= normal) & (success >= 2.0 * normal)
     vouched &= np.isfinite(lower)
+    if len(rows) == 1 and vouched.all():
+        return [(lower, ns, upper)]
     lower, upper, vouched = (a.reshape(len(rows), ns.size) for a in (lower, upper, vouched))
     if min(widths) < ns.size:
         vouched |= ns > np.array(widths)[:, None]  # no row reads past its width
@@ -206,7 +231,7 @@ def _link_candidates(
                 except (UnreachableConfiguration, BeyondRepresentable):
                     keep = keep[:i]  # the row ends here
                     break
-                bounds = _scalar_bounds(hw, total_length, i + 1, ch, float(harmonic[i]))
+                bounds = _scalar_bounds(hw, total_length, i + 1, ch)
                 if bounds is not None:
                     keep[i] = True
                     row[0][i], row[2][i] = bounds
@@ -215,14 +240,15 @@ def _link_candidates(
     return out
 
 
-def _scalar_bounds(hw: HardwareParams, total_length: float, n: int, ch: ChannelParams,
-                   harmonic: float) -> tuple[float, float] | None:
-    # The total times at the mean bounds from the scalar p, or None when n
-    # is infeasible: p is 0 or the lower-bound time overflows.
+def _scalar_bounds(hw: HardwareParams, total_length: float, n: int,
+                   ch: ChannelParams) -> tuple[float, float] | None:
+    """The total times at the mean bounds of n links, from the scalar p and
+    the H_n of :func:`_link_table`, or None when n is infeasible: p is 0
+    or the lower-bound time overflows."""
     p = _ec_prob(hw, total_length, n, ch)
     if p == 0.0:
         return None
-    lower_mean, upper_mean = _attempts_mean_bounds(p, harmonic)
+    lower_mean, upper_mean = _attempts_mean_bounds(p, float(_link_table()[1][n - 1]))
     clock, t_cc, _, success = _round_terms(hw, total_length, n, ch)
     try:
         lower = _total_time(clock, t_cc, success, lower_mean)
@@ -463,8 +489,7 @@ def crossover_with_direct(
             _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
             raise
         if 0 < favourite <= n_max:
-            harmonic = math.fsum(1.0 / k for k in range(1, favourite + 1))
-            bounds = _scalar_bounds(hw, L, favourite, ch, harmonic)
+            bounds = _scalar_bounds(hw, L, favourite, ch)
             if bounds is not None and bounds[1] < direct:
                 return -1.0
         candidates = _link_candidates([(hw, L, n_max)], ch)[0]

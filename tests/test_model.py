@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeaterchain import model
@@ -497,6 +497,44 @@ def test_first_chunk_length_bounds_the_dropped_terms():
             assert length == 128 or not first_chunk_bounds_hold(p, n, length // 2), (p, n)
     readme = ec_prob(DEFAULT_HW, ChainConfig(1600.0, 8), DEFAULT_CH)
     assert model._first_chunk_length(readme, 8) == 16384  # 2^-70 of 1 asked for 32768
+
+
+def doubling_first_chunk_length(p: float, n: int) -> int:
+    """The first-chunk search that tests every power of two from 128: the
+    reference the search that skips lengths bound to fail must equal."""
+    log_q = math.log1p(-p)
+    q = 1.0 - p
+    length = 128
+    while length < model._CHUNK:
+        power = math.exp(length * log_q)
+        held = -math.expm1(length * log_q) / p
+        m = length - 1
+        shorter = -math.expm1(m * log_q) / p
+        held_weighted = q * (2.0 * (q * shorter - m * math.exp(m * log_q)) / p + shorter)
+        dropped = n * power / p
+        if (dropped < 2.0**-55 * held
+                and dropped * (2 * length - 1 + 2.0 * q / p) < 2.0**-55 * held_weighted):
+            break
+        length *= 2
+    return length
+
+
+def at_each_power_of_two(test):
+    # The p at which L0 = (55 ln 2 + ln n) / lambda is a whole power of two,
+    # the edge of the lengths the search skips.
+    for n in (1, 8, 1075):
+        for j in range(7, 17):
+            lam = (55.0 * math.log(2.0) + math.log(n)) / 2.0**j
+            test = example(p=-math.expm1(-lam), n=n)(test)
+    return test
+
+
+@at_each_power_of_two
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(min_value=math.log(1e-6), max_value=math.log1p(-1e-9)).map(math.exp),
+       n=st.integers(min_value=1, max_value=1075))
+def test_first_chunk_length_skips_only_lengths_that_fail(p, n):
+    assert model._first_chunk_length(p, n) == doubling_first_chunk_length(p, n)
 
 
 def test_numpy_sums_a_chunk_along_the_block_tree():

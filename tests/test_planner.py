@@ -309,6 +309,41 @@ def test_optimize_sums_each_evaluated_series_once(monkeypatch):
     assert result.metrics == metrics(HW, ChainConfig(total_length=1600.0, link_count=8), CH)
 
 
+def test_a_prefix_shorter_than_a_chunk_takes_no_analytic_tail(monkeypatch):
+    # Both series of the 1600 km scan stop at a prefix, past which nothing
+    # moves the sums; a series over whole chunks still takes its tail.
+    calls = []
+    survival_tail = model._survival_tail
+    monkeypatch.setattr(model, "_survival_tail",
+                        lambda *args: calls.append(args) or survival_tail(*args))
+    optimize_link_count(HW, 1600.0, CH)
+    assert calls == []
+    model._survival_moments(1e-5, 3, DEFAULT_TOL)
+    assert len(calls) == 1
+
+
+def test_link_table_prefixes_equal_their_own_build(monkeypatch):
+    ns, harmonic = planner._link_table()
+    assert ns.size == harmonic.size == 1077
+    for w in (1, 2, 64, 1076, 1077):
+        built = np.arange(1.0, w + 1.0)
+        assert ns[:w].tobytes() == built.tobytes()
+        assert harmonic[:w].tobytes() == np.cumsum(1.0 / built).tobytes()
+    for column in (ns, harmonic):
+        with pytest.raises(ValueError):
+            column[0] = 2.0
+    # Built once per process: a later scan makes no table of its own.
+    optimize_link_count(HW, 1600.0, CH)
+    built = []
+    for name in ("arange", "cumsum"):
+        original = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, f=original, **kwargs:
+                            built.append(args) or f(*args, **kwargs))
+    optimize_link_count(HW, 1600.0, CH)
+    assert built == []
+    assert planner._link_table()[0] is ns
+
+
 # Distances in the physical range, or at the edges of the float range:
 # subnormal, t_cc = L / c underflowing, every link count overflowing.
 SCAN_DISTANCES = st.one_of(
@@ -642,7 +677,7 @@ def test_a_link_count_whose_time_just_overflows_is_no_runner_up():
     assert ec_prob(hw, chain, ch) == p
     with pytest.raises(BeyondRepresentable, match="total distribution time"):
         metrics(hw, chain, ch)
-    lower, upper = _scalar_bounds(hw, L, 2, ch, harmonic)
+    lower, upper = _scalar_bounds(hw, L, 2, ch)
     assert lower < math.inf and upper == math.inf
     result = optimize_link_count(hw, L, ch, n_max=2)
     assert (result.best_n, result.runner_up_ratio) == (1, math.inf)

@@ -9,11 +9,15 @@ never prefix units and are byte-stable for a fixed seed.
 :data:`PARAMETERS` declares every parameter once, and :data:`SCENARIOS`
 maps each subcommand to a runner whose report one emitter prints.
 
-argparse only splits the command line: every flag arrives as text and
+The command line is only split into flags: every flag arrives as text and
 becomes a value the way a config-file value does, so a value that does
-not parse or names no choice is a configuration error either way.  So is
-a command line argparse cannot split (an unknown flag, or ``--L -inf``
-written with a space, where ``-inf`` reads as a flag).
+not parse or names no choice is a configuration error either way.  A
+subcommand followed only by its own flags, each written ``--flag value``
+(a value not starting with ``-``) or ``--flag=value``, is split here
+without argparse; every other command line goes to argparse, which
+prints help and names what it cannot split (an unknown flag, or
+``--L -inf`` written with a space, where ``-inf`` reads as a flag) with
+its usual messages.  Either way a repeated flag keeps its last value.
 
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
@@ -23,10 +27,6 @@ simulation abort.  Once the format is known, errors follow it: under
 
 from __future__ import annotations
 
-import argparse
-import csv
-import io
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -44,6 +44,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .planner import FixedLinkPlan
 
 __all__ = ["RunConfig", "execute", "main", "parse_config"]
@@ -120,24 +122,25 @@ class RunConfig:
     sweep_values: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
 class _Report:
     """One scenario's result in every output format: the json document,
     the csv header and rows (a row without a column prints it empty), and
     the human lines."""
 
-    payload: dict
-    columns: tuple[str, ...] = ()
-    rows: tuple[dict, ...] = ()
-    lines: tuple[str, ...] = ()
+    __slots__ = ("payload", "columns", "rows", "lines")
+
+    def __init__(self, payload: dict, columns: tuple[str, ...] = (),
+                 rows: tuple[dict, ...] = (), lines: tuple[str, ...] = ()):
+        self.payload, self.columns, self.rows, self.lines = payload, columns, rows, lines
 
 
-@dataclass(frozen=True)
 class _Scenario:
-    help: str
-    run: Callable[[RunConfig], _Report]
-    required: tuple[str, ...] = ()
-    flags: tuple[str, ...] = ()  # parameters only this subcommand takes
+    __slots__ = ("help", "run", "required", "flags")
+
+    def __init__(self, help: str, run: Callable[[RunConfig], _Report],
+                 required: tuple[str, ...] = (), flags: tuple[str, ...] = ()):
+        self.help, self.run, self.required = help, run, required
+        self.flags = flags  # parameters only this subcommand takes
 
 
 def _flag(key: str) -> str:
@@ -176,12 +179,6 @@ def _read_config_file(path: str) -> dict[str, object]:
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    # Subcommand parsers share this class, so every argparse error lands here.
-    def error(self, message: str):
-        raise ConfigError(f"{message} (see {self.prog} --help)")
-
-
 def _argv_format(argv: list[str]) -> str | None:
     # The last ``--format X`` or ``--format=X`` of an argv argparse rejected.
     fmt = None
@@ -193,9 +190,47 @@ def _argv_format(argv: list[str]) -> str | None:
     return fmt
 
 
+def _flags(scenario: str) -> dict[str, tuple[str, str]]:
+    """Subcommand ``scenario``'s flags in help order: flag -> (key, help)."""
+    own_flags = {key for other in SCENARIOS.values() for key in other.flags}
+    flags = {"--config": ("config", "flat key = value config file; flags override it")}
+    for key, (_, _, text) in PARAMETERS.items():
+        if text is not None and (key in SCENARIOS[scenario].flags or key not in own_flags):
+            flags[_flag(key)] = (key, text)
+    return flags
+
+
+def _split(argv: list[str]) -> dict[str, str | None] | None:
+    """The flags argparse splits ``argv`` into, when argv is a subcommand
+    followed only by its own flags, each ``--flag value`` (a value not
+    starting with ``-``) or ``--flag=value``; a repeated flag keeps its
+    last value.  None for any other argv, argparse's to split."""
+    if not argv or argv[0] not in SCENARIOS:
+        return None
+    flags = _flags(argv[0])
+    args = {"scenario": argv[0], **{key: None for key, _ in flags.values()}}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            return None
+        if not eq:
+            value = next(rest, "-")  # no value at the end, like a value "-..."
+            if value.startswith("-"):
+                return None
+        args[flags[flag][0]] = value
+    return args
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    own_flags = {key for scenario in SCENARIOS.values() for key in scenario.flags}
-    parser = _Parser(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # Subcommand parsers share this class, so every argparse error lands here.
+        def error(self, message: str):
+            raise ConfigError(f"{message} (see {self.prog} --help)")
+
+    parser = Parser(
         prog="repeaterchain",
         allow_abbrev=False,
         description="Entanglement-distribution performance of semihierarchical repeater chains.",
@@ -203,11 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name, scenario in SCENARIOS.items():
         scenario_parser = sub.add_parser(name, help=scenario.help, allow_abbrev=False)
-        scenario_parser.add_argument("--config",
-                                     help="flat key = value config file; flags override it")
-        for key, (_, _, text) in PARAMETERS.items():
-            if text is not None and (key in scenario.flags or key not in own_flags):
-                scenario_parser.add_argument(_flag(key), dest=key, help=text)
+        for flag, (key, text) in _flags(name).items():
+            scenario_parser.add_argument(flag, dest=key, help=text)
     return parser
 
 
@@ -224,23 +256,23 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     merged = {key: default for key, (_, default, _) in PARAMETERS.items()}
     args = None
     try:
-        args = _build_parser().parse_args(argv)
-        if args.config:
-            file_values = _read_config_file(args.config)
+        args = _split(argv) or vars(_build_parser().parse_args(argv))
+        if args["config"]:
+            file_values = _read_config_file(args["config"])
             file_scenario = file_values.pop("scenario", None)
-            if file_scenario is not None and file_scenario != args.scenario:
+            if file_scenario is not None and file_scenario != args["scenario"]:
                 raise ConfigError(
-                    f"scenario {file_scenario!r} from {args.config} conflicts with "
-                    f"subcommand {args.scenario!r}"
+                    f"scenario {file_scenario!r} from {args['config']} conflicts with "
+                    f"subcommand {args['scenario']!r}"
                 )
             merged.update(file_values)
         for key in PARAMETERS:
-            raw = getattr(args, key, None)  # the subcommand is ``scenario``
+            raw = args.get(key)  # the subcommand is ``scenario``
             if raw is not None:
                 merged[key] = _parse_value(key, raw, _flag(key))
         return _resolve(merged)
     except ConfigError as exc:
-        fmt = _argv_format(argv) if args is None else args.format or merged["format"]
+        fmt = _argv_format(argv) if args is None else args["format"] or merged["format"]
         exc.output = fmt if fmt in FORMATS else "human"
         raise
 
@@ -451,9 +483,15 @@ SCENARIOS: dict[str, _Scenario] = {
 
 
 def _emit(report: _Report, fmt: str) -> str:
+    # Each writer loads only when its format is asked for.
     if fmt == "json":
+        import json
+
         return json.dumps(report.payload, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -10,11 +11,13 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repeaterchain import cli
 from repeaterchain.cli import (
     FORMATS,
     METRIC_COLUMNS,
@@ -579,30 +582,39 @@ def test_exit_code_2_on_too_many_trials(capsys):
 # Runs a module's import, then ``main(argv)`` when argv is given, and prints
 # the exit code, main's stdout and which of the probed modules were
 # executed.  numpy is probed through a submodule its ``__init__`` always
-# imports, so a placeholder in ``sys.modules`` would not count.
+# imports, so a placeholder in ``sys.modules`` would not count.  The record
+# is printed with ``repr``, so json counts only when the CLI loads it.
 LOAD_PROBE = """
-import contextlib, importlib, io, json, sys
+import contextlib, importlib, io, sys
 module, *argv = sys.argv[1:]
 out, code = io.StringIO(), None
 with contextlib.redirect_stdout(out):
     imported = importlib.import_module(module)
     if argv:
-        code = imported.main(argv)
+        try:
+            code = imported.main(argv)
+        except SystemExit as exit:
+            code = exit.code
 probes = {"numpy": "numpy.linalg", "mpmath": "mpmath", "decimal": "decimal",
-          "planner": "repeaterchain.planner", "montecarlo": "repeaterchain.montecarlo"}
+          "planner": "repeaterchain.planner", "montecarlo": "repeaterchain.montecarlo",
+          "argparse": "argparse", "csv": "csv", "json": "json"}
 loaded = sorted(name for name, probe in probes.items() if probe in sys.modules)
-print(json.dumps({"code": code, "stdout": out.getvalue(), "loaded": loaded}))
+print(repr({"code": code, "stdout": out.getvalue(), "loaded": loaded}))
 """
 CLI = "repeaterchain.cli"
 
 
 # label -> (module, argv, exit code, probed modules loaded): the package and
-# CLI imports, the six gate commands, one closed-form eval and the three
-# error paths of the contract.
+# CLI imports, the six gate commands, one closed-form eval, the three error
+# paths of the contract, and argv that only argparse splits.  Only the
+# format written loads its writer, and only help or argv that is not a
+# subcommand's own flags loads argparse.
 LOAD_CASES = {
     "import-package": ("repeaterchain", [], None, []),
     "import-cli": (CLI, [], None, []),
     "eval": (CLI, ["eval", "--L", "1600", "--n", "8"], 0, ["numpy"]),
+    "eval-csv": (CLI, ["eval", "--L", "1600", "--n", "8", "--format", "csv"], 0, ["csv", "numpy"]),
+    "eval-json": (CLI, ["eval", "--L=1600", "--n=8", "--format=json"], 0, ["json", "numpy"]),
     # On the closed-form route: stdlib decimal, no numpy.
     "eval-closed-form": (CLI, ["eval", "--L", "600", "--n", "1"], 0, ["decimal"]),
     "optimize": (CLI, ["optimize", "--L", "1600"], 0, ["numpy", "planner"]),
@@ -613,12 +625,16 @@ LOAD_CASES = {
     "simulate": (CLI, ["simulate", "--L", "500", "--n", "4", "--trials", "1000", "--seed", "42"],
                  0, ["montecarlo", "numpy"]),
     # Rejected while parsing.
-    "eval-rho-1.5": (CLI, ["eval", "--rho", "1.5", "--format", "json"], 2, []),
+    "eval-rho-1.5": (CLI, ["eval", "--rho", "1.5", "--format", "json"], 2, ["json"]),
     # Rejected by the round-success check, before any draw.
     "simulate-L-2000-n-40": (CLI, ["simulate", "--L", "2000", "--n", "40", "--format", "json"],
-                             4, ["montecarlo"]),
+                             4, ["json", "montecarlo"]),
     "crossover-source-rate-1": (CLI, ["crossover", "--source-rate", "1", "--format", "json"],
-                                3, ["numpy", "planner"]),
+                                3, ["json", "numpy", "planner"]),
+    "eval-help": (CLI, ["eval", "--help"], 0, ["argparse"]),
+    # -inf reads as a flag, so argparse names what it cannot split.
+    "eval-L-inf": (CLI, ["eval", "--L", "-inf", "--n", "8", "--format", "json"], 2,
+                   ["argparse", "json"]),
 }
 
 
@@ -631,7 +647,7 @@ def test_process_loads_only_the_layers_it_runs(src_env, module, argv, code, load
     result = subprocess.run([sys.executable, "-c", LOAD_PROBE, module, *argv], env=src_env,
                             capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
-    record = json.loads(result.stdout)
+    record = ast.literal_eval(result.stdout)
     assert (record["code"], record["loaded"]) == (code, loaded)
     if argv[:1] == ["optimize"]:
         assert record["stdout"].startswith("best link count in [1, 64]: 8\n")
@@ -1058,6 +1074,64 @@ def test_eval_and_simulate_close_the_input_domain(config_path, scenario, fmt, va
     if scenario == "simulate":
         argv += [f"--trials={trials}", f"--seed={seed}"]
     check_domain_run(argv, fmt)
+
+
+# Tokens of argv the CLI splits itself or leaves to argparse: every flag of
+# every subcommand, values that start with "-" or are empty, and tokens
+# argparse treats apart (help, "--", flag prefixes, a single dash).
+ARGV_FLAGS = ["--config", *("--" + key.replace("_", "-") for key in PARAMETERS)]
+ARGV_VALUES = ["", "-5", "-inf", "1e3", "8", "1600", "0.5", "L", "json", "csv", "a=b", "-", "=x"]
+ARGV_TOKENS = ["--", "-h", "--help", "--form", "--tri", "--et", "-L", "--L0=", "bogus"]
+
+
+def argv_chunks():
+    """Mostly a flag and its value, as two tokens or one ``--flag=value``;
+    sometimes one token of any pool."""
+    pairs = st.tuples(st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_VALUES))
+    return st.one_of(
+        pairs.map(list),
+        pairs.map(lambda drawn: [f"{drawn[0]}={drawn[1]}"]),
+        pairs.map(list),
+        st.sampled_from([*ARGV_FLAGS, *ARGV_VALUES, *ARGV_TOKENS, *SCENARIOS]).map(
+            lambda token: [token]),
+    )
+
+
+def run_main(argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (or help's ``SystemExit`` code), stdout and stderr of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = ("exit", exit_info.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.one_of(st.sampled_from(list(SCENARIOS)), st.sampled_from(list(SCENARIOS)),
+                   st.sampled_from(ARGV_TOKENS + ARGV_VALUES), st.none()),
+    chunks=st.lists(argv_chunks(), max_size=4),
+)
+@example(head="eval", chunks=[["--L", "1600"], ["--n", "8"], ["--L=1e3"]])
+@example(head="sweep", chunks=[["--param=L"], ["--values", "1e3"], ["--format", "csv"]])
+@example(head="eval", chunks=[["--L", ""], ["--n="]])
+@example(head="eval", chunks=[["--L", "-5"], ["--n", "8"]])
+@example(head="eval", chunks=[["--L=-inf"], ["--n", "8"], ["--format", "json"]])
+@example(head="eval", chunks=[["--help"]])
+@example(head="eval", chunks=[["--L", "8"], ["--n"]])
+@example(head="eval", chunks=[["--param", "L"]])  # a flag of another subcommand
+@example(head=None, chunks=[])
+def test_split_argv_matches_argparse(head, chunks):
+    argv = [*([head] if head is not None else []), *(token for chunk in chunks for token in chunk)]
+    split = cli._split(argv)
+    if split is not None:
+        assert split == vars(cli._build_parser().parse_args(argv)), argv
+    with patch.object(cli, "_split", lambda argv: None):
+        through_argparse = run_main(argv)
+    assert run_main(argv) == through_argparse, argv
+
 
 
 def test_optimize_n_max_beyond_every_float_scans_like_5000(capsys):

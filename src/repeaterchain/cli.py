@@ -27,6 +27,8 @@ simulation abort.  Once the format is known, errors follow it: under
 
 from __future__ import annotations
 
+import atexit
+import gc
 import math
 import sys
 from dataclasses import dataclass
@@ -522,7 +524,13 @@ def _error_code(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Registers :func:`gc.freeze` to run at exit, once per process, so the
+    interpreter's shutdown collections skip the objects still alive then.
+    """
+    atexit.unregister(gc.freeze)  # once, however often main runs
+    atexit.register(gc.freeze)
     fmt = "human"
     try:
         cfg = parse_config(argv)

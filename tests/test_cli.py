@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -654,6 +655,73 @@ def test_process_loads_only_the_layers_it_runs(src_env, module, argv, code, load
     if argv == ["crossover"]:
         assert record["stdout"] == ("chain beats direct transmission beyond ~488 km "
                                     "(source rate 1e+10 Hz)\n")
+
+
+# ---------------------------------------------------------------- exit cost
+
+# The console script's entry; NO_FREEZE runs it with gc.freeze a no-op.
+ENTRY = "import sys; from repeaterchain.cli import main; sys.exit(main())"
+NO_FREEZE = "import gc; gc.freeze = lambda: None; " + ENTRY
+# A probe registered before main: atexit runs handlers last in, first out,
+# so it reports the freeze count after the CLI's hook has run.
+FREEZE_PROBE = ("import atexit, gc\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n" + ENTRY)
+GATE_ARGV = {label: LOAD_CASES[label][1]
+             for label in ("eval", "optimize", "fixed-link", "sweep", "crossover", "simulate")}
+ERROR_ARGV = {
+    "eval-rho-1.5": ["eval", "--rho", "1.5"],
+    "simulate-L-2000-n-40": ["simulate", "--L", "2000", "--n", "40"],
+    "crossover-source-rate-1": ["crossover", "--source-rate", "1"],
+}
+# A report larger than a pipe buffer: about 110 KB of csv.
+LONG_SWEEP = ["sweep", "--param", "L", "--values", ",".join(str(100 + 5 * i) for i in range(600)),
+              "--format", "csv"]
+EXIT_CASES = {
+    **{f"{label}-{fmt}": [*argv, "--format", fmt]
+       for label, argv in GATE_ARGV.items() for fmt in FORMATS},
+    **{f"{label}-{fmt}": [*argv, "--format", fmt]
+       for label, argv in ERROR_ARGV.items() for fmt in ("human", "json")},
+    "sweep-600-csv": LONG_SWEEP,
+}
+
+
+def test_main_leaves_the_collector_alone_and_registers_its_exit_hook_once(capsys):
+    hooks = []
+
+    def unregister(func):
+        hooks[:] = [hook for hook in hooks if hook != func]
+
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    with patch("atexit.register", hooks.append), patch("atexit.unregister", unregister):
+        for argv in (GATE_ARGV["eval"], ERROR_ARGV["eval-rho-1.5"], GATE_ARGV["eval"]):
+            main(argv)
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+    assert hooks == [gc.freeze]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([*GATE_ARGV["eval"], "--format", "json"], 0),
+    ([*ERROR_ARGV["simulate-L-2000-n-40"], "--format", "json"], 4),
+], ids=["eval", "simulate-L-2000-n-40"])
+def test_cli_process_freezes_its_heap_at_exit(src_env, argv, code):
+    result = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], env=src_env,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (code, "")
+    label, count = result.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("argv", EXIT_CASES.values(), ids=EXIT_CASES)
+def test_freezing_at_exit_changes_no_output(src_env, argv):
+    # Both children run at once; each outcome is compared byte for byte.
+    children = [subprocess.Popen([sys.executable, "-c", code, *argv], env=src_env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                for code in (ENTRY, NO_FREEZE)]
+    outcomes = [(*child.communicate(timeout=60), child.returncode) for child in children]
+    assert outcomes[0] == outcomes[1]
+    if argv is LONG_SWEEP:
+        out = outcomes[0][0]
+        assert len(out) > 100_000 and out.endswith(b"\n") and out.count(b"\n") == 601
 
 
 def test_every_public_name_resolves():

@@ -7,7 +7,7 @@ layered over a flat ``key = value`` config file (flags win).  Output is
 never prefix units and are byte-stable for a fixed seed.
 
 :data:`PARAMETERS` declares every parameter once, and :data:`SCENARIOS`
-maps each subcommand to a runner whose report one emitter prints.
+maps each subcommand to a runner whose report one emitter formats.
 
 The command line is only split into flags: every flag arrives as text and
 becomes a value the way a config-file value does, so a value that does
@@ -15,21 +15,26 @@ not parse or names no choice is a configuration error either way.  A
 subcommand followed only by its own flags, each written ``--flag value``
 (a value not starting with ``-``) or ``--flag=value``, is split here
 without argparse; every other command line goes to argparse, which
-prints help and names what it cannot split (an unknown flag, or
+formats help and names what it cannot split (an unknown flag, or
 ``--L -inf`` written with a space, where ``-inf`` reads as a flag) with
 its usual messages.  Either way a repeated flag keeps its last value.
 
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
-simulation abort.  Once the format is known, errors follow it: under
-``json`` they are a ``{"error": ...}`` record on stdout.
+simulation abort, 5 output error (stdout cannot take the report, error
+record or help; silent for a closed pipe, as under ``| head``).  Once the
+format is known, errors follow it: under ``json`` they are a
+``{"error": ...}`` record on stdout.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import gc
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -182,7 +187,7 @@ def _read_config_file(path: str) -> dict[str, object]:
 
 
 def _argv_format(argv: list[str]) -> str | None:
-    # The last ``--format X`` or ``--format=X`` of an argv argparse rejected.
+    # The last ``--format X`` or ``--format=X`` of argv.
     fmt = None
     for arg, following in zip(argv, [*argv[1:], None]):
         if arg == "--format":
@@ -228,9 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        # Subcommand parsers share this class, so every argparse error lands here.
+        # Subcommand parsers share this class, so every error and help request lands here.
         def error(self, message: str):
             raise ConfigError(f"{message} (see {self.prog} --help)")
+
+        def print_help(self, file=None):
+            exit_0 = SystemExit(0)
+            exit_0.help = self.format_help()  # main writes it, then exits 0
+            raise exit_0
 
     parser = Parser(
         prog="repeaterchain",
@@ -249,14 +259,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve flags plus optional config file into a :class:`RunConfig`.
 
     Precedence: built-in defaults, then config-file keys, then flags.  A
-    :class:`ConfigError` raised after the output format is known carries
-    it as ``output``; when argparse cannot split argv, the format is the
-    one argv names.
+    :class:`ConfigError` carries the output format as ``output``: the
+    last one argv names, else the config file's.  Help raises
+    ``SystemExit(0)`` with the unwritten help text as ``help``.
     """
     if argv is None:
         argv = sys.argv[1:]
     merged = {key: default for key, (_, default, _) in PARAMETERS.items()}
-    args = None
     try:
         args = _split(argv) or vars(_build_parser().parse_args(argv))
         if args["config"]:
@@ -274,7 +283,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 merged[key] = _parse_value(key, raw, _flag(key))
         return _resolve(merged)
     except ConfigError as exc:
-        fmt = _argv_format(argv) if args is None else args["format"] or merged["format"]
+        fmt = _argv_format(argv) or merged["format"]
         exc.output = fmt if fmt in FORMATS else "human"
         raise
 
@@ -504,50 +513,55 @@ def _emit(report: _Report, fmt: str) -> str:
     return "".join(line + "\n" for line in report.lines)
 
 
-def execute(cfg: RunConfig) -> int:
-    """Run the scenario and print its report in the selected format."""
+def execute(cfg: RunConfig) -> str:
+    """Run the scenario and return its report in the selected format."""
     scenario = SCENARIOS.get(cfg.scenario)
     if scenario is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-    sys.stdout.write(_emit(scenario.run(cfg), cfg.output))
-    return 0
+    return _emit(scenario.run(cfg), cfg.output)
 
 
-def _error_code(exc: Exception) -> str:
-    name = type(exc).__name__
-    out = [name[0].lower()]
-    for char in name[1:]:
-        if char.isupper():
-            out.append("_")
-        out.append(char.lower())
-    return "".join(out)
+# Exit status of each error class; a subclass takes its base's.
+_STATUS = {ConfigError: 2, ModelError: 3, SimulationAbort: 4}
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code.
+    """CLI entry point; returns the process exit code, or raises
+    ``SystemExit(0)`` once help is written.  It alone writes stdout.
 
     Registers :func:`gc.freeze` to run at exit, once per process, so the
     interpreter's shutdown collections skip the objects still alive then.
     """
     atexit.unregister(gc.freeze)  # once, however often main runs
     atexit.register(gc.freeze)
-    fmt = "human"
+    fmt, status, help_exit = "human", 0, None
     try:
         cfg = parse_config(argv)
         fmt = cfg.output
-        return execute(cfg)
-    except ConfigError as exc:
-        error, status = exc, 2
-        fmt = getattr(exc, "output", fmt)
-    except SimulationAbort as exc:
-        error, status = exc, 4
-    except ModelError as exc:
-        error, status = exc, 3
-    if fmt == "json":
-        code = _error_code(error)
-        sys.stdout.write(_emit(_Report({"error": {"code": code, "message": str(error)}}), fmt))
-    else:
-        sys.stderr.write(f"error: {error}\n")
+        out = execute(cfg)
+    except SystemExit as exc:  # help, raised unwritten
+        out, help_exit = exc.help, exc
+    except tuple(_STATUS) as exc:
+        status = next(code for kind, code in _STATUS.items() if isinstance(exc, kind))
+        if getattr(exc, "output", fmt) != "json":
+            sys.stderr.write(f"error: {exc}\n")
+            return status
+        code = re.sub(r"\B(?=[A-Z])", "_", type(exc).__name__).lower()
+        out = _emit(_Report({"error": {"code": code, "message": str(exc)}}), "json")
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:  # the exit flush then drains into devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe exits quietly
+            with contextlib.suppress(AttributeError, OSError):
+                sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        return 5
+    if help_exit is not None:
+        raise help_exit
     return status
 
 

@@ -2,7 +2,8 @@
 
 The split matters for the CLI exit codes: configuration problems map to
 exit 2, model-level failures (diverging or unreachable configurations)
-to exit 3, and simulation aborts to exit 4.
+to exit 3, and simulation aborts to exit 4.  Exit 5, a report the CLI
+cannot write to stdout, comes from the operating system, not from here.
 """
 
 

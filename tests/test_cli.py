@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repeaterchain import cli
+from repeaterchain import cli, errors
 from repeaterchain.cli import (
     FORMATS,
     METRIC_COLUMNS,
@@ -722,6 +723,120 @@ def test_freezing_at_exit_changes_no_output(src_env, argv):
     if argv is LONG_SWEEP:
         out = outcomes[0][0]
         assert len(out) > 100_000 and out.endswith(b"\n") and out.count(b"\n") == 601
+
+
+# ---------------------------------------------------------------- output path
+
+# Every class of errors.py -> main's exit status and its json error code.
+ERROR_STATUS = {
+    "ConfigError": (2, "config_error"),
+    "ModelError": (3, "model_error"),
+    "NonTerminatingProcess": (3, "non_terminating_process"),
+    "UnreachableConfiguration": (3, "unreachable_configuration"),
+    "BeyondRepresentable": (3, "beyond_representable"),
+    "NoCrossoverInRange": (3, "no_crossover_in_range"),
+    "SimulationAbort": (4, "simulation_abort"),
+}
+
+
+def test_every_error_class_has_its_exit_status_and_code(capsys):
+    # A new error class without a status fails here.
+    classes = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert set(classes) == set(ERROR_STATUS)
+    for name, error in classes.items():
+        status, code = ERROR_STATUS[name]
+        record = json.dumps({"error": {"code": code, "message": "boom"}}, sort_keys=True)
+        with patch.object(cli, "execute", side_effect=error("boom")):
+            assert run_cli(capsys, *GATE_ARGV["eval"]) == (status, "", "error: boom\n"), name
+            assert run_cli(capsys, *GATE_ARGV["eval"], "--format", "json") == (
+                status, record + "\n", ""), name
+
+
+def test_main_alone_writes_stdout(capsys):
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree)  # breadth first: outer before inner
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def owner(node):
+        owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+        return owners[-1] if owners else None
+
+    def is_stdout(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and getattr(node.value, "id", None) == "sys")
+
+    nodes = list(ast.walk(tree))
+    writes = [node for node in nodes if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and is_stdout(node.func.value)
+              and node.func.attr == "write"]
+    prints = [node for node in nodes if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "print"]
+    assert [owner(node) for node in writes] == ["main"]
+    assert {owner(node) for node in nodes if is_stdout(node)} == {"main"}
+    assert prints == []
+    # execute returns the report that main writes, and writes nothing itself.
+    for fmt in FORMATS:
+        argv = [*GATE_ARGV["optimize"], "--format", fmt]
+        report = execute(parse_config(argv))
+        assert isinstance(report, str) and capsys.readouterr() == ("", "")
+        assert run_cli(capsys, *argv) == (0, report, "")
+
+
+# label -> (argv, exit status) of commands whose stdout cannot be written.
+# A human error record goes to stderr, so that run keeps its own status.
+UNWRITTEN_CASES = {
+    "sweep-600-human": ([*LONG_SWEEP[:-1], "human"], 5),
+    "sweep-600-csv": (LONG_SWEEP, 5),
+    "sweep-600-json": ([*LONG_SWEEP[:-1], "json"], 5),
+    "error-json": ([*ERROR_ARGV["eval-rho-1.5"], "--format", "json"], 5),
+    "error-human": (ERROR_ARGV["eval-rho-1.5"], 2),
+    "eval-help": (["eval", "--help"], 5),
+}
+# How a child's stdout fails -> the one line its failure leaves on stderr.
+STDOUT_STATES = {
+    "closed-pipe": "",  # exits quietly, as under ``| head``
+    "full-device": "error: cannot write the report: [Errno 28] No space left on device\n",
+    "closed-stdout": "error: cannot write the report: stdout is closed\n",
+}
+
+
+def spawn_without_stdout(state: str, argv: list[str], env: dict[str, str]) -> subprocess.Popen:
+    """The console script's entry, run with a stdout in ``state``: a pipe
+    whose read end is closed before the child starts, a full device, or no
+    descriptor 1 at all."""
+    if state == "closed-stdout":
+        return subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env,
+                                stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    if state == "closed-pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        return subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env,
+                                stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+
+
+@pytest.mark.parametrize("state", STDOUT_STATES)
+@pytest.mark.parametrize("argv, status", UNWRITTEN_CASES.values(), ids=UNWRITTEN_CASES)
+def test_unwritable_stdout_exits_5_without_a_traceback(src_env, state, argv, status):
+    if state == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    buffered = {key: value for key, value in src_env.items() if key != "PYTHONUNBUFFERED"}
+    # Buffered, the write fails at main's flush; unbuffered, at its write.
+    children = [spawn_without_stdout(state, argv, env)
+                for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"})]
+    for child in children:
+        err = child.communicate(timeout=60)[1].decode()
+        assert "Traceback" not in err and "Exception ignored" not in err
+        if status == 5:
+            assert (child.returncode, err) == (5, STDOUT_STATES[state])
+        else:
+            assert child.returncode == status and err.startswith("error: ")
+            assert err.count("\n") == 1
 
 
 def test_every_public_name_resolves():

@@ -6,7 +6,11 @@ Three layers:
 * :mod:`repeaterchain.planner` — link-count optimization, fixed-link
   planning, direct-transmission baseline, crossover search, sweeps,
 * :mod:`repeaterchain.montecarlo` — seeded discrete-event sampler that
-  independently estimates every analytical quantity.
+  estimates the model's times, attempt counts and memory times.  It takes
+  the attempt probability and each round's success, clock and t_cc from
+  the model, and one round's attempt moments for aggregated trials; what
+  it checks on its own is the max-of-geometrics law and its own
+  arithmetic.
 
 The ``repeaterchain`` console script (see :mod:`repeaterchain.cli`) exposes
 all of it as subcommands.

@@ -22,15 +22,15 @@ its usual messages.  Either way a repeated flag keeps its last value.
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
 simulation abort, 5 output error (stdout cannot take the report, error
-record or help; silent for a closed pipe, as under ``| head``).  Once the
-format is known, errors follow it: under ``json`` they are a
-``{"error": ...}`` record on stdout.
+record or help; silent for a closed pipe, as under ``| head``).  Only
+stdout gives 5: a human error line that stderr cannot take leaves the
+error's own status 2, 3 or 4.  Once the format is known, errors follow it:
+under ``json`` they are a ``{"error": ...}`` record on stdout.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import gc
 import math
 import os
@@ -525,16 +525,35 @@ def execute(cfg: RunConfig) -> str:
 _STATUS = {ConfigError: 2, ModelError: 3, SimulationAbort: 4}
 
 
+def _write(name: str, text: str) -> OSError | None:
+    """Write ``text`` to ``sys.stdout`` or ``sys.stderr`` and flush it.  On
+    failure, or when the stream is None, point its descriptor at devnull, so
+    the exit flush cannot fail again, and return the error."""
+    stream = sys.stdout if name == "stdout" else sys.stderr
+    try:
+        if stream is None:
+            raise OSError(f"{name} is closed")
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        if stream is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code, or raises
-    ``SystemExit(0)`` once help is written.  It alone writes stdout.
+    ``SystemExit(0)`` once help is written.  It alone writes output: one
+    report, help text, json error record or human error line, through
+    :func:`_write`.
 
     Registers :func:`gc.freeze` to run at exit, once per process, so the
     interpreter's shutdown collections skip the objects still alive then.
     """
     atexit.unregister(gc.freeze)  # once, however often main runs
     atexit.register(gc.freeze)
-    fmt, status, help_exit = "human", 0, None
+    fmt, status, help_exit, stream = "human", 0, None, "stdout"
     try:
         cfg = parse_config(argv)
         fmt = cfg.output
@@ -543,22 +562,15 @@ def main(argv: list[str] | None = None) -> int:
         out, help_exit = exc.help, exc
     except tuple(_STATUS) as exc:
         status = next(code for kind, code in _STATUS.items() if isinstance(exc, kind))
-        if getattr(exc, "output", fmt) != "json":
-            sys.stderr.write(f"error: {exc}\n")
-            return status
-        code = re.sub(r"\B(?=[A-Z])", "_", type(exc).__name__).lower()
-        out = _emit(_Report({"error": {"code": code, "message": str(exc)}}), "json")
-    try:
-        if sys.stdout is None:
-            raise OSError("stdout is closed")
-        sys.stdout.write(out)
-        sys.stdout.flush()
-    except OSError as exc:
-        if sys.stdout is not None:  # the exit flush then drains into devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):  # a closed pipe exits quietly
-            with contextlib.suppress(AttributeError, OSError):
-                sys.stderr.write(f"error: cannot write the report: {exc}\n")
+        if getattr(exc, "output", fmt) == "json":
+            code = re.sub(r"\B(?=[A-Z])", "_", type(exc).__name__).lower()
+            out = _emit(_Report({"error": {"code": code, "message": str(exc)}}), "json")
+        else:  # an error line stderr cannot take keeps the error's status
+            stream, out = "stderr", f"error: {exc}\n"
+    failure = _write(stream, out)
+    if failure is not None and stream == "stdout":
+        if not isinstance(failure, BrokenPipeError):  # a closed pipe exits quietly
+            _write("stderr", f"error: cannot write the report: {failure}\n")
         return 5
     if help_exit is not None:
         raise help_exit

@@ -1,10 +1,16 @@
 """Seeded discrete-event sampler of the distribution protocol.
 
-Provides an estimate of every analytical quantity in :mod:`.model` by
-actually playing the protocol: every link re-attempts entanglement
-creation each clock interval until all links are ready, then all swaps
-and the final retrieval are tried at once; any failure restarts the
-round from scratch.
+Estimates the times, attempt counts and memory times of :mod:`.model` by
+playing the protocol: every link re-attempts entanglement creation each
+clock interval until all links are ready, then all swaps and the final
+retrieval are tried at once; any failure restarts the round from
+scratch.  What it shares with the model: the per-attempt probability
+comes from ``model._ec_prob``, each round's success, clock and t_cc from
+``model._round_terms`` (so the number of rounds per success is one
+geometric draw with the model's success), and an aggregated trial's
+attempt moments from ``model._attempts_moments``.  What it checks on its
+own is the max-of-geometrics law of a round's attempt count and its own
+arithmetic; an error in the shared terms moves both sides alike.
 
 Determinism contract: each trial draws from its own counter-based
 stream keyed by ``(seed, trial index)``, so identical configurations

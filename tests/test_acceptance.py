@@ -116,6 +116,17 @@ def test_criterion_5_series_matches_closed_form():
 
 
 def test_criterion_6_monte_carlo_cross_validation():
+    """``simulate`` against ``metrics`` at 11 configurations, 1e4 successes each.
+
+    What it can resolve: ``se_t_tot / t_tot`` is about 1% everywhere (the
+    geometric number of rounds dominates), so z < 4 passes a bias in
+    ``t_tot`` of up to about 4%; ``mem_time_avg`` is resolved to 0.1-4%
+    depending on the configuration (4% at n = 1); the spread gate is a
+    fixed 5%, and clean runs read up to 1.5% there.  What it cannot see:
+    an error in the terms the sampler takes from the model, the attempt
+    probability (``_ec_prob``) and each round's success, clock and t_cc
+    (``_round_terms``), because both sides use the same ones.
+    """
     start = time.perf_counter()
     worst_z = 0.0
     worst_std = 0.0

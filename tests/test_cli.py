@@ -762,19 +762,21 @@ def test_main_alone_writes_stdout(capsys):
         owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
         return owners[-1] if owners else None
 
-    def is_stdout(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "stdout"
-                and getattr(node.value, "id", None) == "sys")
+    def is_stream(node):
+        return (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sys"
+                and node.attr in ("stdout", "stderr", "__stdout__", "__stderr__"))
 
+    def calls(name):
+        return [node for node in nodes if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == name]
+
+    # Both streams are named only in _write, which only main calls.
     nodes = list(ast.walk(tree))
-    writes = [node for node in nodes if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute) and is_stdout(node.func.value)
-              and node.func.attr == "write"]
-    prints = [node for node in nodes if isinstance(node, ast.Call)
-              and getattr(node.func, "id", None) == "print"]
-    assert [owner(node) for node in writes] == ["main"]
-    assert {owner(node) for node in nodes if is_stdout(node)} == {"main"}
-    assert prints == []
+    streams = [node for node in nodes if is_stream(node)]
+    assert {node.attr for node in streams} == {"stdout", "stderr"}
+    assert {owner(node) for node in streams} == {"_write"}
+    assert calls("_write") and {owner(node) for node in calls("_write")} == {"main"}
+    assert calls("print") == []
     # execute returns the report that main writes, and writes nothing itself.
     for fmt in FORMATS:
         argv = [*GATE_ARGV["optimize"], "--format", fmt]
@@ -837,6 +839,61 @@ def test_unwritable_stdout_exits_5_without_a_traceback(src_env, state, argv, sta
         else:
             assert child.returncode == status and err.startswith("error: ")
             assert err.count("\n") == 1
+
+
+# label -> (argv, exit status) of commands that end in a human error line.
+STDERR_CASES = {
+    "eval-rho-2": (["eval", "--rho", "2"], 2),
+    "crossover-source-rate-1": (["crossover", "--source-rate", "1"], 3),
+    "simulate-L-2000-n-40": (["simulate", "--L", "2000", "--n", "40"], 4),
+}
+
+
+def spawn_without_stderr(state: str, argv: list[str], env: dict[str, str],
+                         stdout=subprocess.PIPE) -> subprocess.Popen:
+    """The console script's entry, run with a full device as stderr, or
+    with no descriptor 2 at all."""
+    if state == "closed-stderr":
+        return subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env,
+                                stdout=stdout, preexec_fn=lambda: os.close(2))
+    stderr = os.open("/dev/full", os.O_WRONLY)
+    try:
+        return subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env,
+                                stdout=stdout, stderr=stderr)
+    finally:
+        os.close(stderr)
+
+
+def buffered_and_unbuffered(env: dict[str, str]) -> list[dict[str, str]]:
+    buffered = {key: value for key, value in env.items() if key != "PYTHONUNBUFFERED"}
+    return [buffered, {**buffered, "PYTHONUNBUFFERED": "1"}]
+
+
+@pytest.mark.parametrize("state", ["full-device", "closed-stderr"])
+@pytest.mark.parametrize("argv, status", STDERR_CASES.values(), ids=STDERR_CASES)
+def test_unwritable_stderr_keeps_the_error_status(src_env, state, argv, status):
+    # Buffered, an exit flush that fails again would exit 120; unbuffered, a
+    # write that raises would exit 1.
+    if state == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    children = [spawn_without_stderr(state, argv, env) for env in buffered_and_unbuffered(src_env)]
+    for child in children:
+        out = child.communicate(timeout=60)[0]
+        assert (child.returncode, out) == (status, b"")
+
+
+def test_unwritable_stdout_and_stderr_exit_5(src_env):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        children = [spawn_without_stderr("full-device", GATE_ARGV["optimize"], env, stdout)
+                    for env in buffered_and_unbuffered(src_env)]
+    finally:
+        os.close(stdout)
+    for child in children:
+        child.wait(timeout=60)
+        assert child.returncode == 5
 
 
 def test_every_public_name_resolves():

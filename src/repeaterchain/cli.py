@@ -11,13 +11,13 @@ maps each subcommand to a runner whose report one emitter formats.
 
 The command line is only split into flags: every flag arrives as text and
 becomes a value the way a config-file value does, so a value that does
-not parse or names no choice is a configuration error either way.  A
-subcommand followed only by its own flags, each written ``--flag value``
-(a value not starting with ``-``) or ``--flag=value``, is split here
-without argparse; every other command line goes to argparse, which
-formats help and names what it cannot split (an unknown flag, or
-``--L -inf`` written with a space, where ``-inf`` reads as a flag) with
-its usual messages.  Either way a repeated flag keeps its last value.
+not parse or names no choice is a configuration error either way.
+:func:`_split` takes a subcommand followed by its own flags, each written
+``--flag value`` (the value may start with ``-``, as in ``--L -5``, but
+is no flag) or ``--flag=value``; a repeated flag keeps its last value.  ``-h`` or
+``--help`` in flag position asks for help, built from the same tables,
+and any other argv is a configuration error naming the token it cannot
+split.
 
 Exit codes: 0 success, 2 configuration error, 3 model error
 (non-terminating or unreachable configuration, no crossover), 4
@@ -51,8 +51,6 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    import argparse
-
     from .planner import FixedLinkPlan
 
 __all__ = ["RunConfig", "execute", "main", "parse_config"]
@@ -207,52 +205,51 @@ def _flags(scenario: str) -> dict[str, tuple[str, str]]:
     return flags
 
 
-def _split(argv: list[str]) -> dict[str, str | None] | None:
-    """The flags argparse splits ``argv`` into, when argv is a subcommand
-    followed only by its own flags, each ``--flag value`` (a value not
-    starting with ``-``) or ``--flag=value``; a repeated flag keeps its
-    last value.  None for any other argv, argparse's to split."""
-    if not argv or argv[0] not in SCENARIOS:
-        return None
-    flags = _flags(argv[0])
-    args = {"scenario": argv[0], **{key: None for key, _ in flags.values()}}
-    rest = iter(argv[1:])
+def _help(scenario: str | None) -> str:
+    """Help for ``repeaterchain`` or one subcommand, from :data:`SCENARIOS`
+    and :func:`_flags`: a usage line, then one line per entry."""
+    if scenario is None:
+        about = "Entanglement-distribution performance of semihierarchical repeater chains."
+        heading = "subcommands, each with its own --help:"
+        rows = {name: other.help for name, other in SCENARIOS.items()}
+    else:
+        about, heading = SCENARIOS[scenario].help, "flags, each --flag value or --flag=value:"
+        rows = {"-h, --help": "show this help and exit",
+                **{flag: text for flag, (_, text) in _flags(scenario).items()}}
+    width = max(map(len, rows))
+    return "".join(f"{line}\n" for line in (
+        f"usage: repeaterchain {scenario or '<subcommand>'} [--flag value ...]", "", about, "",
+        heading, *(f"  {name:<{width}}  {text}" for name, text in rows.items())))
+
+
+def _split(argv: list[str]) -> dict[str, str | None]:
+    """Split ``argv``, a subcommand followed by its own flags, each
+    ``--flag value`` or ``--flag=value``, into key -> text (None for a flag
+    not given); a repeated flag keeps its last value.  ``-h`` or ``--help``
+    in flag position raises ``SystemExit(0)`` carrying :func:`_help` as
+    ``help``; any other argv raises a :class:`ConfigError` naming the
+    first token that does not split."""
+    scenario = argv[0] if argv and argv[0] in SCENARIOS else None
+    flags = _flags(scenario) if scenario else {}
+    args = {"scenario": scenario, **{key: None for key, _ in flags.values()}}
+    see = f" (see repeaterchain {scenario + ' ' if scenario else ''}--help)"
+    rest = iter(argv[1:] if scenario else argv)
     for arg in rest:
+        if arg in ("-h", "--help"):
+            exit_0 = SystemExit(0)
+            exit_0.help = _help(scenario)  # main writes it, then exits 0
+            raise exit_0
+        if scenario is None:
+            raise ConfigError(f"unknown subcommand {arg!r}{see}")
         flag, eq, value = arg.partition("=")
         if flag not in flags:
-            return None
-        if not eq:
-            value = next(rest, "-")  # no value at the end, like a value "-..."
-            if value.startswith("-"):
-                return None
+            raise ConfigError(f"unrecognized argument {arg!r}{see}")
+        if not eq and ((value := next(rest, None)) is None or value in flags):
+            raise ConfigError(f"{flag} needs a value{see}")  # at the end, or before a flag
         args[flags[flag][0]] = value
+    if scenario is None:
+        raise ConfigError(f"a subcommand is required{see}")
     return args
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        # Subcommand parsers share this class, so every error and help request lands here.
-        def error(self, message: str):
-            raise ConfigError(f"{message} (see {self.prog} --help)")
-
-        def print_help(self, file=None):
-            exit_0 = SystemExit(0)
-            exit_0.help = self.format_help()  # main writes it, then exits 0
-            raise exit_0
-
-    parser = Parser(
-        prog="repeaterchain",
-        allow_abbrev=False,
-        description="Entanglement-distribution performance of semihierarchical repeater chains.",
-    )
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, scenario in SCENARIOS.items():
-        scenario_parser = sub.add_parser(name, help=scenario.help, allow_abbrev=False)
-        for flag, (key, text) in _flags(name).items():
-            scenario_parser.add_argument(flag, dest=key, help=text)
-    return parser
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -261,13 +258,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     Precedence: built-in defaults, then config-file keys, then flags.  A
     :class:`ConfigError` carries the output format as ``output``: the
     last one argv names, else the config file's.  Help raises
-    ``SystemExit(0)`` with the unwritten help text as ``help``.
+    ``SystemExit(0)`` with the unwritten help text as ``help``; argv that
+    :func:`_split` cannot split raises a ConfigError naming its token.
     """
     if argv is None:
         argv = sys.argv[1:]
     merged = {key: default for key, (_, default, _) in PARAMETERS.items()}
     try:
-        args = _split(argv) or vars(_build_parser().parse_args(argv))
+        args = _split(argv)
         if args["config"]:
             file_values = _read_config_file(args["config"])
             file_scenario = file_values.pop("scenario", None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -9,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -252,6 +254,15 @@ def test_readme_commands_run(capsys):
             json.loads(out)
         elif fmt == "csv":
             assert parse_csv(out), command
+
+
+def test_readme_error_lines_are_what_the_cli_prints(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([^`]*)` \| `(error: [^`]*)` \|$", readme, re.MULTILINE)
+    assert len(rows) == 4
+    for command, line in rows:
+        argv = [token for token in shlex.split(command) if token != "repeaterchain"]
+        assert run_cli(capsys, *argv) == (2, "", line + "\n"), command
 
 
 def test_crossover_csv_schema(capsys):
@@ -536,24 +547,54 @@ def test_exit_code_2_json_carries_machine_code(capsys, tmp_path):
         assert "emission_prob" in payload["error"]["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--L", "-inf", "--n", "8"],  # -inf reads as a flag
-    ["sweep", "--param", "L", "--values", "-5,100"],
-    ["eval", "--L", "1600", "--n", "8", "--bogus", "1"],
-    ["bogus"],
-    ["eval", "--L", "1600", "--n", "8", "--form=json"],  # a prefix is no flag
-    ["simulate", "--L", "500", "--n", "4", "--tri=5"],
-])
-def test_argv_argparse_cannot_split_exits_2_in_its_format(capsys, argv):
+# argv that argparse could not split either, and the token each error names.
+@pytest.mark.parametrize("argv, token", [
+    (["eval", "--", "--L", "1600", "--n", "8"], "'--' "),
+    (["eval", "--L", "1600", "--n", "8", "1600"], "'1600' "),
+    (["eval", "--L", "1600", "--n", "8", "--bogus", "1"], "'--bogus' "),
+    (["bogus"], "unknown subcommand 'bogus' (see repeaterchain --help)"),
+    (["eval", "--L", "1600", "--n", "8", "--form=json"], "'--form=json' "),  # a prefix is no flag
+    (["simulate", "--L", "500", "--n", "4", "--tri=5"], "'--tri=5' (see repeaterchain simulate"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_argv_argparse_cannot_split_exits_2_in_its_format(capsys, argv, token):
+    see = f"(see repeaterchain {argv[0] + ' ' if argv[0] in SCENARIOS else ''}--help)"
     for fmt in (["--format", "json"], ["--format=json"]):
         code, out, err = run_cli(capsys, *argv, *fmt)
         assert (code, err) == (2, "")
-        assert json.loads(out)["error"]["code"] == "config_error"
+        error = json.loads(out)["error"]
+        assert error["code"] == "config_error"
+        assert token in error["message"] and error["message"].endswith(see)
         assert out.count("\n") == 1
     for fmt in ([], ["--format", "csv"], ["--format", "xml"]):
         code, out, err = run_cli(capsys, *argv, *fmt)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "--help" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(see + "\n")
+        assert token in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: a subcommand is required (see repeaterchain --help)\n"),
+    (["--L", "1600"], "error: unknown subcommand '--L' (see repeaterchain --help)\n"),
+    (["eval", "--L", "1600", "--n"], "error: --n needs a value (see repeaterchain eval --help)\n"),
+    (["eval", "--L", "--n", "8"], "error: --L needs a value (see repeaterchain eval --help)\n"),
+    (["eval", "--param", "L"],  # a flag of another subcommand
+     "error: unrecognized argument '--param' (see repeaterchain eval --help)\n"),
+])
+def test_argv_that_does_not_split_names_its_token(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--L", "-inf", "--n", "8"], "total_length must be finite, got -inf"),
+    (["eval", "--L", "-5", "--n", "8"], "total_length must be > 0, got -5.0"),
+    (["eval", "--L=-5", "--n", "8"], "total_length must be > 0, got -5.0"),
+    (["sweep", "--param", "L", "--values", "-5,100"], "total_length must be > 0, got -5.0"),
+    (["eval", "--L", "1600", "--n", "-8"], "link_count must be a positive integer, got -8"),
+])
+def test_a_value_starting_with_a_dash_reaches_its_range_check(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    record = json.dumps({"error": {"code": "config_error", "message": message}}, sort_keys=True)
+    assert run_cli(capsys, *argv, "--format", "json") == (2, record + "\n", "")
 
 
 def test_help_still_exits_0(capsys):
@@ -561,6 +602,38 @@ def test_help_still_exits_0(capsys):
         main(["eval", "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: repeaterchain eval")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: repeaterchain <subcommand> [--flag value ...]\n"),
+    (["-h"], "usage: repeaterchain <subcommand> [--flag value ...]\n"),
+    (["eval", "-h"], "usage: repeaterchain eval [--flag value ...]\n"),
+    (["eval", "--L", "1600", "-h", "--bogus"], "usage: repeaterchain eval [--flag value ...]\n"),
+    (["sweep", "--format=json", "--help"], "usage: repeaterchain sweep [--flag value ...]\n"),
+])
+def test_help_in_flag_position_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+
+
+def test_help_lists_every_subcommand_and_each_of_its_flags(capsys):
+    # Built from the tables the splitter reads: one line per entry.
+    def help_lines(*argv):
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        return capsys.readouterr().out.splitlines()
+
+    assert [line.split()[0] for line in help_lines("--help")[5:]] == list(SCENARIOS)
+    for name, scenario in SCENARIOS.items():
+        lines = help_lines(name, "--help")
+        assert lines[2] == scenario.help
+        rows = {line.split()[0]: line for line in lines[6:]}
+        assert list(rows) == list(cli._flags(name))
+        for flag, (_, text) in cli._flags(name).items():
+            assert rows[flag].endswith(f"  {text}")
 
 
 def test_exit_code_4_on_simulation_abort(capsys):
@@ -608,9 +681,8 @@ CLI = "repeaterchain.cli"
 
 # label -> (module, argv, exit code, probed modules loaded): the package and
 # CLI imports, the six gate commands, one closed-form eval, the three error
-# paths of the contract, and argv that only argparse splits.  Only the
-# format written loads its writer, and only help or argv that is not a
-# subcommand's own flags loads argparse.
+# paths of the contract, help, and a value that starts with "-".  Only the
+# format written loads its writer, and no process loads argparse.
 LOAD_CASES = {
     "import-package": ("repeaterchain", [], None, []),
     "import-cli": (CLI, [], None, []),
@@ -633,10 +705,10 @@ LOAD_CASES = {
                              4, ["json", "montecarlo"]),
     "crossover-source-rate-1": (CLI, ["crossover", "--source-rate", "1", "--format", "json"],
                                 3, ["json", "numpy", "planner"]),
-    "eval-help": (CLI, ["eval", "--help"], 0, ["argparse"]),
-    # -inf reads as a flag, so argparse names what it cannot split.
-    "eval-L-inf": (CLI, ["eval", "--L", "-inf", "--n", "8", "--format", "json"], 2,
-                   ["argparse", "json"]),
+    "help": (CLI, ["--help"], 0, []),
+    "eval-help": (CLI, ["eval", "--help"], 0, []),
+    # -inf is the value of --L, rejected by its range check.
+    "eval-L-inf": (CLI, ["eval", "--L", "-inf", "--n", "8", "--format", "json"], 2, ["json"]),
 }
 
 
@@ -656,6 +728,10 @@ def test_process_loads_only_the_layers_it_runs(src_env, module, argv, code, load
     if argv == ["crossover"]:
         assert record["stdout"] == ("chain beats direct transmission beyond ~488 km "
                                     "(source rate 1e+10 Hz)\n")
+    if "--help" in argv:
+        assert record["stdout"].startswith("usage: repeaterchain ")
+    if "-inf" in argv:
+        assert "total_length must be finite, got -inf" in record["stdout"]
 
 
 # ---------------------------------------------------------------- exit cost
@@ -1316,12 +1392,38 @@ def test_eval_and_simulate_close_the_input_domain(config_path, scenario, fmt, va
     check_domain_run(argv, fmt)
 
 
-# Tokens of argv the CLI splits itself or leaves to argparse: every flag of
-# every subcommand, values that start with "-" or are empty, and tokens
-# argparse treats apart (help, "--", flag prefixes, a single dash).
+# Tokens of argv the CLI splits or refuses: every flag of every subcommand,
+# values that start with "-" or are empty, and tokens argparse treats apart
+# (help, "--", flag prefixes, a single dash).
 ARGV_FLAGS = ["--config", *("--" + key.replace("_", "-") for key in PARAMETERS)]
 ARGV_VALUES = ["", "-5", "-inf", "1e3", "8", "1600", "0.5", "L", "json", "csv", "a=b", "-", "=x"]
 ARGV_TOKENS = ["--", "-h", "--help", "--form", "--tri", "--et", "-L", "--L0=", "bogus"]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once split argv with, kept as the
+    reference that ``cli._split`` must agree with wherever it splits.  An
+    error raises ConfigError and help SystemExit, neither written."""
+
+    class Parser(argparse.ArgumentParser):
+        # Subcommand parsers share this class, so every error and help request lands here.
+        def error(self, message: str):
+            raise ConfigError(f"{message} (see {self.prog} --help)")
+
+        def print_help(self, file=None):
+            raise SystemExit(0)
+
+    parser = Parser(
+        prog="repeaterchain",
+        allow_abbrev=False,
+        description="Entanglement-distribution performance of semihierarchical repeater chains.",
+    )
+    sub = parser.add_subparsers(dest="scenario", required=True)
+    for name, scenario in SCENARIOS.items():
+        scenario_parser = sub.add_parser(name, help=scenario.help, allow_abbrev=False)
+        for flag, (key, text) in cli._flags(name).items():
+            scenario_parser.add_argument(flag, dest=key, help=text)
+    return parser
 
 
 def argv_chunks():
@@ -1365,13 +1467,26 @@ def run_main(argv: list[str]) -> tuple[object, str, str]:
 @example(head=None, chunks=[])
 def test_split_argv_matches_argparse(head, chunks):
     argv = [*([head] if head is not None else []), *(token for chunk in chunks for token in chunk)]
-    split = cli._split(argv)
-    if split is not None:
-        assert split == vars(cli._build_parser().parse_args(argv)), argv
-    with patch.object(cli, "_split", lambda argv: None):
-        through_argparse = run_main(argv)
-    assert run_main(argv) == through_argparse, argv
-
+    try:
+        split = cli._split(argv)
+    except SystemExit as exit_info:  # help
+        split = exit_info
+        assert exit_info.code == 0 and exit_info.help.startswith("usage: repeaterchain "), argv
+    except ConfigError as exc:  # one line that names the help to read
+        split = exc
+        assert "\n" not in str(exc) and str(exc).endswith(" --help)"), argv
+    with contextlib.suppress(ConfigError, SystemExit):  # argparse refuses argv or gives help
+        assert split == vars(reference_parser().parse_args(argv)), argv
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3, 4, ("exit", 0)) and "Traceback" not in err, argv
+    if code == 2:  # one error line, or one config_error record under json
+        if out:
+            assert err == "" and out.count("\n") == 1, argv
+            assert json.loads(out)["error"]["code"] == "config_error", argv
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+    if isinstance(split, ConfigError):
+        assert code == 2 and str(split) in out + err, argv
 
 
 def test_optimize_n_max_beyond_every_float_scans_like_5000(capsys):

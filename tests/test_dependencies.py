@@ -36,6 +36,13 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert outside == {path.name: [] for path in modules}
 
 
+def test_no_package_module_imports_argparse():
+    # The CLI splits every command line itself, help included.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [path.name for path in modules if "argparse" in imported_top_level_modules(path)] == []
+
+
 def test_pyproject_lists_numpy_as_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]

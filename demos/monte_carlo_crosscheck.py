@@ -35,4 +35,5 @@ for i, (L, n) in enumerate(configs):
           f"{z_mem:+6.2f} | {std_err:+8.2%}")
 
 print("\nSame seeds, same numbers: the sampler streams are keyed per trial,")
-print("so the run above reproduces bit-for-bit on any machine.")
+print("so the run above reproduces bit for bit with the same numpy build")
+print("on the same SIMD dispatch path.")

@@ -569,11 +569,13 @@ def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
     # cancel ~n bits, 1 - p must stay distinguishable from 1, and the
     # variance second - mean^2 cancels ~log2(1 / (1 - p)) bits when p is
     # close to 1, so the working precision covers all three.  The floor
-    # adds no bit for p < 1/2; at p = 1, q = 0 and nothing cancels.
-    # Decimal digits stand in for the bits, with one to spare.
+    # adds no bit for p < 1/2; at p = 1, q = 0 and nothing cancels.  q^i
+    # is multiplied up from q^(i-1), one rounding per step: its relative
+    # error grows to at most n half-ulps, which n.bit_length() more bits
+    # absorb.  Decimal digits stand in for the bits, with one to spare.
     from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
-    prec = 70 + n + max(0, math.ceil(-math.log2(p)))
+    prec = 70 + n + n.bit_length() + max(0, math.ceil(-math.log2(p)))
     if p < 1.0:
         prec += max(0, math.floor(-math.log2(1.0 - p)))
     digits = math.ceil(prec * math.log10(2.0)) + 1
@@ -581,9 +583,10 @@ def _closed_form_moments(p: float, n: int) -> tuple[float, float]:
         one = Decimal(1)
         q = one - Decimal(p)
         mean = second = Decimal(0)
+        qi = one
         binomial = 1  # C(n, i), exact
         for i in range(1, n + 1):
-            qi = q**i
+            qi *= q
             denom = one - qi
             binomial = binomial * (n - i + 1) // i
             term = Decimal(binomial)

@@ -24,17 +24,21 @@ own hashing, and re-keys a single generator per trial, so the streams are
 the same as those of one ``SeedSequence`` per trial.
 
 Each trial draws its chain rounds' uniforms with ``Generator.random``
-straight into one scratch buffer of doubles per run (2**13 of them,
-grown only for a trial that needs more).  Once the next trial would not
-fit, the buffer is settled in whole-array passes, straight into the
-run's per-trial arrays of rounds played, recorded and total attempt
-counts.  One kernel turns the buffer into attempt counts: each round's
-largest draw, then one logarithm per round, written into a second
-reusable buffer.  Attempt counts are integer-valued doubles, so while
-the buffer's counts sum below 2**53 every partial sum is exact in any
-order, and one ``np.add.reduceat`` gives each trial's total.  At 2**53
-and above partial sums round: each trial's failed rounds are then
-numpy's sum of its own slice, as one draw per trial would give.
+straight into one scratch buffer of 2**13 doubles, the same for the
+whole run.  Once the next trial would not fit, the buffer is settled in
+whole-array passes, straight into the run's per-trial arrays of rounds
+played, recorded and total attempt counts.  A trial whose draws alone
+do not fit draws them as raw Philox words (``random_raw``) and settles
+on its own; its words are freed before the next trial draws.  One
+kernel turns either into attempt counts: each round's largest draw (a
+word's largest is converted to the double ``Generator.random`` makes of
+it), then one logarithm per round, written into one second reusable
+buffer of at least 4097 counts.  Attempt counts are integer-valued
+doubles, so while a group's counts sum below 2**53 every partial sum is
+exact in any order, and one ``np.add.reduceat`` gives each trial's
+total.  At 2**53 and above partial sums round: each trial's failed
+rounds are then numpy's sum of its own slice, as one draw per trial
+would give.
 
 A trial with more than 4096 failed rounds draws one standard normal z
 in their place: their summed attempt count is ``failed*mean +
@@ -79,12 +83,14 @@ _EXACT_ROUND_LIMIT = 4096
 # rounds than this.
 _MAX_ROUNDS_PER_SUCCESS = 10**9
 
-# Trials whose Philox keys are derived together.
+# Trials whose Philox keys are derived together, and how many of those
+# keys are Python lists at once.
 _KEY_BLOCK = 1024
+_KEY_LIST_ROWS = 128
 
 # Trials' chain-round draws are turned into attempt counts in one numpy
 # pass per buffer of this many doubles (64 KiB, under glibc's default
-# mmap threshold); a trial that needs more grows the buffer.
+# mmap threshold); a trial that needs more draws raw words of its own.
 _DRAW_BLOCK = 2**13
 
 # Constants of numpy's SeedSequence hashing (O'Neill's seed_seq_fe).
@@ -199,11 +205,13 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
         "uinteger": 0,
     }
     for start in range(0, trials, _KEY_BLOCK):
-        keys = _philox_keys(seed, start, min(_KEY_BLOCK, trials - start)).tolist()
-        for j, key in enumerate(keys, start):
-            state["state"]["key"] = key
-            bitgen.state = state
-            yield j, rng
+        keys = _philox_keys(seed, start, min(_KEY_BLOCK, trials - start))
+        for offset in range(0, len(keys), _KEY_LIST_ROWS):
+            rows = keys[offset:offset + _KEY_LIST_ROWS].tolist()
+            for j, key in enumerate(rows, start + offset):
+                state["state"]["key"] = key
+                bitgen.state = state
+                yield j, rng
 
 
 def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
@@ -233,15 +241,22 @@ def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) 
 
 def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) -> np.ndarray:
     """Write into ``out`` the attempt number of the slowest link in each
-    chain round of ``n`` uniform draws, with ``log_q = ln(1 - p)``.
+    chain round of ``n`` draws, with ``log_q = ln(1 - p)``.  The draws are
+    uniform doubles, or raw 64-bit words w that stand for the doubles
+    ``(w >> 11) * 2**-53`` which ``Generator.random`` makes of them.
     Float64: attempt counts scale as 1/p and can exceed the int64 range
     for very lossy links."""
     # The inverse CDF k = ceil(ln(1 - u) / ln q) never falls as u grows, so
-    # a round's slowest link is its largest draw: one log per round.
+    # a round's slowest link is its largest draw: one log per round.  A
+    # word's double never falls as the word grows, so only the largest
+    # word of a round is converted.
     rows = draws.reshape(-1, n)
     top = rows[:, 0]
+    maxima = out.view(draws.dtype)
     for column in range(1, n):
-        top = np.maximum(top, rows[:, column], out=out)
+        top = np.maximum(top, rows[:, column], out=maxima)
+    if draws.dtype == np.uint64:
+        top = np.multiply(np.right_shift(top, 11, out=maxima), 2.0**-53, out=out)
     np.subtract(1.0, top, out=out)
     np.log(out, out=out)
     np.divide(out, log_q, out=out)
@@ -257,34 +272,38 @@ def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     moments = None  # of one chain round's attempt count, once a trial aggregates
     draws = np.empty(_DRAW_BLOCK)
-    attempts = np.empty(_DRAW_BLOCK // n)
-    first = pos = 0
-    # Per buffered trial: the start of its rounds in the buffer; per
-    # aggregated trial: its index, failed rounds and normal draw.
-    starts, aggregated = [], []
+    # The buffer's attempt counts, or those of the most rounds one trial replays.
+    attempts = np.empty(max(_DRAW_BLOCK // n, _EXACT_ROUND_LIMIT + 1))
+    pos = 0
+    # Per buffered trial: its index and the start of its rounds in the
+    # buffer; per aggregated one: its index, failed rounds and normal draw.
+    buffered, starts, aggregated = [], [], []
+
+    def add_failed_sums(entries) -> None:  # of aggregated trials, from matched normals
+        index, failed, z = map(np.array, zip(*entries))
+        mean_k, var_k = moments
+        sums = failed * mean_k
+        if var_k != 0.0:  # else no normal was drawn
+            sums += np.sqrt(failed * var_k) * z
+            if not np.isfinite(sums).all():
+                raise BeyondRepresentable("simulated attempt count beyond representable")
+            sums = np.maximum(np.rint(sums), failed)
+        total[index] += sums
 
     def settle() -> None:
         k = _round_attempts(draws[:pos], n, log_q, attempts[:pos // n])
+        index = np.array(buffered)
         ends = np.array(starts[1:] + [k.size])
-        span = slice(first, first + len(starts))
-        np.take(k, ends - 1, out=recorded[span])
+        recorded[index] = k[ends - 1]
         if k.sum() < 2.0**53:  # every partial sum exact, in any order
-            np.add.reduceat(k, starts, out=total[span])
+            total[index] = np.add.reduceat(k, starts)
         else:  # numpy's sum of each trial's own slice, as one draw per trial gives
-            total[span] = recorded[span]
-            for i, (begin, end) in enumerate(zip(starts, ends.tolist()), first):
+            total[index] = recorded[index]
+            for i, begin, end in zip(buffered, starts, ends.tolist()):
                 if end - begin > 1:
                     total[i] += k[begin:end - 1].sum()
-        if aggregated:  # their failed rounds' totals, from matched normals
-            index, failed, z = map(np.array, zip(*aggregated))
-            mean_k, var_k = moments
-            sums = failed * mean_k
-            if var_k != 0.0:  # else no normal was drawn
-                sums += np.sqrt(failed * var_k) * z
-                if not np.isfinite(sums).all():
-                    raise BeyondRepresentable("simulated attempt count beyond representable")
-                sums = np.maximum(np.rint(sums), failed)
-            total[index] += sums
+        if aggregated:
+            add_failed_sums(aggregated)
 
     for j, rng in _trial_streams(cfg.seed, cfg.trials):
         if log_q_round is None:
@@ -303,23 +322,32 @@ def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
             if moments is None:
                 moments = _attempts_moments(p, n, DEFAULT_TOL)
             replayed, z = 1, rng.standard_normal() if moments[1] else 0.0
+        rounds[j] = r
         # The replayed failed rounds and the recorded one are consecutive
         # in the stream: one draw covers them all.
         size = replayed * n
-        if pos + size > draws.size:
-            if pos:
-                settle()
-                first, pos, starts, aggregated = j, 0, [], []
-            if size > draws.size:  # to the most any trial replays: once per run
-                draws = np.empty((_EXACT_ROUND_LIMIT + 1) * n)
-                attempts = np.empty(_EXACT_ROUND_LIMIT + 1)
-        rng.random(out=draws[pos:pos + size])
+        if size > _DRAW_BLOCK:
+            # Past the buffer, the trial settles on its own from raw words,
+            # released before the next trial draws.
+            k = _round_attempts(rng.bit_generator.random_raw(size), n, log_q,
+                                attempts[:replayed])
+            whole = k.sum()  # exact below 2**53, in any order
+            recorded[j] = k[-1]
+            total[j] = whole if whole < 2.0**53 else k[-1] + k[:-1].sum()
+            if z is not None:
+                add_failed_sums([(j, r - 1, z)])
+            continue
+        if pos + size > _DRAW_BLOCK:
+            settle()
+            pos, buffered, starts, aggregated = 0, [], [], []
         if z is not None:
             aggregated.append((j, r - 1, z))
-        rounds[j] = r
+        buffered.append(j)
         starts.append(pos // n)
+        rng.random(out=draws[pos:pos + size])
         pos += size
-    settle()
+    if pos:
+        settle()
 
 
 def simulate(cfg: TrialConfig) -> TrialStats:

@@ -36,6 +36,7 @@ from repeaterchain.montecarlo import (
     TrialConfig,
     _philox_keys,
     _play_trials,
+    _round_attempts,
     _sample_chain_rounds,
     _trial_rng,
     _trial_streams,
@@ -147,6 +148,38 @@ def test_chain_round_row_max_equals_per_element_formula(p, n):
             per_element = np.maximum(np.ceil(np.log(1.0 - r) / math.log1p(-p)), 1.0)
             expected = per_element.max(axis=1)
             np.testing.assert_array_equal(_sample_chain_rounds(p, n, size, kernel_rng), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17])
+@pytest.mark.parametrize("p", [1e-9, 0.3, 0.999, 1.0])
+def test_round_attempts_on_raw_words_equal_those_on_doubles(p, n):
+    # A deep trial draws raw Philox words: each round's largest word,
+    # converted once, must give the attempt counts of the doubles that
+    # Generator.random draws from the same key.  One double is drawn
+    # first, as the rounds' count is, so the words start mid-block.
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    for size in (1, 5, 4097):
+        word_rng, double_rng = _trial_rng(size, n), _trial_rng(size, n)
+        assert word_rng.random() == double_rng.random()
+        words = word_rng.bit_generator.random_raw(size * n)
+        assert words.dtype == np.uint64
+        from_words = _round_attempts(words, n, log_q, np.empty(size))
+        from_doubles = _round_attempts(double_rng.random(size * n), n, log_q, np.empty(size))
+        np.testing.assert_array_equal(from_words, from_doubles)
+        assert word_rng.random() == double_rng.random()  # the streams go on alike
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_chain_round_on_mt19937_matches_per_element_formula(n):
+    # A caller's generator may be MT19937, whose doubles take two 32-bit
+    # words each: sample_chain_round must read the generator's doubles.
+    p = 0.3
+    rng = np.random.Generator(np.random.MT19937(7))
+    reference = np.random.Generator(np.random.MT19937(7))
+    for _ in range(50):
+        u = reference.random(n)
+        expected = np.maximum(np.ceil(np.log(1.0 - u) / math.log1p(-p)), 1.0).max()
+        assert sample_chain_round(p, n, rng) == expected
 
 
 @pytest.mark.parametrize("n", [1, 8, 17])
@@ -330,6 +363,18 @@ def test_aggregated_totals_match_numpy_normal():
     # same total, rounded and floored at one attempt per failed round.
     # The trials run past one key block, so the play loop's uniform and
     # normal draws are checked on both sides of its edge.
+    _check_aggregated_totals()
+
+
+@pytest.mark.parametrize("block", [1, 64], ids=["one-round", "middle"])
+def test_aggregated_totals_past_the_buffer_match_numpy_normal(block, monkeypatch):
+    # With a buffer of one draw every trial, aggregated ones included,
+    # draws raw words and settles on its own; with 64, deep trials do.
+    monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
+    _check_aggregated_totals()
+
+
+def _check_aggregated_totals():
     n = 8
     chain = ChainConfig(total_length=500.0, link_count=n)
     cfg = TrialConfig(hw=HW, chain=chain, ch=CH, trials=_KEY_BLOCK + 76, seed=3)
@@ -380,11 +425,14 @@ def test_simulate_rejects_statistics_past_the_float_range():
 
 
 def test_simulate_memory_stays_within_buffers():
-    # Trials here replay thousands of rounds, so the buffers grow.  n draws
-    # and one attempt count per buffered round, in the first buffers and in
-    # those grown to the most rounds one trial replays (both alive while
-    # they grow); beyond them, the two per-trial arrays and one key block's
-    # Python lists.
+    # Trials here replay thousands of rounds, so many draw raw words past
+    # the buffer.  Alive at most: the draw buffer, one scratch of attempt
+    # counts, one deep trial's n words per round (freed before the next
+    # trial draws) and numpy's copy of its maxima as they are converted,
+    # the per-trial arrays and at most 128 keys' Python lists.  The bound
+    # counts n draws and one attempt count per buffered round and per
+    # round of one deep trial, two per-trial arrays and 256 bytes per key
+    # of a block.
     n, trials = 8, 10**3
     doubles = (_DRAW_BLOCK // n + _EXACT_ROUND_LIMIT + 1) * (n + 1) + 2 * trials
     bound = 8 * doubles + 256 * _KEY_BLOCK

@@ -7,7 +7,8 @@ layered over a flat ``key = value`` config file (flags win).  Output is
 never prefix units and are byte-stable for a fixed seed.
 
 :data:`PARAMETERS` declares every parameter once, and :data:`SCENARIOS`
-maps each subcommand to a runner whose report one emitter formats.
+maps each subcommand to a runner whose report one emitter formats.  No
+flag sets a series tolerance: every scenario sums at ``DEFAULT_TOL``.
 
 The command line is only split into flags: every flag arrives as text and
 becomes a value the way a config-file value does, so a value that does
@@ -41,12 +42,10 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, ModelError, SimulationAbort
 from .model import (
-    DEFAULT_TOL,
     ChainConfig,
     ChannelParams,
     HardwareParams,
     RepeaterMetrics,
-    _arg,
     metrics,
 )
 
@@ -94,7 +93,6 @@ PARAMETERS: dict[str, tuple[object, object, str | None]] = {
     "eta_m": (float, 0.9, "memory efficiency"),
     "alpha": (float, 0.2, "fiber attenuation in dB/km"),
     "c": (float, 2.0e5, "signal speed in km/s"),
-    "tol": (float, DEFAULT_TOL, "series truncation tolerance"),
     "trials": (int, 1000, "end-to-end successes to simulate"),
     "seed": (int, 0, "simulation seed (64-bit unsigned)"),
     "source_rate": (float, 1.0e10, "direct-transmission source rate in Hz"),
@@ -115,7 +113,6 @@ class RunConfig:
     hw: HardwareParams
     ch: ChannelParams
     output: str
-    tol: float
     total_length: float | None
     link_count: int | None
     link_length: float | None
@@ -290,7 +287,6 @@ def _resolve(merged: dict[str, object]) -> RunConfig:
     hw = HardwareParams(detector_eff=merged["eta_d"], memory_eff=merged["eta_m"],
                         emission_prob=merged["rho"], mode_count=merged["m"])
     ch = ChannelParams(attenuation=merged["alpha"], signal_speed=merged["c"])
-    tol = _arg("tol", merged["tol"])
 
     scenario = merged["scenario"]
     for key in SCENARIOS[scenario].required:
@@ -305,7 +301,7 @@ def _resolve(merged: dict[str, object]) -> RunConfig:
     if scenario == "fixed-link" and link_length is None:
         link_length = 125.0
     return RunConfig(
-        scenario=scenario, hw=hw, ch=ch, output=merged["format"], tol=tol,
+        scenario=scenario, hw=hw, ch=ch, output=merged["format"],
         total_length=merged["L"], link_count=merged["n"], link_length=link_length,
         trials=merged["trials"], seed=merged["seed"], source_rate=merged["source_rate"],
         n_max=merged["n_max"], sweep_param=sweep_param,
@@ -366,14 +362,14 @@ def _metric_report(scenario: str, row: dict, heading: tuple[str, ...] = (), **ex
 
 def _run_eval(cfg: RunConfig) -> _Report:
     chain = ChainConfig(total_length=cfg.total_length, link_count=cfg.link_count)
-    m = metrics(cfg.hw, chain, cfg.ch, cfg.tol)
+    m = metrics(cfg.hw, chain, cfg.ch)
     return _metric_report("eval", _metric_row(cfg.total_length, cfg.link_count, m))
 
 
 def _run_optimize(cfg: RunConfig) -> _Report:
     from . import planner
 
-    result = planner.optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max, cfg.tol)
+    result = planner.optimize_link_count(cfg.hw, cfg.total_length, cfg.ch, cfg.n_max)
     lo, hi = result.scanned_range
     return _metric_report(
         "optimize",
@@ -389,14 +385,14 @@ def _run_optimize(cfg: RunConfig) -> _Report:
 def _run_fixed_link(cfg: RunConfig) -> _Report:
     from . import planner
 
-    plan = planner.plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length, cfg.tol)
+    plan = planner.plan_fixed_link(cfg.hw, cfg.total_length, cfg.ch, cfg.link_length)
     return _metric_report("fixed-link", _plan_row(cfg.total_length, plan))
 
 
 def _run_crossover(cfg: RunConfig) -> _Report:
     from . import planner
 
-    km = planner.crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate, cfg.tol)
+    km = planner.crossover_with_direct(cfg.hw, cfg.ch, cfg.source_rate)
     return _Report(
         {"scenario": "crossover", "crossover_km": km, "source_rate_hz": cfg.source_rate},
         ("crossover_km",),
@@ -418,7 +414,7 @@ def _run_sweep(cfg: RunConfig) -> _Report:
     )
     lead = {"mode_count": "m", "emission_prob": "rho"}.get(cfg.sweep_param)  # swept column
     rows, lines = [], []
-    for rec in planner.run_sweep(spec, cfg.tol):
+    for rec in planner.run_sweep(spec):
         if rec.metrics is None:
             row = {**dict.fromkeys(METRIC_COLUMNS, ""), "L_km": rec.total_length,
                    "error": rec.error}

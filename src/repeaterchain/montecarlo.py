@@ -217,7 +217,7 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
 def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
     """Attempt number at which the slowest of ``n`` links succeeds:
     the maximum of ``n`` inverse-CDF geometric draws."""
-    p, n, _ = _success_args(p, n)
+    p, n = _success_args(p, n)
     rng = _arg("rng", rng)
     with np.errstate(over="ignore"):  # past the float range for p near 0: checked here
         k = float(_sample_chain_rounds(p, n, 1, rng)[0])
@@ -255,8 +255,9 @@ def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) ->
     maxima = out.view(draws.dtype)
     for column in range(1, n):
         top = np.maximum(top, rows[:, column], out=maxima)
-    if draws.dtype == np.uint64:
-        top = np.multiply(np.right_shift(top, 11, out=maxima), 2.0**-53, out=out)
+    if draws.dtype == np.uint64:  # converted in place: no cast buffer
+        np.copyto(out, np.right_shift(top, 11, out=maxima), casting="unsafe")
+        top = np.multiply(out, 2.0**-53, out=out)
     np.subtract(1.0, top, out=out)
     np.log(out, out=out)
     np.divide(out, log_q, out=out)
@@ -279,17 +280,6 @@ def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
     # buffer; per aggregated one: its index, failed rounds and normal draw.
     buffered, starts, aggregated = [], [], []
 
-    def add_failed_sums(entries) -> None:  # of aggregated trials, from matched normals
-        index, failed, z = map(np.array, zip(*entries))
-        mean_k, var_k = moments
-        sums = failed * mean_k
-        if var_k != 0.0:  # else no normal was drawn
-            sums += np.sqrt(failed * var_k) * z
-            if not np.isfinite(sums).all():
-                raise BeyondRepresentable("simulated attempt count beyond representable")
-            sums = np.maximum(np.rint(sums), failed)
-        total[index] += sums
-
     def settle() -> None:
         k = _round_attempts(draws[:pos], n, log_q, attempts[:pos // n])
         index = np.array(buffered)
@@ -302,8 +292,16 @@ def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
             for i, begin, end in zip(buffered, starts, ends.tolist()):
                 if end - begin > 1:
                     total[i] += k[begin:end - 1].sum()
-        if aggregated:
-            add_failed_sums(aggregated)
+        if aggregated:  # the failed rounds' sums, from matched normals
+            trial, failed, z = map(np.array, zip(*aggregated))
+            mean_k, var_k = moments
+            sums = failed * mean_k
+            if var_k != 0.0:  # else no normal was drawn
+                sums += np.sqrt(failed * var_k) * z
+                if not np.isfinite(sums).all():
+                    raise BeyondRepresentable("simulated attempt count beyond representable")
+                sums = np.maximum(np.rint(sums), failed)
+            total[trial] += sums
 
     for j, rng in _trial_streams(cfg.seed, cfg.trials):
         if log_q_round is None:
@@ -328,14 +326,14 @@ def _play_trials(cfg: TrialConfig, p: float, n: int, log_q_round: float | None,
         size = replayed * n
         if size > _DRAW_BLOCK:
             # Past the buffer, the trial settles on its own from raw words,
-            # released before the next trial draws.
+            # released before the next trial draws.  No aggregated trial gets
+            # here: it replays one round of n draws, and simulate refuses a
+            # round success below 1e-9, so 2^-(n-1) >= 1e-9 caps n at 30.
             k = _round_attempts(rng.bit_generator.random_raw(size), n, log_q,
                                 attempts[:replayed])
             whole = k.sum()  # exact below 2**53, in any order
             recorded[j] = k[-1]
             total[j] = whole if whole < 2.0**53 else k[-1] + k[:-1].sum()
-            if z is not None:
-                add_failed_sums([(j, r - 1, z)])
             continue
         if pos + size > _DRAW_BLOCK:
             settle()

@@ -8,7 +8,8 @@ metrics behave across parameter sweeps.
 
 Every sweep point is a pure function of its inputs, so grids can be
 evaluated in any order or in parallel; records are returned in grid
-order regardless.
+order regardless.  Every series is summed at the model's ``DEFAULT_TOL``,
+since no tolerance moves the attempt moments past their rounding.
 """
 
 from __future__ import annotations
@@ -265,7 +266,6 @@ def _scan_link_counts(
     total_length: float,
     ch: ChannelParams,
     n_max: int,
-    tol: float,
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     runner_up: bool = False,
 ) -> tuple[int, float, float, tuple[float, float]]:
@@ -302,7 +302,7 @@ def _scan_link_counts(
             break
         n = int(n)
         p = _ec_prob(hw, total_length, n, ch)
-        moments = _attempts_moments(p, n, tol)
+        moments = _attempts_moments(p, n, DEFAULT_TOL)
         clock, t_cc, _, success = _round_terms(hw, total_length, n, ch)
         try:
             t = _total_time(clock, t_cc, success, moments[0])
@@ -325,7 +325,6 @@ def optimize_link_count(
     total_length: float,
     ch: ChannelParams,
     n_max: int | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> OptimizationResult:
     """Return the link count in 1..n_max with the smallest total
     distribution time (ties go to fewer links).
@@ -340,7 +339,7 @@ def optimize_link_count(
     """
     hw, ch = _arg("hw", hw), _arg("ch", ch)
     total_length = _arg("positive real", total_length, "total_length")
-    return _optimize(hw, total_length, ch, n_max, _arg("tol", tol), runner_up=True)
+    return _optimize(hw, total_length, ch, n_max, runner_up=True)
 
 
 def _link_count_limit(total_length: float, n_max) -> int:
@@ -351,16 +350,16 @@ def _link_count_limit(total_length: float, n_max) -> int:
 
 
 def _optimize(hw: HardwareParams, total_length: float, ch: ChannelParams, n_max: int | None,
-              tol: float, runner_up: bool = False,
+              runner_up: bool = False,
               candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
               ) -> OptimizationResult:
     # optimize_link_count of converted arguments but ``n_max``; without
     # ``runner_up`` the scan stops at the winner and ``runner_up_ratio`` is nan.
     n_max = _link_count_limit(total_length, n_max)
-    best_n, best_t, second_t, moments = _scan_link_counts(hw, total_length, ch, n_max, tol,
+    best_n, best_t, second_t, moments = _scan_link_counts(hw, total_length, ch, n_max,
                                                           candidates, runner_up)
     # Raises first when t_cc = L / c underflowed and every time is 0 s.
-    best_metrics = _metrics(hw, total_length, best_n, ch, tol, moments=moments)
+    best_metrics = _metrics(hw, total_length, best_n, ch, DEFAULT_TOL, moments=moments)
     return OptimizationResult(
         best_n=best_n,
         metrics=best_metrics,
@@ -394,7 +393,6 @@ def plan_fixed_link(
     total_length: float,
     ch: ChannelParams,
     link_length: float = 125.0,
-    tol: float = DEFAULT_TOL,
 ) -> FixedLinkPlan:
     """Plan a chain whose links all have the given fixed length.
 
@@ -405,7 +403,7 @@ def plan_fixed_link(
     candidate; with no candidate left, no round can succeed either, and
     it raises :class:`UnreachableConfiguration`.
     """
-    hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
+    hw, ch = _arg("hw", hw), _arg("ch", ch)
     total_length = _arg("real", total_length, "total_length")
     link_length = _arg("positive real", link_length, "link_length")
     if total_length < link_length:
@@ -439,7 +437,7 @@ def plan_fixed_link(
             node_span=span,
             extension=extension,
             side="below" if extension >= 0.0 else "above",
-            metrics=_metrics(hw, span, n, ch, tol, abs(extension)),
+            metrics=_metrics(hw, span, n, ch, DEFAULT_TOL, abs(extension)),
         ))
     # The first of equal times wins, so a tie goes to the plan below the target.
     return min(plans, key=lambda plan: plan.metrics.t_tot)
@@ -449,7 +447,6 @@ def crossover_with_direct(
     hw: HardwareParams,
     ch: ChannelParams,
     source_rate: float = 1.0e10,
-    tol: float = DEFAULT_TOL,
     bracket: tuple[float, float] = (10.0, 1.0e4),
 ) -> float:
     """Distance in km at which the optimized chain and direct transmission
@@ -472,7 +469,7 @@ def crossover_with_direct(
     the winner (see :func:`_scan_link_counts`), so every step, and the
     distance returned, is the same as with the exact scan at every step.
     """
-    hw, ch, tol = _arg("hw", hw), _arg("ch", ch), _arg("tol", tol)
+    hw, ch = _arg("hw", hw), _arg("ch", ch)
     source_rate = _arg("positive real", source_rate, "source_rate")
     ends = _args("positive real", bracket, "bracket")
     if len(ends) != 2 or not ends[0] < ends[1]:
@@ -486,7 +483,7 @@ def crossover_with_direct(
         try:
             direct = _direct_time(L, ch, source_rate)
         except BeyondRepresentable:
-            _scan_link_counts(hw, L, ch, n_max, tol)  # its error comes first
+            _scan_link_counts(hw, L, ch, n_max)  # its error comes first
             raise
         if 0 < favourite <= n_max:
             bounds = _scalar_bounds(hw, L, favourite, ch)
@@ -501,7 +498,7 @@ def crossover_with_direct(
                 return -1.0
             if upper[i] < math.inf and lower.min() > direct:
                 return 1.0
-        return _scan_link_counts(hw, L, ch, n_max, tol, candidates)[1] - direct
+        return _scan_link_counts(hw, L, ch, n_max, candidates)[1] - direct
 
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:
@@ -602,27 +599,27 @@ def _sweep_inputs(spec: SweepSpec, value: float) -> tuple[HardwareParams, float,
 
 
 def _sweep_point(spec: SweepSpec, value: float, hw: HardwareParams, total_length: float,
-                 direct: float | None, tol: float,
+                 direct: float | None,
                  candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> SweepRecord:
     try:
         if spec.fixed_link_length is not None:
-            plan = plan_fixed_link(hw, total_length, spec.ch, spec.fixed_link_length, tol)
+            plan = plan_fixed_link(hw, total_length, spec.ch, spec.fixed_link_length)
             found = dict(metrics=plan.metrics, best_n=plan.node_count, plan=plan)
         else:
-            result = _optimize(hw, total_length, spec.ch, spec.n_max, tol, candidates=candidates)
+            result = _optimize(hw, total_length, spec.ch, spec.n_max, candidates=candidates)
             found = dict(metrics=result.metrics, best_n=result.best_n)
     except (ModelError, ConfigError) as exc:
         found = dict(metrics=None, error=str(exc))
     return SweepRecord(value=value, total_length=total_length, direct_time=direct, **found)
 
 
-def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the sweep point by point; infeasible points are recorded
     inline and the sweep continues.  An optimized sweep builds the
     link-count candidates of every point in one pass first (see
     :func:`_link_candidates`), unless its ``n_max`` is invalid, which each
     point then records."""
-    spec, tol = _arg("spec", spec), _arg("tol", tol)
+    spec = _arg("spec", spec)
     points = [(value, *_sweep_inputs(spec, value)) for value in spec.grid]
     candidates = [None] * len(points)
     if spec.fixed_link_length is None:
@@ -632,4 +629,4 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRecord]:
             pass
         else:
             candidates = _link_candidates(rows, spec.ch)
-    return [_sweep_point(spec, *point, tol, row) for point, row in zip(points, candidates)]
+    return [_sweep_point(spec, *point, row) for point, row in zip(points, candidates)]

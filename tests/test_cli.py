@@ -54,7 +54,6 @@ def test_parse_config_fills_reference_defaults():
     assert cfg.hw.mode_count == 100
     assert cfg.ch.attenuation == 0.2
     assert cfg.ch.signal_speed == 2.0e5
-    assert cfg.tol == 1e-12
     assert cfg.output == "human"
 
 
@@ -138,7 +137,7 @@ def test_config_file_scenario_conflict(tmp_path, capsys):
 # every one of them fits into.
 KEY_VALUES = {
     "L": "1234.5", "n": "7", "L0": "150", "m": "20", "rho": "0.5", "eta_d": "0.8",
-    "eta_m": "0.7", "alpha": "0.25", "c": "190000", "tol": "1e-10", "trials": "50",
+    "eta_m": "0.7", "alpha": "0.25", "c": "190000", "trials": "50",
     "seed": "9", "source_rate": "1e9", "n_max": "40", "format": "csv", "param": "m",
     "values": "10,20",
 }
@@ -595,6 +594,27 @@ def test_a_value_starting_with_a_dash_reaches_its_range_check(capsys, argv, mess
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
     record = json.dumps({"error": {"code": "config_error", "message": message}}, sort_keys=True)
     assert run_cli(capsys, *argv, "--format", "json") == (2, record + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_a_tolerance_is_no_option(tmp_path, capsys, where, fmt):
+    # Every scenario sums at the model's DEFAULT_TOL: neither argv nor a
+    # config file may set one.
+    config = tmp_path / "run.cfg"
+    config.write_text("tol = 1e-6\n")
+    if where == "flag":
+        extra = ["--tol", "1e-6"]
+        message = "unrecognized argument '--tol' (see repeaterchain eval --help)"
+    else:
+        extra = ["--config", str(config)]
+        message = f"{config}:1: unknown key 'tol'"
+    code, out, err = run_cli(capsys, "eval", "--L", "1600", "--n", "8", *extra, "--format", fmt)
+    if fmt == "json":
+        record = {"error": {"code": "config_error", "message": message}}
+        assert (code, json.loads(out), err) == (2, record, "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_help_still_exits_0(capsys):
@@ -1157,7 +1177,6 @@ CLI_DOMAIN = {
     "eta_m": plausible(0.0, 1.0),
     "alpha": plausible(0.0, 1.0),
     "c": plausible(1e3, 1e6),
-    "tol": plausible(1e-15, 0.5),
     "source_rate": plausible(1.0, 1e14),
 }
 HOSTILE = st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr), st.integers().map(str))
@@ -1311,7 +1330,7 @@ def domain_argv(scenario: str, fmt: str, values: dict, hostile: dict, config=Non
 N_MAX_EDGES = ("0", "-1", "1", "2", "5000", "1" + "0" * 400, "-" + "1" * 400)
 PLAN_DOMAIN = {
     **{key: CLI_DOMAIN[key] for key in
-       ("L", "L0", "m", "rho", "eta_d", "eta_m", "alpha", "c", "tol")},
+       ("L", "L0", "m", "rho", "eta_d", "eta_m", "alpha", "c")},
     "n_max": st.integers(min_value=1, max_value=5000).map(str),
 }
 # Each swept parameter's grid values in its physical range.

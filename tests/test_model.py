@@ -601,6 +601,39 @@ def test_moments_match_mp_oracle_across_the_seam():
     assert worst_variance <= 9.4e-15
 
 
+def test_moments_are_the_same_at_every_tolerance(monkeypatch):
+    """Every tolerance gives the oracle's moments to within their rounding,
+    which is why only ``metrics`` and ``combined_attempt_dist`` take one.
+
+    The grid's tolerances move points between the routes: a prefix of one
+    chunk, several chunks with an analytic tail (or a fallback to the
+    closed form past the term cap), and the closed form.  The bounds are
+    twice the worst relative errors measured on this grid, 4.4e-16 for the
+    mean (p = 1e-5, n = 1) and 1.4e-14 for the variance (p = 1e-5,
+    n = 128), both at tol = 1e-15."""
+    chunk_sizes = []
+    chunk_sum = model._chunk_sum
+    monkeypatch.setattr(model, "_chunk_sum",
+                        lambda lam, n, k0, size: chunk_sizes.append(size)
+                        or chunk_sum(lam, n, k0, size))
+    routes = set()
+    for p in (0.9, 0.5, 0.1, 1e-2, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7):
+        for n in (1, 2, 8, 64, 128):
+            oracle_mean, oracle_variance = mp_closed_form_moments(p, n)
+            for tol in (0.5, 1e-3, 1e-6, 1e-12, 1e-15):
+                chunk_sizes.clear()
+                mean, variance = model._attempts_moments(p, n, tol)
+                if not chunk_sizes:
+                    routes.add("closed form")
+                elif chunk_sizes[0] < model._CHUNK:
+                    routes.add("prefix")
+                elif len(chunk_sizes) > 1:
+                    routes.add("chunks")
+                assert abs(mean - oracle_mean) <= 8.8e-16 * oracle_mean, (p, n, tol)
+                assert abs(variance - oracle_variance) <= 2.8e-14 * oracle_variance, (p, n, tol)
+    assert routes == {"prefix", "chunks", "closed form"}
+
+
 def test_closed_form_variance_keeps_its_bits_near_p_one():
     # second - mean^2 cancels about log2(1 / (1 - p)) = 33 bits here; the
     # exact variance of one geometric variable is (1 - p) / p^2.

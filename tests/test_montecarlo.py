@@ -366,12 +366,29 @@ def test_aggregated_totals_match_numpy_normal():
     _check_aggregated_totals()
 
 
-@pytest.mark.parametrize("block", [1, 64], ids=["one-round", "middle"])
+@pytest.mark.parametrize("block", [8, 64], ids=["one-round", "middle"])
 def test_aggregated_totals_past_the_buffer_match_numpy_normal(block, monkeypatch):
-    # With a buffer of one draw every trial, aggregated ones included,
-    # draws raw words and settles on its own; with 64, deep trials do.
+    # With a buffer of one round of 8 draws every trial settles on its own,
+    # and one that replays failed rounds draws raw words; with 64, deep
+    # trials do.  An aggregated trial draws one round, which always fits:
+    # simulate admits no round that passes the real buffer (see
+    # test_simulate_admits_at_most_30_links_at_perfect_efficiency).
     monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", block)
     _check_aggregated_totals()
+
+
+def test_simulate_admits_at_most_30_links_at_perfect_efficiency():
+    # A round succeeds with at most 2^-(n-1), and simulate refuses one below
+    # 1e-9 up front: no round it admits has more draws than the buffer
+    # holds, so an aggregated trial, which replays one round, never draws
+    # raw words.
+    hw = HardwareParams(detector_eff=1.0, memory_eff=1.0)
+    run = [TrialConfig(hw=hw, chain=ChainConfig(total_length=500.0, link_count=n), ch=CH,
+                       trials=1, seed=0) for n in (30, 31)]
+    assert simulate(run[0]).rounds_total > _EXACT_ROUND_LIMIT + 1  # aggregated
+    assert 30 <= _DRAW_BLOCK
+    with pytest.raises(SimulationAbort, match="expected rounds per success exceeds"):
+        simulate(run[1])
 
 
 def _check_aggregated_totals():
@@ -427,9 +444,9 @@ def test_simulate_rejects_statistics_past_the_float_range():
 def test_simulate_memory_stays_within_buffers():
     # Trials here replay thousands of rounds, so many draw raw words past
     # the buffer.  Alive at most: the draw buffer, one scratch of attempt
-    # counts, one deep trial's n words per round (freed before the next
-    # trial draws) and numpy's copy of its maxima as they are converted,
-    # the per-trial arrays and at most 128 keys' Python lists.  The bound
+    # counts, in which a deep trial's round maxima are converted in place,
+    # one deep trial's n words per round (freed before the next trial
+    # draws), the per-trial arrays and at most 128 keys' Python lists.  The bound
     # counts n draws and one attempt count per buffered round and per
     # round of one deep trial, two per-trial arrays and 256 bytes per key
     # of a block.

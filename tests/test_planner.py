@@ -379,8 +379,7 @@ def test_winner_only_scan_matches_the_runner_up_scan(hw, L, n_max):
     # Stopping at the winner's time instead of the runner-up's leaves out
     # only link counts that can neither beat nor tie the winner.
     def scan(runner_up):
-        return outcome(lambda: _scan_link_counts(hw, L, CH, n_max, DEFAULT_TOL,
-                                                 runner_up=runner_up))
+        return outcome(lambda: _scan_link_counts(hw, L, CH, n_max, runner_up=runner_up))
 
     full, winner_only = scan(True), scan(False)
     if isinstance(full[0], type):
@@ -535,10 +534,10 @@ def test_crossover_builds_one_row_only_for_steps_its_favourite_leaves_open(monke
         built.append((rows[0][1], candidates[0]))
         return candidates
 
-    def exact_scan(hw, L, ch, n_max, tol, candidates=None, *rest):
+    def exact_scan(hw, L, ch, n_max, candidates=None, *rest):
         assert L == built[-1][0] and candidates is built[-1][1]
         scans.append(L)
-        return scan(hw, L, ch, n_max, tol, candidates, *rest)
+        return scan(hw, L, ch, n_max, candidates, *rest)
 
     monkeypatch.setattr(planner, "_link_candidates", build)
     monkeypatch.setattr(planner, "_scan_link_counts", exact_scan)
@@ -851,8 +850,7 @@ def test_fixed_link_metrics_equal_the_base_chain_extended(hw, ch, L0, links, pas
 
 # ---------------------------------------------------------------- crossover search
 
-def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0e4),
-                        visited=None):
+def reference_crossover(hw, ch, source_rate, bracket=(10.0, 1.0e4), visited=None):
     """The bisection with the exact link-count scan, then the direct time,
     at every step; each distance evaluated is appended to ``visited``."""
     lo, hi = bracket
@@ -860,7 +858,7 @@ def reference_crossover(hw, ch, source_rate, tol=DEFAULT_TOL, bracket=(10.0, 1.0
     def gap(L):
         if visited is not None:
             visited.append(L)
-        repeater = _scan_link_counts(hw, L, ch, _link_count_limit(L, None), tol)[1]
+        repeater = _scan_link_counts(hw, L, ch, _link_count_limit(L, None))[1]
         return repeater - direct_transmission_time(L, ch, source_rate)
 
     g_lo, g_hi = gap(lo), gap(hi)
@@ -952,7 +950,7 @@ def test_crossover_returns_a_distance_whose_gap_is_exactly_zero():
     # transcendentals, which follow the SIMD dispatch, so the rate is found
     # here rather than pinned, from the first L that has one.
     def exact_rate(L):
-        t = _scan_link_counts(HW, L, CH, _link_count_limit(L, None), DEFAULT_TOL)[1]
+        t = _scan_link_counts(HW, L, CH, _link_count_limit(L, None))[1]
         rate = 10.0 ** (CH.attenuation * L / 10.0) / t
         for _ in range(64):
             direct = direct_transmission_time(L, CH, rate)

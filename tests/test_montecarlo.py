@@ -417,6 +417,20 @@ def _check_aggregated_totals():
     assert got.tolist() == np.array(expected).T.tolist()
 
 
+def test_aggregated_totals_take_at_least_one_attempt_per_round():
+    # At p near 1 a round's attempt count has a small variance, and the
+    # matched normal of an aggregated trial's failed rounds may dip below
+    # one attempt per round: the floor keeps every total at its rounds.
+    hw = HardwareParams(mode_count=30)
+    chain = ChainConfig(total_length=1.0, link_count=10)
+    cfg = TrialConfig(hw=hw, chain=chain, ch=CH, trials=2000, seed=1)
+    p = ec_prob(hw, chain, CH)
+    log_q_round = math.log1p(-_round_terms(hw, chain.total_length, 10, CH)[3])
+    rounds, _, total = _played(cfg, p, 10, log_q_round)
+    assert (rounds - 1 > _EXACT_ROUND_LIMIT).any()  # some trials aggregate
+    assert (total >= rounds).all()
+
+
 def test_simulate_raises_an_unrepresentable_total_before_a_later_abort():
     # Trial 0 aggregates a failed-round sum whose variance overflows; trial
     # 1 needs more than 10**9 rounds.  The earlier trial's error comes first.

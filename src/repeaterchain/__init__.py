@@ -24,7 +24,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it.
+# Public name -> the submodule that defines it: the one list of the
+# package's public names.
 _HOMES = {
     **dict.fromkeys((
         "BeyondRepresentable",
@@ -44,12 +45,10 @@ _HOMES = {
         "RepeaterMetrics",
         "combined_attempt_dist",
         "ec_prob",
-        "ec_prob_single_mode",
         "expected_max_attempts",
         "metrics",
     ), "model"),
-    **dict.fromkeys(("TrialConfig", "TrialStats", "sample_chain_round", "simulate"),
-                    "montecarlo"),
+    **dict.fromkeys(("TrialConfig", "TrialStats", "simulate"), "montecarlo"),
     **dict.fromkeys((
         "FixedLinkPlan",
         "OptimizationResult",

@@ -65,20 +65,6 @@ class _NumpyOnFirstUse:
 
 np = _NumpyOnFirstUse(globals())
 
-__all__ = [
-    "DEFAULT_TOL",
-    "AttemptDistribution",
-    "ChainConfig",
-    "ChannelParams",
-    "HardwareParams",
-    "RepeaterMetrics",
-    "combined_attempt_dist",
-    "ec_prob",
-    "ec_prob_single_mode",
-    "expected_max_attempts",
-    "metrics",
-]
-
 #: Default relative truncation tolerance for all infinite series.
 DEFAULT_TOL = 1e-12
 
@@ -190,7 +176,6 @@ _KINDS = {
     # Classes of the modules that import this one, by module and name.
     "cfg": ((f"{__package__}.montecarlo", "TrialConfig"), ()),
     "spec": ((f"{__package__}.planner", "SweepSpec"), ()),
-    "rng": (("numpy.random", "Generator"), ()),
 }
 
 
@@ -278,10 +263,6 @@ class AttemptDistribution:
         """Attempt indices k = 1 .. len(probs)."""
         return np.arange(1, self.probs.size + 1)
 
-    def expectation(self) -> float:
-        """Mean attempt number of the truncated distribution (tail ignored)."""
-        return float((self.attempt_numbers * self.probs).sum())
-
 
 @dataclass(frozen=True)
 class RepeaterMetrics:
@@ -304,22 +285,11 @@ class RepeaterMetrics:
     mem_time_std: float
 
 
-def ec_prob_single_mode(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
-    """Per-attempt success probability of the midpoint Bell-state measurement
-    for a single optical mode.
-
-    Both photons of a link survive half the link length each, so the loss
-    exponent uses half the per-link distance; the 1/2 prefactor is the
-    linear-optics BSM ceiling.  The result is in [0, 1/2].
-    """
-    hw, chain, ch = _arg("hw", hw), _arg("chain", chain), _arg("ch", ch)
-    return _single_mode_prob(hw, chain.total_length, chain.link_count, ch)
-
-
 def ec_prob(hw: HardwareParams, chain: ChainConfig, ch: ChannelParams) -> float:
     """Per-attempt EC probability with ``mode_count`` parallel modes:
     the chance that at least one mode yields a successful BSM."""
-    return _multimode_prob(hw, ec_prob_single_mode(hw, chain, ch))
+    hw, chain, ch = _arg("hw", hw), _arg("chain", chain), _arg("ch", ch)
+    return _ec_prob(hw, chain.total_length, chain.link_count, ch)
 
 
 def _ec_prob(hw: HardwareParams, total_length: float, link_count: int,
@@ -329,6 +299,10 @@ def _ec_prob(hw: HardwareParams, total_length: float, link_count: int,
 
 
 def _single_mode_prob(hw: HardwareParams, total_length, link_count, ch: ChannelParams):
+    # Per-attempt success probability of the midpoint Bell-state measurement
+    # for a single optical mode, in [0, 1/2].  Both photons of a link survive
+    # half the link length each, so the loss exponent uses half the per-link
+    # distance; the 1/2 prefactor is the linear-optics BSM ceiling.
     # Elementwise: the fields of ``hw`` and every other argument may be arrays.
     exponent = -ch.attenuation * total_length / (20.0 * link_count)
     amplitude = hw.detector_eff * hw.emission_prob * 10.0**exponent

@@ -20,8 +20,8 @@ result.  The key of trial ``j`` is the ``Philox`` key that
 ``SeedSequence(entropy=seed, spawn_key=(j,))`` generates; :func:`simulate`
 takes the seed's pool from numpy's ``SeedSequence(seed).pool``, mixes in
 the spawn words of a block of trials at once with a port of SeedSequence's
-own hashing, and re-keys a single generator per trial, so the streams are
-the same as those of one ``SeedSequence`` per trial.
+own hashing, and re-keys a single generator per trial, so trial ``j``
+draws the stream of ``Generator(Philox(SeedSequence(seed, spawn_key=(j,))))``.
 
 Each trial draws its chain rounds' uniforms with ``Generator.random``
 straight into one scratch buffer of 2**13 doubles, the same for the
@@ -67,13 +67,10 @@ from .model import (
     _NumpyOnFirstUse,
     _round_terms,
     _set_fields,
-    _success_args,
 )
 
 # numpy loads on the first draw: a run rejected up front never pays for it.
 np = _NumpyOnFirstUse(globals())
-
-__all__ = ["TrialConfig", "TrialStats", "sample_chain_round", "simulate"]
 
 # Failed rounds are replayed individually up to this count per trial;
 # beyond it the summed attempt count is drawn from a matched normal.
@@ -141,15 +138,6 @@ class TrialStats:
     attempt_histogram: dict[int, int] = field(default_factory=dict)
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # One-trial reference for the streams simulate() draws.  SeedSequence
-    # spreads the (seed, index) pair into well-distributed key material;
-    # raw structured Philox keys measurably bias the stream.
-    return np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    )
-
-
 # The two SeedSequence hashing steps run on Python ints and, unchanged, on
 # uint64 arrays of 32-bit values: no product or difference wraps.
 def _hashmix(value, hash_const: int, mult: int):
@@ -189,9 +177,10 @@ def _philox_keys(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Generator]]:
-    """Yield ``(j, rng)`` for every trial, where ``rng`` draws the stream
-    of ``_trial_rng(seed, j)``.  One generator is re-keyed per trial, so
-    each ``rng`` is only valid until the next one is yielded."""
+    """Yield ``(j, rng)`` for every trial, where ``rng`` draws the stream of
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(j,))))``.  One
+    generator is re-keyed per trial, so each ``rng`` is only valid until the
+    next one is yielded."""
     # np.random.Philox(key=...) would pull OS entropy it then discards.
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
@@ -212,31 +201,6 @@ def _trial_streams(seed: int, trials: int) -> Iterator[tuple[int, np.random.Gene
                 state["state"]["key"] = key
                 bitgen.state = state
                 yield j, rng
-
-
-def sample_chain_round(p: float, n: int, rng: np.random.Generator) -> int:
-    """Attempt number at which the slowest of ``n`` links succeeds:
-    the maximum of ``n`` inverse-CDF geometric draws."""
-    p, n = _success_args(p, n)
-    rng = _arg("rng", rng)
-    with np.errstate(over="ignore"):  # past the float range for p near 0: checked here
-        k = float(_sample_chain_rounds(p, n, 1, rng)[0])
-    if k == math.inf:
-        raise BeyondRepresentable("simulated attempt count beyond representable")
-    return int(k)
-
-
-def _sample_chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    # The callers convert p in (0, 1] and n >= 1.
-    if p == 1.0:
-        return np.ones(size, dtype=np.float64)
-    try:
-        draws = rng.random(size * n)
-    except (MemoryError, ValueError):  # numpy's ValueError: past the largest array size
-        raise SimulationAbort(
-            f"simulation aborted: {size * n} draws do not fit in memory"
-        ) from None
-    return _round_attempts(draws, n, math.log1p(-p), np.empty(size))
 
 
 def _round_attempts(draws: np.ndarray, n: int, log_q: float, out: np.ndarray) -> np.ndarray:

@@ -49,18 +49,6 @@ from .model import (
     _UNDERFLOW_LINKS,
 )
 
-__all__ = [
-    "FixedLinkPlan",
-    "OptimizationResult",
-    "SweepRecord",
-    "SweepSpec",
-    "crossover_with_direct",
-    "direct_transmission_time",
-    "optimize_link_count",
-    "plan_fixed_link",
-    "run_sweep",
-]
-
 # Below ~25 km links the swap overhead 2^(n-1)/(eta^4)^n always dominates,
 # so the scan never needs finer splits than this.
 _MIN_USEFUL_LINK_KM = 25.0

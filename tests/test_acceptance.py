@@ -26,9 +26,10 @@ from repeaterchain.model import (
     expected_max_attempts,
     metrics,
 )
-from repeaterchain.montecarlo import TrialConfig, _sample_chain_rounds, _trial_rng, simulate
+from repeaterchain.montecarlo import TrialConfig, _round_attempts, simulate
 from repeaterchain.planner import direct_transmission_time
 from mp_oracle import mp_closed_form_moments
+from trial_rng import trial_rng
 
 HW = HardwareParams()
 CH = ChannelParams()
@@ -167,7 +168,7 @@ def test_criterion_7_distribution_laws():
         np.testing.assert_allclose(reduced.probs, single, rtol=1e-12, atol=1e-12)
     # Goodness of fit of 1e6 sampled chain rounds against the analytic law.
     p, n, size = 0.3, 3, 10**6
-    draws = _sample_chain_rounds(p, n, size, _trial_rng(3, 0))
+    draws = _round_attempts(trial_rng(3, 0).random(n * size), n, math.log1p(-p), np.empty(size))
     dist = combined_attempt_dist(p, n)
     expected = dist.probs * size
     cut = int(np.argmax(expected < 5.0))

@@ -33,13 +33,11 @@ from repeaterchain import (
     crossover_with_direct,
     direct_transmission_time,
     ec_prob,
-    ec_prob_single_mode,
     expected_max_attempts,
     metrics,
     optimize_link_count,
     plan_fixed_link,
     run_sweep,
-    sample_chain_round,
     simulate,
 )
 from repeaterchain.model import _KINDS
@@ -76,14 +74,11 @@ SIGNATURES = {
                 "fixed_link_length": ("positive real", None), "n_max": ("n_max", None),
                 "source_rate": ("positive real", None)},
     ec_prob: {"hw": ("hw", HW), "chain": ("chain", CHAIN), "ch": ("ch", CH)},
-    ec_prob_single_mode: {"hw": ("hw", HW), "chain": ("chain", CHAIN), "ch": ("ch", CH)},
     metrics: {"hw": ("hw", HW), "chain": ("chain", CHAIN), "ch": ("ch", CH),
               "tol": ("tol", DEFAULT_TOL)},
     expected_max_attempts: {"p": ("success probability", 0.5), "n": ("count", 8)},
     combined_attempt_dist: {"p": ("success probability", 0.5), "n": ("count", 8),
                             "tol": ("tol", DEFAULT_TOL)},
-    sample_chain_round: {"p": ("success probability", 0.5), "n": ("count", 8),
-                         "rng": ("rng", None)},  # a fresh generator per call
     simulate: {"cfg": ("cfg", CFG)},
     direct_transmission_time: {"L": ("non-negative real", 500.0), "ch": ("ch", CH),
                                "source_rate": ("positive real", 1e10)},
@@ -119,16 +114,11 @@ def hostile(kind) -> list:
         return HOSTILE + [(value, 1e4) for value in HOSTILE] + [(10.0, value) for value in HOSTILE]
     if kind in INSTANCE_KINDS:
         return HOSTILE + accepted(INSTANCE_KINDS[kind])
-    if kind == "rng":
-        return HOSTILE + [np.random.default_rng(0)]
     return HOSTILE
 
 
 def valid_arguments(call) -> dict:
-    arguments = {name: valid for name, (_, valid) in SIGNATURES[call].items()}
-    if call is sample_chain_round:
-        arguments["rng"] = np.random.default_rng(0)
-    return arguments
+    return {name: valid for name, (_, valid) in SIGNATURES[call].items()}
 
 
 SLOTS = [(call, name) for call in SIGNATURES for name in SIGNATURES[call]]
@@ -207,11 +197,8 @@ def test_contract_covers_the_public_api_and_every_kind():
 @example(case=((expected_max_attempts, "p"), None))
 @example(case=((combined_attempt_dist, "p"), "1"))
 @example(case=((combined_attempt_dist, "p"), None))
-@example(case=((sample_chain_round, "p"), "1"))
-@example(case=((sample_chain_round, "p"), None))
 @example(case=((expected_max_attempts, "p"), 5e-324))
 @example(case=((combined_attempt_dist, "p"), 5e-324))
-@example(case=((sample_chain_round, "p"), 5e-324))
 @example(case=((expected_max_attempts, "n"), 10**400))
 @example(case=((combined_attempt_dist, "n"), 10**400))
 @example(case=((expected_max_attempts, "n"), 1e308))
@@ -219,8 +206,6 @@ def test_contract_covers_the_public_api_and_every_kind():
 @example(case=((expected_max_attempts, "n"), 2**63))
 @example(case=((metrics, "hw"), None))
 @example(case=((TrialConfig, "hw"), None))
-@example(case=((sample_chain_round, "rng"), None))
-@example(case=((sample_chain_round, "rng"), random.Random(0)))
 def test_public_calls_return_finite_numbers_or_raise_package_errors(case):
     (call, name), value = case
     arguments = {**valid_arguments(call), name: value}

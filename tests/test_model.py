@@ -24,9 +24,9 @@ from repeaterchain.model import (
     ChannelParams,
     HardwareParams,
     _closed_form_moments,
+    _single_mode_prob,
     combined_attempt_dist,
     ec_prob,
-    ec_prob_single_mode,
     expected_max_attempts,
     metrics,
 )
@@ -158,18 +158,18 @@ def test_link_counts_are_positive_ints():
 def test_single_mode_zero_loss_limit():
     hw = HardwareParams(detector_eff=1.0, emission_prob=1.0)
     ch = ChannelParams(attenuation=0.0)
-    assert ec_prob_single_mode(hw, ChainConfig(total_length=100.0, link_count=1), ch) == 0.5
+    assert _single_mode_prob(hw, 100.0, 1, ch) == 0.5
 
 
 def test_single_mode_reference_point():
     # eta_d = rho = 0.9, 125 km link, 0.2 dB/km; frozen from a 40-digit evaluation
-    p1m = ec_prob_single_mode(DEFAULT_HW, ChainConfig(total_length=125.0, link_count=1), DEFAULT_CH)
+    p1m = _single_mode_prob(DEFAULT_HW, 125.0, 1, DEFAULT_CH)
     assert p1m == pytest.approx(1.0373851864182368e-3, rel=1e-12)
 
 
 def test_single_mode_no_emission():
     hw = HardwareParams(emission_prob=0.0)
-    assert ec_prob_single_mode(hw, ChainConfig(total_length=125.0, link_count=1), DEFAULT_CH) == 0.0
+    assert _single_mode_prob(hw, 125.0, 1, DEFAULT_CH) == 0.0
     assert ec_prob(hw, ChainConfig(total_length=125.0, link_count=1), DEFAULT_CH) == 0.0
 
 
@@ -177,7 +177,7 @@ def test_multimode_reduces_to_single_mode_at_m_1():
     hw = HardwareParams(mode_count=1)
     chain = ChainConfig(total_length=125.0, link_count=1)
     assert ec_prob(hw, chain, DEFAULT_CH) == pytest.approx(
-        ec_prob_single_mode(hw, chain, DEFAULT_CH), rel=1e-15)
+        _single_mode_prob(hw, 125.0, 1, DEFAULT_CH), rel=1e-15)
 
 
 def test_multimode_reference_point():
@@ -219,7 +219,7 @@ def test_single_link_dist_geometric_halving():
 
 def test_single_link_dist_expectation():
     dist = combined_attempt_dist(0.1, 1, tol=1e-12)
-    assert abs(dist.expectation() - 10.0) < 1e-9
+    assert abs((dist.attempt_numbers * dist.probs).sum() - 10.0) < 1e-9
 
 
 def test_single_link_dist_rejects_zero_probability():

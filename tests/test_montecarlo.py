@@ -37,12 +37,10 @@ from repeaterchain.montecarlo import (
     _philox_keys,
     _play_trials,
     _round_attempts,
-    _sample_chain_rounds,
-    _trial_rng,
     _trial_streams,
-    sample_chain_round,
     simulate,
 )
+from trial_rng import trial_rng
 
 HW = HardwareParams()
 CH = ChannelParams()
@@ -98,7 +96,7 @@ def test_trial_streams_match_per_trial_generators():
     seen = []
     for j, rng in _trial_streams(42, _KEY_BLOCK + 2):
         if j in checked:
-            ref = _trial_rng(42, j)
+            ref = trial_rng(42, j)
             assert rng.random() == ref.random()
             np.testing.assert_array_equal(rng.random((3, 5)), ref.random((3, 5)))
             assert rng.normal(2.0, 3.0) == ref.normal(2.0, 3.0)
@@ -108,30 +106,28 @@ def test_trial_streams_match_per_trial_generators():
 
 # ---------------------------------------------------------------- round sampler
 
+def chain_rounds(p: float, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    # The attempt counts of ``size`` chain rounds of ``n`` links, from
+    # ``rng``'s next ``size * n`` doubles, as the sampler's kernel gives them.
+    return _round_attempts(rng.random(size * n), n, math.log1p(-p), np.empty(size))
+
+
 def test_chain_round_certain_success():
-    rng = _trial_rng(0, 0)
-    assert all(sample_chain_round(1.0, n, rng) == 1 for n in (1, 5, 20))
-
-
-def test_chain_round_rejects_zero_probability():
-    with pytest.raises(NonTerminatingProcess):
-        sample_chain_round(0.0, 2, _trial_rng(0, 0))
-
-
-@pytest.mark.parametrize("n", [2**59, 10**30])  # 4 EiB of draws; more than numpy can index
-def test_chain_round_too_large_for_memory_aborts(n):
-    with pytest.raises(SimulationAbort, match="do not fit in memory"):
-        sample_chain_round(0.5, n, _trial_rng(0, 0))
+    # At p = 1 every ln(1 - u) / -inf is 0: each round takes one attempt.
+    for n in (1, 5, 20):
+        draws = trial_rng(0, n).random(3 * n)
+        np.testing.assert_array_equal(_round_attempts(draws, n, -math.inf, np.empty(3)),
+                                      np.ones(3))
 
 
 def test_chain_round_mean_two_links():
-    draws = _sample_chain_rounds(0.5, 2, 10**6, _trial_rng(1, 0))
+    draws = chain_rounds(0.5, 2, 10**6, trial_rng(1, 0))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 8.0 / 3.0) < 3.0 * se
 
 
 def test_chain_round_mean_single_link():
-    draws = _sample_chain_rounds(0.1, 1, 10**6, _trial_rng(2, 0))
+    draws = chain_rounds(0.1, 1, 10**6, trial_rng(2, 0))
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 10.0) < 3.0 * se
 
@@ -142,12 +138,12 @@ def test_chain_round_row_max_equals_per_element_formula(p, n):
     # One log per round must give the max of the per-element inverse-CDF
     # draws exactly, on the same stream.
     for seed in (0, 1):
-        kernel_rng, formula_rng = _trial_rng(seed, 0), _trial_rng(seed, 0)
+        kernel_rng, formula_rng = trial_rng(seed, 0), trial_rng(seed, 0)
         for size in (1, 5, 4097):
             r = formula_rng.random((size, n))
             per_element = np.maximum(np.ceil(np.log(1.0 - r) / math.log1p(-p)), 1.0)
             expected = per_element.max(axis=1)
-            np.testing.assert_array_equal(_sample_chain_rounds(p, n, size, kernel_rng), expected)
+            np.testing.assert_array_equal(chain_rounds(p, n, size, kernel_rng), expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 17])
@@ -159,7 +155,7 @@ def test_round_attempts_on_raw_words_equal_those_on_doubles(p, n):
     # first, as the rounds' count is, so the words start mid-block.
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     for size in (1, 5, 4097):
-        word_rng, double_rng = _trial_rng(size, n), _trial_rng(size, n)
+        word_rng, double_rng = trial_rng(size, n), trial_rng(size, n)
         assert word_rng.random() == double_rng.random()
         words = word_rng.bit_generator.random_raw(size * n)
         assert words.dtype == np.uint64
@@ -169,30 +165,10 @@ def test_round_attempts_on_raw_words_equal_those_on_doubles(p, n):
         assert word_rng.random() == double_rng.random()  # the streams go on alike
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_chain_round_on_mt19937_matches_per_element_formula(n):
-    # A caller's generator may be MT19937, whose doubles take two 32-bit
-    # words each: sample_chain_round must read the generator's doubles.
-    p = 0.3
-    rng = np.random.Generator(np.random.MT19937(7))
-    reference = np.random.Generator(np.random.MT19937(7))
-    for _ in range(50):
-        u = reference.random(n)
-        expected = np.maximum(np.ceil(np.log(1.0 - u) / math.log1p(-p)), 1.0).max()
-        assert sample_chain_round(p, n, rng) == expected
-
-
-@pytest.mark.parametrize("n", [1, 8, 17])
-def test_chain_round_certain_success_draws_nothing(n):
-    rng = _trial_rng(5, 0)
-    np.testing.assert_array_equal(_sample_chain_rounds(1.0, n, 7, rng), np.ones(7))
-    assert rng.random() == _trial_rng(5, 0).random()
-
-
 def test_chain_round_histogram_matches_distribution():
     # Pearson chi-square against the analytical law at 1% significance.
     p, n, size = 0.3, 3, 10**5
-    draws = _sample_chain_rounds(p, n, size, _trial_rng(3, 0))
+    draws = chain_rounds(p, n, size, trial_rng(3, 0))
     dist = combined_attempt_dist(p, n)
     expected = dist.probs * size
     cut = int(np.argmax(expected < 5.0))  # merge sparse tail bins
@@ -280,7 +256,7 @@ def test_simulate_replays_a_trial_at_the_aggregation_boundary():
     chain = ChainConfig(total_length=500.0, link_count=8)
     p = ec_prob(HW, chain, CH)
     success = _round_terms(HW, chain.total_length, 8, CH)[3]
-    rng = _trial_rng(seed, 0)
+    rng = trial_rng(seed, 0)
     rounds = max(math.ceil(math.log(1.0 - rng.random()) / math.log1p(-success)), 1)
     assert rounds == _EXACT_ROUND_LIMIT + 1
     draws = rng.random((rounds, 8))
@@ -309,7 +285,7 @@ def test_buffered_totals_match_one_trial_replays(block, monkeypatch):
     totals = _played(cfg, p, 1, log_q_round)[2]
     expected = []
     for j in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, j)
+        rng = trial_rng(cfg.seed, j)
         rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
         k = np.maximum(np.ceil(np.log(1.0 - rng.random(rounds)) / math.log1p(-p)), 1.0)
         expected.append((rounds, k[:-1].sum() + k[-1]))
@@ -349,7 +325,7 @@ def test_buffered_totals_below_2_53_match_one_trial_replays(n, block, monkeypatc
     p = ec_prob(HW, chain, CH)
     log_q_round = math.log1p(-_round_terms(HW, chain.total_length, n, CH)[3])
     got = _played(cfg, p, n, log_q_round)
-    expected = np.array([_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p), log_q_round)
+    expected = np.array([_replayed_trial(trial_rng(cfg.seed, j), n, math.log1p(-p), log_q_round)
                          for j in range(cfg.trials)]).T
     assert expected[0].max() - 1 <= _EXACT_ROUND_LIMIT  # every failed round replayed
     assert expected[0].max() > 1  # some failed rounds to sum
@@ -401,11 +377,11 @@ def _check_aggregated_totals():
     got = _played(cfg, p, n, log_q_round)
     expected, aggregated = [], []
     for j in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, j)
+        rng = trial_rng(cfg.seed, j)
         rounds = max(math.ceil(math.log(1.0 - rng.random()) / log_q_round), 1)
         failed = rounds - 1
         if failed <= _EXACT_ROUND_LIMIT:
-            expected.append(_replayed_trial(_trial_rng(cfg.seed, j), n, math.log1p(-p),
+            expected.append(_replayed_trial(trial_rng(cfg.seed, j), n, math.log1p(-p),
                                             log_q_round))
             continue
         aggregated.append(j)
